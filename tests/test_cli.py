@@ -1,0 +1,39 @@
+import pytest
+
+from risjrc import cli
+
+TINY_CONFIG = """[arrays]
+n_ris = 16
+[grid]
+grid_size = 8
+[pathloss]
+model = standard_power
+[codebook]
+schedule = 4, 4, 4
+[experiment]
+power_list = 42
+trials = 10
+calib_trials = 40
+t_max = 64
+"""
+
+SUBCOMMANDS = (
+    "design-codebook",
+    "localize",
+    "stage-error",
+    "calibrate",
+    "overall-error",
+    "se-sweep",
+    "count-transmissions",
+    "beampattern",
+    "write-config",
+)
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_subcommand_writes_output(tmp_path, command):
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY_CONFIG)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
+    assert out.stat().st_size > 0
