@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from .channels import ScenarioConfig
-from .codebook import build_codebook, load_codebook, save_codebook
+from .codebook import load_codebook, save_codebook
 from .harness import (
     ExperimentPlan,
     beampattern_csv,
@@ -32,13 +32,12 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--parallel", type=int, help="worker process count")
 
 
-def _load(args, kind: str | None = None):
+def _load(args, kind: str):
     if args.config:
         cfg, plan = load_config(args.config)
     else:
         cfg, plan = ScenarioConfig(), ExperimentPlan()
-    if kind is not None:
-        plan.kind = kind
+    plan.kind = kind
     if args.seed is not None:
         plan.master_seed = args.seed
     if args.trials is not None:
@@ -49,85 +48,81 @@ def _load(args, kind: str | None = None):
     return cfg, plan, cb
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="risjrc", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _design_codebook(args, kind):
+    cfg, plan, _ = _load(args, kind)
+    out = args.out or "codebook.riscb"
+    book = get_codebook(cfg, plan)
+    save_codebook(book, out)
+    warn = sum(len(b.quality_warnings) for b in book.stages)
+    print(f"wrote {out} (D={book.d}, N_r={book.n_ris}, schedule={book.schedule}, warnings={warn})")
 
-    for name, help_text in (
-        ("design-codebook", "design the hierarchical codebook and write it to a file"),
-        ("localize", "run one localization trial and write its verbose trace"),
-        ("stage-error", "isolated per-stage error probabilities over the power sweep"),
-        ("calibrate", "calibrated per-stage snapshot counts over the power sweep"),
-        ("overall-error", "full-run localization error over the power sweep"),
-        ("se-sweep", "average user spectral efficiency per scenario over the sweep"),
-        ("count-transmissions", "hierarchical vs exhaustive transmission counts"),
-        ("beampattern", "dump per-beam axis response magnitudes over the grid"),
-        ("write-config", "write the default config file"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
 
-    args = parser.parse_args(argv)
-
-    if args.command == "write-config":
-        path = args.out or "risjrc.cfg"
-        write_default_config(path)
-        print(f"wrote {path}")
-        return 0
-
-    kind_map = {
-        "stage-error": "stage-error-vs-P",
-        "calibrate": "snapshots-vs-P",
-        "overall-error": "overall-error-vs-P",
-        "se-sweep": "se-vs-P",
-        "count-transmissions": "transmission-count",
-        "beampattern": "codebook-report",
-        "design-codebook": "codebook-report",
-        "localize": "overall-error-vs-P",
-    }
-    cfg, plan, cb = _load(args, kind_map[args.command])
-
-    if args.command == "design-codebook":
-        out = args.out or "codebook.riscb"
-        book = build_codebook(cfg, schedule=plan.schedule_ls, solver=plan.solver, seed=plan.design_seed)
-        save_codebook(book, out)
-        warn = sum(len(b.quality_warnings) for b in book.stages)
-        print(f"wrote {out} (D={book.d}, N_r={book.n_ris}, schedule={book.schedule}, warnings={warn})")
-        return 0
-
-    if args.command == "localize":
-        book = get_codebook(cfg, plan, cb)
-        power = plan.power_list[0]
-        cfg_p = cfg.with_power(power)
-        schedule, _ = resolve_schedule(cfg_p, plan, book)
-        scene = make_scene(cfg_p)
-        rng = trial_rng(plan.master_seed, plan.kind, 0, 0)
-        rec = hierarchical_localize(scene, book, schedule, rng)
-        for dec in rec.stages:
-            print(
-                f"stage {dec.stage}: beams {dec.beam_indices} "
-                f"stats {[f'{v:.3e}' for v in dec.statistics]} -> chose {dec.chosen} (T={dec.t_s})"
-            )
+def _localize(args, kind):
+    cfg, plan, cb = _load(args, kind)
+    book = get_codebook(cfg, plan, cb)
+    power = plan.power_list[0]
+    cfg_p = cfg.with_power(power)
+    schedule, _ = resolve_schedule(cfg_p, plan, book)
+    scene = make_scene(cfg_p)
+    rng = trial_rng(plan.master_seed, plan.kind, 0, 0)
+    rec = hierarchical_localize(scene, book, schedule, rng)
+    for dec in rec.stages:
         print(
-            f"true cell {rec.true_cell}, estimated {rec.est_cell}, "
-            f"success={rec.success}, transmissions={rec.total_transmissions}"
+            f"stage {dec.stage}: beams {dec.beam_indices} "
+            f"stats {[f'{v:.3e}' for v in dec.statistics]} -> chose {dec.chosen} (T={dec.t_s})"
         )
-        if args.out:
-            trial_trace_csv([rec], args.out, power, plan.master_seed)
-            print(f"wrote {args.out}")
-        return 0
+    print(
+        f"true cell {rec.true_cell}, estimated {rec.est_cell}, "
+        f"success={rec.success}, transmissions={rec.total_transmissions}"
+    )
+    if args.out:
+        trial_trace_csv([rec], args.out, power, plan.master_seed)
+        print(f"wrote {args.out}")
 
-    if args.command == "beampattern":
-        book = get_codebook(cfg, plan, cb)
-        out = args.out or "beampattern.csv"
-        beampattern_csv(cfg, book, out)
-        print(f"wrote {out}")
-        return 0
 
+def _beampattern(args, kind):
+    cfg, plan, cb = _load(args, kind)
+    out = args.out or "beampattern.csv"
+    beampattern_csv(cfg, get_codebook(cfg, plan, cb), out)
+    print(f"wrote {out}")
+
+
+def _experiment(args, kind):
+    cfg, plan, cb = _load(args, kind)
     table = run_experiment(plan, cfg, cb)
     out = args.out or f"{plan.kind}.csv"
     emit_csv(table, out)
     print(f"wrote {out} ({len(table.rows)} rows, config {config_hash(cfg, plan)})")
+
+
+def _write_config(args, kind):
+    path = args.out or "risjrc.cfg"
+    write_default_config(path)
+    print(f"wrote {path}")
+
+
+# subcommand -> (help, experiment kind, handler(args, kind))
+COMMANDS = {
+    "design-codebook": ("design the hierarchical codebook and write it to a file", "codebook-report", _design_codebook),
+    "localize": ("run one localization trial and write its verbose trace", "overall-error-vs-P", _localize),
+    "stage-error": ("isolated per-stage error probabilities over the power sweep", "stage-error-vs-P", _experiment),
+    "calibrate": ("calibrated per-stage snapshot counts over the power sweep", "snapshots-vs-P", _experiment),
+    "overall-error": ("full-run localization error over the power sweep", "overall-error-vs-P", _experiment),
+    "se-sweep": ("average user spectral efficiency per scenario over the sweep", "se-vs-P", _experiment),
+    "count-transmissions": ("hierarchical vs exhaustive transmission counts", "transmission-count", _experiment),
+    "beampattern": ("dump per-beam axis response magnitudes over the grid", "codebook-report", _beampattern),
+    "write-config": ("write the default config file", None, _write_config),
+}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(prog="risjrc", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in COMMANDS.items():
+        _add_common(sub.add_parser(name, help=help_text))
+    args = parser.parse_args(argv)
+    _, kind, handler = COMMANDS[args.command]
+    handler(args, kind)
     return 0
 
 

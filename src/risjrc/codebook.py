@@ -446,14 +446,20 @@ def load_codebook(path: str) -> Codebook:
         magic = f.read(len(CODEBOOK_MAGIC))
         if magic != CODEBOOK_MAGIC:
             raise ValueError(f"{path}: not a codebook file")
-        header = json.loads(f.readline().decode("utf-8"))
+        try:
+            header = json.loads(f.readline().decode("utf-8"))
+        except ValueError as e:
+            raise ValueError(f"{path}: malformed codebook header: {e}") from None
         n_axis = math.isqrt(header["n_ris"])
         stages = []
         for meta in header["stages"]:
             n_beams = meta["n_beams_axis"]
             mats = []
             for _ in range(2):
-                raw = f.read(2 * n_axis * n_beams * 8)
+                n_bytes = 2 * n_axis * n_beams * 8
+                raw = f.read(n_bytes)
+                if len(raw) != n_bytes:
+                    raise ValueError(f"{path}: stage {meta['stage']} payload has {len(raw)} of {n_bytes} bytes")
                 pairs = np.frombuffer(raw, dtype="<f8")
                 flat = pairs[0::2] + 1j * pairs[1::2]
                 mats.append(flat.reshape(n_beams, n_axis).T)
@@ -471,6 +477,8 @@ def load_codebook(path: str) -> Codebook:
                     quality_warnings=list(meta["quality_warnings"]),
                 )
             )
+        if f.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last stage")
     return Codebook(
         d=header["d"],
         n_ris=header["n_ris"],

@@ -9,20 +9,29 @@ from __future__ import annotations
 
 import configparser
 import csv
+import functools
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
 from . import comms
 from .channels import ScenarioConfig, db_to_linear, dbm_to_watts, path_gains
-from .codebook import Codebook, SolverParams, build_codebook, mask_fidelity, half_power_width, sensing_response
+from .codebook import (
+    Codebook,
+    SolverParams,
+    build_codebook,
+    default_schedule,
+    half_power_width,
+    mask_fidelity,
+    sensing_response,
+)
 from .geometry import DirectionCosine, direction_grid
 from .localization import (
     SnapshotSchedule,
-    beam_2d_index,
     calibrate_snapshots,
     exhaustive_transmissions,
     hierarchical_localize,
@@ -30,18 +39,7 @@ from .localization import (
     make_scene,
     snapshot_rule_literal,
     stage_error,
-    true_axis_partition,
 )
-
-EXPERIMENT_KINDS = (
-    "stage-error-vs-P",
-    "snapshots-vs-P",
-    "overall-error-vs-P",
-    "se-vs-P",
-    "transmission-count",
-    "codebook-report",
-)
-_EXPERIMENT_IDS = {kind: n for n, kind in enumerate(EXPERIMENT_KINDS, start=1)}
 
 SCHEDULE_SOURCES = ("manual", "literal-rule", "calibrated")
 
@@ -68,6 +66,8 @@ TRACE_COLUMNS = (
     "t_s",
     "success",
 )
+
+BEAMPATTERN_COLUMNS = ("stage", "axis", "beam", "grid_index", "v", "response_mag")
 
 
 @dataclass
@@ -128,62 +128,73 @@ def wilson_halfwidth(k: int, n: int, z: float = 1.96) -> float:
 # ---------------------------------------------------------------------------
 # config file I/O
 
-_CONFIG_SCHEMA = {
-    "arrays": {"n_b": int, "n_u": int, "n_ris": int},
-    "grid": {"grid_size": int},
-    "angles_deg": {"theta_r": float, "theta_u": float, "zeta_b": float, "zeta_r": float},
-    "directions": {
-        "v_bx": float,
-        "v_by": float,
-        "v_ux": float,
-        "v_uy": float,
-        "v_tx": float,
-        "v_ty": float,
-    },
-    "distances_m": {"d_bu": float, "d_br": float, "d_ru": float, "d_rt": float},
-    "pathloss": {
-        "alpha_bu": float,
-        "alpha_br": float,
-        "alpha_ru": float,
-        "alpha_rt": float,
-        "eta0_db": float,
-        "model": str,
-    },
-    "noise_dbm": {"sigma_b2": float, "sigma_u2": float},
-    "power": {"total": float, "units": str, "p_r_watts": float, "p_u_watts": float},
-    "ris": {"spacing_wavelengths": float},
-    "codebook": {
-        "schedule": str,
-        "design_seed": int,
-        "max_iters": int,
-        "tol": float,
-        "mu": str,
-        "target_phase": str,
-        "on_weight": str,
-        "n_starts": int,
-    },
-    "experiment": {
-        "kind": str,
-        "power_list": str,
-        "trials": int,
-        "master_seed": int,
-        "parallel": int,
-        "delta": float,
-        "t_max": int,
-        "calib_trials": int,
-        "schedule_source": str,
-        "snapshots": str,
-        "t_per_beam": int,
-    },
-}
+
+def _int_tuple(text: str) -> tuple | None:
+    return tuple(int(x) for x in text.replace(",", " ").split()) or None
 
 
-def _int_tuple(text: str) -> tuple:
-    return tuple(int(x) for x in text.replace(",", " ").split())
+def _float_tuple(text: str) -> tuple | None:
+    return tuple(float(x) for x in text.replace(",", " ").split()) or None
 
 
-def _float_tuple(text: str) -> tuple:
-    return tuple(float(x) for x in text.replace(",", " ").split())
+def _auto_float(text: str) -> float | None:
+    return None if text == "auto" else float(text)
+
+
+# (section, key, owner, attribute, parser): every key a config file may set.
+# A parser returning None leaves the attribute at its dataclass default.
+CONFIG_FIELDS = (
+    ("arrays", "n_b", ScenarioConfig, "n_b", int),
+    ("arrays", "n_u", ScenarioConfig, "n_u", int),
+    ("arrays", "n_ris", ScenarioConfig, "n_ris", int),
+    ("grid", "grid_size", ScenarioConfig, "grid_size", int),
+    ("angles_deg", "theta_r", ScenarioConfig, "theta_r_deg", float),
+    ("angles_deg", "theta_u", ScenarioConfig, "theta_u_deg", float),
+    ("angles_deg", "zeta_b", ScenarioConfig, "zeta_b_deg", float),
+    ("angles_deg", "zeta_r", ScenarioConfig, "zeta_r_deg", float),
+    ("directions", "v_bx", ScenarioConfig, "v_b.vx", float),
+    ("directions", "v_by", ScenarioConfig, "v_b.vy", float),
+    ("directions", "v_ux", ScenarioConfig, "v_u.vx", float),
+    ("directions", "v_uy", ScenarioConfig, "v_u.vy", float),
+    ("directions", "v_tx", ScenarioConfig, "v_t.vx", float),
+    ("directions", "v_ty", ScenarioConfig, "v_t.vy", float),
+    ("distances_m", "d_bu", ScenarioConfig, "d_bu", float),
+    ("distances_m", "d_br", ScenarioConfig, "d_br", float),
+    ("distances_m", "d_ru", ScenarioConfig, "d_ru", float),
+    ("distances_m", "d_rt", ScenarioConfig, "d_rt", float),
+    ("pathloss", "alpha_bu", ScenarioConfig, "alpha_bu", float),
+    ("pathloss", "alpha_br", ScenarioConfig, "alpha_br", float),
+    ("pathloss", "alpha_ru", ScenarioConfig, "alpha_ru", float),
+    ("pathloss", "alpha_rt", ScenarioConfig, "alpha_rt", float),
+    ("pathloss", "eta0_db", ScenarioConfig, "eta0_db", float),
+    ("pathloss", "model", ScenarioConfig, "pathloss_model", str),
+    ("noise_dbm", "sigma_b2", ScenarioConfig, "sigma_b2_dbm", float),
+    ("noise_dbm", "sigma_u2", ScenarioConfig, "sigma_u2_dbm", float),
+    ("power", "total", ScenarioConfig, "power", float),
+    ("power", "units", ScenarioConfig, "power_units", str),
+    ("power", "p_r_watts", ScenarioConfig, "p_r_watts", float),
+    ("power", "p_u_watts", ScenarioConfig, "p_u_watts", float),
+    ("ris", "spacing_wavelengths", ScenarioConfig, "ris_spacing", float),
+    ("codebook", "schedule", ExperimentPlan, "schedule_ls", _int_tuple),
+    ("codebook", "design_seed", ExperimentPlan, "design_seed", int),
+    ("codebook", "max_iters", SolverParams, "max_iters", int),
+    ("codebook", "tol", SolverParams, "tol", float),
+    ("codebook", "mu", SolverParams, "mu", _auto_float),
+    ("codebook", "target_phase", SolverParams, "target_phase", str),
+    ("codebook", "on_weight", SolverParams, "on_weight", _auto_float),
+    ("codebook", "n_starts", SolverParams, "n_starts", int),
+    ("experiment", "kind", ExperimentPlan, "kind", str),
+    ("experiment", "power_list", ExperimentPlan, "power_list", _float_tuple),
+    ("experiment", "trials", ExperimentPlan, "trials", int),
+    ("experiment", "master_seed", ExperimentPlan, "master_seed", int),
+    ("experiment", "parallel", ExperimentPlan, "parallel", int),
+    ("experiment", "delta", ExperimentPlan, "delta", float),
+    ("experiment", "t_max", ExperimentPlan, "t_max", int),
+    ("experiment", "calib_trials", ExperimentPlan, "calib_trials", int),
+    ("experiment", "schedule_source", ExperimentPlan, "schedule_source", str),
+    ("experiment", "snapshots", ExperimentPlan, "snapshots", _int_tuple),
+    ("experiment", "t_per_beam", ExperimentPlan, "t_per_beam", int),
+)
 
 
 def load_config(path: str) -> tuple[ScenarioConfig, ExperimentPlan]:
@@ -196,167 +207,70 @@ def load_config(path: str) -> tuple[ScenarioConfig, ExperimentPlan]:
     with open(path) as f:
         parser.read_file(f, source=path)
 
-    raw = {}
+    known = {(section, key): (owner, attr, parse) for section, key, owner, attr, parse in CONFIG_FIELDS}
+    values = {ScenarioConfig: {}, ExperimentPlan: {}, SolverParams: {}}
     for section in parser.sections():
-        if section not in _CONFIG_SCHEMA:
+        if section not in {s for s, _ in known}:
             raise ValueError(f"{path}: unknown section [{section}]")
-        for key, value in parser.items(section):
-            if key not in _CONFIG_SCHEMA[section]:
+        for key, text in parser.items(section):
+            if (section, key) not in known:
                 raise ValueError(f"{path}: unknown key {key!r} in section [{section}]")
-            typ = _CONFIG_SCHEMA[section][key]
+            owner, attr, parse = known[section, key]
             try:
-                raw[(section, key)] = typ(value)
+                value = parse(text)
             except ValueError as e:
                 raise ValueError(f"{path}: bad value for [{section}] {key}: {e}") from None
+            if value is not None:
+                values[owner][attr] = value
 
-    def get(section, key, default):
-        return raw.get((section, key), default)
+    scenario, base = values[ScenarioConfig], ScenarioConfig()
+    for name in ("v_b", "v_u", "v_t"):
+        default = getattr(base, name)
+        scenario[name] = DirectionCosine(
+            scenario.pop(f"{name}.vx", default.vx), scenario.pop(f"{name}.vy", default.vy)
+        )
+    # the radar/user split defaults to half of the configured total each
+    power = scenario.get("power", base.power)
+    total_w = dbm_to_watts(power) if scenario.get("power_units", base.power_units) == "dBm" else db_to_linear(power)
+    scenario.setdefault("p_r_watts", total_w / 2)
+    scenario.setdefault("p_u_watts", total_w / 2)
 
-    base = ScenarioConfig()
-    power = get("power", "total", base.power)
-    units = get("power", "units", base.power_units)
-    total_w = dbm_to_watts(power) if units == "dBm" else db_to_linear(power)
-    cfg = ScenarioConfig(
-        n_b=get("arrays", "n_b", base.n_b),
-        n_u=get("arrays", "n_u", base.n_u),
-        n_ris=get("arrays", "n_ris", base.n_ris),
-        grid_size=get("grid", "grid_size", base.grid_size),
-        theta_r_deg=get("angles_deg", "theta_r", base.theta_r_deg),
-        theta_u_deg=get("angles_deg", "theta_u", base.theta_u_deg),
-        zeta_b_deg=get("angles_deg", "zeta_b", base.zeta_b_deg),
-        zeta_r_deg=get("angles_deg", "zeta_r", base.zeta_r_deg),
-        v_b=DirectionCosine(get("directions", "v_bx", base.v_b.vx), get("directions", "v_by", base.v_b.vy)),
-        v_u=DirectionCosine(get("directions", "v_ux", base.v_u.vx), get("directions", "v_uy", base.v_u.vy)),
-        v_t=DirectionCosine(get("directions", "v_tx", base.v_t.vx), get("directions", "v_ty", base.v_t.vy)),
-        d_bu=get("distances_m", "d_bu", base.d_bu),
-        d_br=get("distances_m", "d_br", base.d_br),
-        d_ru=get("distances_m", "d_ru", base.d_ru),
-        d_rt=get("distances_m", "d_rt", base.d_rt),
-        alpha_bu=get("pathloss", "alpha_bu", base.alpha_bu),
-        alpha_br=get("pathloss", "alpha_br", base.alpha_br),
-        alpha_ru=get("pathloss", "alpha_ru", base.alpha_ru),
-        alpha_rt=get("pathloss", "alpha_rt", base.alpha_rt),
-        eta0_db=get("pathloss", "eta0_db", base.eta0_db),
-        pathloss_model=get("pathloss", "model", base.pathloss_model),
-        sigma_b2_dbm=get("noise_dbm", "sigma_b2", base.sigma_b2_dbm),
-        sigma_u2_dbm=get("noise_dbm", "sigma_u2", base.sigma_u2_dbm),
-        power=power,
-        power_units=units,
-        p_r_watts=get("power", "p_r_watts", total_w / 2),
-        p_u_watts=get("power", "p_u_watts", total_w / 2),
-        ris_spacing=get("ris", "spacing_wavelengths", base.ris_spacing),
-    )
-
-    solver = SolverParams(
-        max_iters=get("codebook", "max_iters", 500),
-        tol=get("codebook", "tol", 1e-8),
-        n_starts=get("codebook", "n_starts", 4),
-        target_phase=get("codebook", "target_phase", "free"),
-    )
-    mu = get("codebook", "mu", "auto")
-    if mu != "auto":
-        solver.mu = float(mu)
-    on_weight = get("codebook", "on_weight", "auto")
-    if on_weight != "auto":
-        solver.on_weight = float(on_weight)
-
-    dflt = ExperimentPlan()
-    schedule_ls = get("codebook", "schedule", None)
-    snapshots = get("experiment", "snapshots", None)
-    plan = ExperimentPlan(
-        kind=get("experiment", "kind", dflt.kind),
-        power_list=_float_tuple(get("experiment", "power_list", "")) or dflt.power_list,
-        trials=get("experiment", "trials", dflt.trials),
-        master_seed=get("experiment", "master_seed", dflt.master_seed),
-        parallel=get("experiment", "parallel", dflt.parallel),
-        delta=get("experiment", "delta", dflt.delta),
-        t_max=get("experiment", "t_max", dflt.t_max),
-        calib_trials=get("experiment", "calib_trials", dflt.calib_trials),
-        schedule_source=get("experiment", "schedule_source", dflt.schedule_source),
-        snapshots=_int_tuple(snapshots) if snapshots else None,
-        t_per_beam=get("experiment", "t_per_beam", dflt.t_per_beam),
-        schedule_ls=_int_tuple(schedule_ls) if schedule_ls else None,
-        design_seed=get("codebook", "design_seed", dflt.design_seed),
-        solver=solver,
-    )
+    cfg = ScenarioConfig(**scenario)
+    plan = ExperimentPlan(**values[ExperimentPlan], solver=SolverParams(**values[SolverParams]))
     plan.validate()
     return cfg, plan
 
 
 def write_default_config(path: str):
-    """Write the shipped default scenario config."""
+    """Write every accepted config key at its default value."""
     cfg = ScenarioConfig()
-    text = f"""# RIS joint radar-communication scenario
-[arrays]
-n_b = {cfg.n_b}
-n_u = {cfg.n_u}
-n_ris = {cfg.n_ris}
-
-[grid]
-grid_size = {cfg.grid_size}
-
-[angles_deg]
-theta_r = {cfg.theta_r_deg}
-theta_u = {cfg.theta_u_deg}
-zeta_b = {cfg.zeta_b_deg}
-zeta_r = {cfg.zeta_r_deg}
-
-[directions]
-v_bx = {cfg.v_b.vx}
-v_by = {cfg.v_b.vy}
-v_ux = {cfg.v_u.vx}
-v_uy = {cfg.v_u.vy}
-v_tx = {cfg.v_t.vx}
-v_ty = {cfg.v_t.vy}
-
-[distances_m]
-d_bu = {cfg.d_bu}
-d_br = {cfg.d_br}
-d_ru = {cfg.d_ru}
-d_rt = {cfg.d_rt}
-
-[pathloss]
-alpha_bu = {cfg.alpha_bu}
-alpha_br = {cfg.alpha_br}
-alpha_ru = {cfg.alpha_ru}
-alpha_rt = {cfg.alpha_rt}
-eta0_db = {cfg.eta0_db}
-model = {cfg.pathloss_model}
-
-[noise_dbm]
-sigma_b2 = {cfg.sigma_b2_dbm}
-sigma_u2 = {cfg.sigma_u2_dbm}
-
-[power]
-total = {cfg.power}
-units = {cfg.power_units}
-p_r_watts = {cfg.p_r_watts!r}
-p_u_watts = {cfg.p_u_watts!r}
-
-[ris]
-spacing_wavelengths = {cfg.ris_spacing}
-
-[codebook]
-schedule = 4, 8, 16, 16, 16
-design_seed = 0
-
-[experiment]
-kind = overall-error-vs-P
-power_list = 39, 42, 45
-trials = 2000
-master_seed = 1234
-schedule_source = calibrated
-delta = 0.05
-"""
+    plan = ExperimentPlan(schedule_ls=default_schedule(cfg.grid_size, cfg.n_axis))
+    owners = {ScenarioConfig: cfg, ExperimentPlan: plan, SolverParams: plan.solver}
+    lines, section = ["# RIS joint radar-communication scenario"], None
+    for sec, key, owner, attr, parse in CONFIG_FIELDS:
+        if sec != section:
+            lines.append(f"\n[{sec}]")
+            section = sec
+        value = attrgetter(attr)(owners[owner])
+        if value is None:
+            text = "auto" if parse is _auto_float else ""
+        elif isinstance(value, tuple):
+            text = ", ".join(str(v) for v in value)
+        else:
+            text = str(value)
+        lines.append(f"{key} = {text}".rstrip())
     with open(path, "w") as f:
-        f.write(text)
+        f.write("\n".join(lines) + "\n")
 
 
 def config_hash(cfg: ScenarioConfig, plan: ExperimentPlan) -> str:
     """Short digest over every result-affecting config and plan field.
 
-    The parallelism degree is excluded: outputs are independent of it.
+    The parallelism degree is excluded: outputs are independent of it.  An
+    unset codebook schedule is hashed as the default it resolves to.
     """
+    if plan.schedule_ls is None:
+        plan = replace(plan, schedule_ls=default_schedule(cfg.grid_size, cfg.n_axis))
     parts = []
     for f_ in fields(cfg):
         parts.append(f"{f_.name}={getattr(cfg, f_.name)!r}")
@@ -390,49 +304,52 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit_csv(table: ResultTable, path: str):
-    """Write the table as RFC-4180 CSV with round-trippable floats."""
+def _write_csv(path: str, header: tuple, rows):
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        writer.writerow(CSV_COLUMNS)
-        for row in table.sorted_rows():
-            writer.writerow([_fmt(row[c]) for c in CSV_COLUMNS])
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
+def emit_csv(table: ResultTable, path: str):
+    """Write the table as RFC-4180 CSV with round-trippable floats."""
+    _write_csv(path, CSV_COLUMNS, ([row[c] for c in CSV_COLUMNS] for row in table.sorted_rows()))
 
 
 def trial_trace_csv(records: list, path: str, power: float, master_seed: int):
     """Per-stage trace rows of localization trials."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(TRACE_COLUMNS)
-        for t, rec in enumerate(records):
-            for dec in rec.stages:
-                writer.writerow(
-                    [
-                        t,
-                        master_seed,
-                        _fmt(power),
-                        dec.stage,
-                        ";".join(str(b) for b in dec.beam_indices),
-                        ";".join(repr(v) for v in dec.statistics),
-                        dec.chosen,
-                        dec.t_s,
-                        int(rec.success),
-                    ]
-                )
+    rows = (
+        [
+            t,
+            master_seed,
+            power,
+            dec.stage,
+            ";".join(str(b) for b in dec.beam_indices),
+            ";".join(repr(v) for v in dec.statistics),
+            dec.chosen,
+            dec.t_s,
+            int(rec.success),
+        ]
+        for t, rec in enumerate(records)
+        for dec in rec.stages
+    )
+    _write_csv(path, TRACE_COLUMNS, rows)
 
 
 # ---------------------------------------------------------------------------
 # experiment execution
 
 def get_codebook(cfg: ScenarioConfig, plan: ExperimentPlan, cb: Codebook | None = None) -> Codebook:
-    if cb is not None:
-        if cb.d != cfg.grid_size or cb.n_ris != cfg.n_ris:
-            raise ValueError(
-                f"codebook designed for D={cb.d}, N_r={cb.n_ris}; "
-                f"scenario has D={cfg.grid_size}, N_r={cfg.n_ris}"
-            )
-        return cb
-    return build_codebook(cfg, schedule=plan.schedule_ls, solver=plan.solver, seed=plan.design_seed)
+    """``cb`` after checking it was designed for this scenario, else a new design."""
+    if cb is None:
+        return build_codebook(cfg, schedule=plan.schedule_ls, solver=plan.solver, seed=plan.design_seed)
+    checks = [("D", cb.d, cfg.grid_size), ("N_r", cb.n_ris, cfg.n_ris), ("spacing", cb.spacing, cfg.ris_spacing)]
+    if plan.schedule_ls is not None:
+        checks.append(("schedule", tuple(cb.schedule), tuple(plan.schedule_ls)))
+    for name, designed, wanted in checks:
+        if designed != wanted:
+            raise ValueError(f"codebook designed for {name}={designed!r}; scenario has {name}={wanted!r}")
+    return cb
 
 
 def resolve_schedule(cfg: ScenarioConfig, plan: ExperimentPlan, cb: Codebook) -> tuple[SnapshotSchedule, list]:
@@ -479,17 +396,7 @@ def _run_trial_block(args) -> list:
     for t in trial_indices:
         rng = trial_rng(master_seed, kind, point_index, t)
         rec = hierarchical_localize(scene, cb, schedule, rng)
-        tc = rec.true_cell
-        stage_correct = []
-        for dec in rec.stages:
-            s = dec.stage
-            truth = (
-                true_axis_partition(tc[0], s, cfg.grid_size),
-                true_axis_partition(tc[1], s, cfg.grid_size),
-            )
-            chosen_idx = dec.beam_indices[dec.chosen - 1]
-            stage_correct.append(chosen_idx == beam_2d_index(s, truth))
-        out.append((t, rec.success, tuple(stage_correct), rec.total_transmissions))
+        out.append((t, rec.success, tuple(dec.correct for dec in rec.stages), rec.total_transmissions))
     return out
 
 
@@ -519,153 +426,134 @@ def run_localization_trials(
     return merged
 
 
+def _power_points(cfg: ScenarioConfig, plan: ExperimentPlan, add):
+    """Per sweep point: its index, the config at its power, and ``add`` bound to its power."""
+    for p_idx, power in enumerate(plan.power_list):
+        yield p_idx, cfg.with_power(power), functools.partial(add, power=power)
+
+
+def _stage_error_vs_p(cfg, plan, book, add):
+    for p_idx, cfg_p, add_p in _power_points(cfg, plan, add):
+        schedule, _ = resolve_schedule(cfg_p, plan, book)
+        scene = make_scene(cfg_p)
+        for s, t_s in enumerate(schedule.t_s, start=1):
+            rng = aux_rng(plan.master_seed, plan.kind, p_idx, 100 + s)
+            err = stage_error(scene, book, s, t_s, plan.trials, rng)
+            hw = wilson_halfwidth(int(round(err * plan.trials)), plan.trials)
+            add_p(metric="stage_error", detail=f"stage={s};T={t_s}", value=err, ci_halfwidth=hw)
+
+
+def _snapshots_vs_p(cfg, plan, book, add):
+    for _, cfg_p, add_p in _power_points(cfg, plan, add):
+        _, calibs = resolve_schedule(cfg_p, plan, book)
+        for res in calibs:
+            add_p(
+                metric="calibrated_snapshots",
+                detail=f"stage={res.stage};feasible={int(res.feasible)}",
+                value=float(res.t_s) if res.feasible else float("nan"),
+            )
+            if res.feasible:
+                hw = wilson_halfwidth(int(round(res.error_at_t * res.trials)), res.trials)
+                add_p(
+                    metric="stage_error_at_calibrated_T",
+                    detail=f"stage={res.stage};T={res.t_s}",
+                    value=res.error_at_t,
+                    ci_halfwidth=hw,
+                )
+
+
+def _overall_error_vs_p(cfg, plan, book, add):
+    for p_idx, cfg_p, add_p in _power_points(cfg, plan, add):
+        schedule, _ = resolve_schedule(cfg_p, plan, book)
+        outcomes = run_localization_trials(cfg_p, book, schedule, plan, p_idx)
+        n = len(outcomes)
+        wrong = sum(1 for o in outcomes if not o[1])
+        add_p(
+            metric="overall_error",
+            detail=f"schedule={'/'.join(str(t) for t in schedule.t_s)}",
+            value=wrong / n,
+            ci_halfwidth=wilson_halfwidth(wrong, n),
+        )
+        for s, t_s in enumerate(schedule.t_s, start=1):
+            eligible = [o for o in outcomes if all(o[2][: s - 1])]
+            errs = sum(1 for o in eligible if not o[2][s - 1])
+            if eligible:
+                add_p(
+                    metric="stage_error_conditional",
+                    detail=f"stage={s};T={t_s};n={len(eligible)}",
+                    value=errs / len(eligible),
+                    ci_halfwidth=wilson_halfwidth(errs, len(eligible)),
+                )
+        add_p(metric="transmissions_hierarchical", value=float(hierarchical_transmissions(schedule)))
+
+
+def _se_vs_p(cfg, plan, book, add):
+    for p_idx, cfg_p, add_p in _power_points(cfg, plan, add):
+        scenarios = [
+            ("benchmark", comms.comm_phase_profile(cfg_p)),
+            ("stage-1", comms.stage_phase_profile(book, 1)),
+            (f"stage-{book.n_stages}", comms.stage_phase_profile(book, book.n_stages)),
+            ("no-ris", None),
+        ]
+        for tag_idx, (tag, omega) in enumerate(scenarios):
+            rng = aux_rng(plan.master_seed, plan.kind, p_idx, 200 + tag_idx)
+            est = comms.average_se(cfg_p, omega, plan.trials, rng)
+            add_p(metric="spectral_efficiency", detail=f"scenario={tag}", value=est.mean, ci_halfwidth=est.halfwidth)
+
+
+def _transmission_count(cfg, plan, book, add):
+    for _, cfg_p, add_p in _power_points(cfg, plan, add):
+        schedule, _ = resolve_schedule(cfg_p, plan, book)
+        add_p(
+            metric="transmissions_hierarchical",
+            detail=f"schedule={'/'.join(str(t) for t in schedule.t_s)}",
+            value=float(hierarchical_transmissions(schedule)),
+        )
+        add_p(
+            metric="transmissions_exhaustive",
+            detail=f"t_per_beam={plan.t_per_beam}",
+            value=float(exhaustive_transmissions(cfg_p.grid_size, plan.t_per_beam)),
+        )
+
+
+def _codebook_report(cfg, plan, book, add):
+    for st in mask_fidelity(book, cfg):
+        detail = f"stage={st.stage};beam={st.beam};axis={st.axis}"
+        add(metric="mask_on_mean", detail=detail, value=st.on_mean)
+        add(metric="mask_off_mean", detail=detail, value=st.off_mean)
+    for sb in book.stages:
+        hpw = half_power_width(sb.w_x[: sb.l_s, 0], cfg.v_b.vx, book.spacing)
+        add(metric="half_power_width", detail=f"stage={sb.stage};beam=1;axis=x", value=hpw)
+        for i, residual in enumerate(sb.residuals_x, start=1):
+            add(metric="design_residual", detail=f"stage={sb.stage};beam={i};axis=x", value=float(residual))
+
+
+# Experiment kind -> function(cfg, plan, codebook, add_row).  The order
+# numbers the kinds, and the numbers key every RNG stream: append only.
+_EXPERIMENTS = {
+    "stage-error-vs-P": _stage_error_vs_p,
+    "snapshots-vs-P": _snapshots_vs_p,
+    "overall-error-vs-P": _overall_error_vs_p,
+    "se-vs-P": _se_vs_p,
+    "transmission-count": _transmission_count,
+    "codebook-report": _codebook_report,
+}
+EXPERIMENT_KINDS = tuple(_EXPERIMENTS)
+_EXPERIMENT_IDS = {kind: n for n, kind in enumerate(EXPERIMENT_KINDS, start=1)}
+
+
 def run_experiment(plan: ExperimentPlan, cfg: ScenarioConfig, cb: Codebook | None = None) -> ResultTable:
     """Execute the planned sweep and return the result table."""
     plan.validate()
     table = ResultTable()
-    chash = config_hash(cfg, plan)
-    meta = dict(experiment=plan.kind, trials=plan.trials, master_seed=plan.master_seed, config_hash=chash)
-
-    if plan.kind == "codebook-report":
-        book = get_codebook(cfg, plan, cb)
-        stats = mask_fidelity(book, cfg)
-        for st in stats:
-            detail = f"stage={st.stage};beam={st.beam};axis={st.axis}"
-            table.add(metric="mask_on_mean", detail=detail, value=st.on_mean, power="", **meta)
-            table.add(metric="mask_off_mean", detail=detail, value=st.off_mean, power="", **meta)
-        for sb in book.stages:
-            v_b_axis = cfg.v_b.vx
-            hpw = half_power_width(sb.w_x[: sb.l_s, 0], v_b_axis, book.spacing)
-            table.add(
-                metric="half_power_width",
-                detail=f"stage={sb.stage};beam=1;axis=x",
-                value=hpw,
-                power="",
-                **meta,
-            )
-            for i in range(sb.n_beams_axis):
-                table.add(
-                    metric="design_residual",
-                    detail=f"stage={sb.stage};beam={i + 1};axis=x",
-                    value=float(sb.residuals_x[i]),
-                    power="",
-                    **meta,
-                )
-        return table
-
-    book = get_codebook(cfg, plan, cb)
-
-    for p_idx, power in enumerate(plan.power_list):
-        cfg_p = cfg.with_power(power)
-
-        if plan.kind == "stage-error-vs-P":
-            schedule, _ = resolve_schedule(cfg_p, plan, book)
-            scene = make_scene(cfg_p)
-            for s in range(1, cfg_p.n_stages + 1):
-                rng = aux_rng(plan.master_seed, plan.kind, p_idx, 100 + s)
-                err = stage_error(scene, book, s, schedule.t_s[s - 1], plan.trials, rng)
-                hw = wilson_halfwidth(int(round(err * plan.trials)), plan.trials)
-                table.add(
-                    power=power,
-                    metric="stage_error",
-                    detail=f"stage={s};T={schedule.t_s[s - 1]}",
-                    value=err,
-                    ci_halfwidth=hw,
-                    **meta,
-                )
-
-        elif plan.kind == "snapshots-vs-P":
-            schedule, calibs = resolve_schedule(cfg_p, plan, book)
-            for s, res in enumerate(calibs, start=1):
-                detail = f"stage={s};feasible={int(res.feasible)}"
-                table.add(
-                    power=power,
-                    metric="calibrated_snapshots",
-                    detail=detail,
-                    value=float(res.t_s) if res.feasible else float("nan"),
-                    **meta,
-                )
-                if res.feasible:
-                    hw = wilson_halfwidth(int(round(res.error_at_t * res.trials)), res.trials)
-                    table.add(
-                        power=power,
-                        metric="stage_error_at_calibrated_T",
-                        detail=f"stage={s};T={res.t_s}",
-                        value=res.error_at_t,
-                        ci_halfwidth=hw,
-                        **meta,
-                    )
-
-        elif plan.kind == "overall-error-vs-P":
-            schedule, _ = resolve_schedule(cfg_p, plan, book)
-            outcomes = run_localization_trials(cfg_p, book, schedule, plan, p_idx)
-            n = len(outcomes)
-            wrong = sum(1 for o in outcomes if not o[1])
-            table.add(
-                power=power,
-                metric="overall_error",
-                detail=f"schedule={'/'.join(str(t) for t in schedule.t_s)}",
-                value=wrong / n,
-                ci_halfwidth=wilson_halfwidth(wrong, n),
-                **meta,
-            )
-            n_stages = cfg_p.n_stages
-            for s in range(1, n_stages + 1):
-                eligible = [o for o in outcomes if all(o[2][: s - 1])]
-                errs = sum(1 for o in eligible if not o[2][s - 1])
-                if eligible:
-                    table.add(
-                        power=power,
-                        metric="stage_error_conditional",
-                        detail=f"stage={s};T={schedule.t_s[s - 1]};n={len(eligible)}",
-                        value=errs / len(eligible),
-                        ci_halfwidth=wilson_halfwidth(errs, len(eligible)),
-                        **meta,
-                    )
-            table.add(
-                power=power,
-                metric="transmissions_hierarchical",
-                detail="",
-                value=float(hierarchical_transmissions(schedule)),
-                **meta,
-            )
-
-        elif plan.kind == "se-vs-P":
-            scenarios = [
-                ("benchmark", comms.comm_phase_profile(cfg_p)),
-                ("stage-1", comms.stage_phase_profile(book, 1)),
-                (f"stage-{book.n_stages}", comms.stage_phase_profile(book, book.n_stages)),
-                ("no-ris", None),
-            ]
-            for tag_idx, (tag, omega) in enumerate(scenarios):
-                rng = aux_rng(plan.master_seed, plan.kind, p_idx, 200 + tag_idx)
-                est = comms.average_se(cfg_p, omega, plan.trials, rng)
-                table.add(
-                    power=power,
-                    metric="spectral_efficiency",
-                    detail=f"scenario={tag}",
-                    value=est.mean,
-                    ci_halfwidth=est.halfwidth,
-                    **meta,
-                )
-
-        elif plan.kind == "transmission-count":
-            schedule, _ = resolve_schedule(cfg_p, plan, book)
-            table.add(
-                power=power,
-                metric="transmissions_hierarchical",
-                detail=f"schedule={'/'.join(str(t) for t in schedule.t_s)}",
-                value=float(hierarchical_transmissions(schedule)),
-                **meta,
-            )
-            table.add(
-                power=power,
-                metric="transmissions_exhaustive",
-                detail=f"t_per_beam={plan.t_per_beam}",
-                value=float(exhaustive_transmissions(cfg_p.grid_size, plan.t_per_beam)),
-                **meta,
-            )
-
+    add = functools.partial(
+        table.add,
+        experiment=plan.kind,
+        trials=plan.trials,
+        master_seed=plan.master_seed,
+        config_hash=config_hash(cfg, plan),
+    )
+    _EXPERIMENTS[plan.kind](cfg, plan, get_codebook(cfg, plan, cb), add)
     return table
 
 
@@ -693,9 +581,4 @@ def beampattern_table(cfg: ScenarioConfig, cb: Codebook) -> list:
 
 def beampattern_csv(cfg: ScenarioConfig, cb: Codebook, path: str):
     rows = beampattern_table(cfg, cb)
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.DictWriter(f, fieldnames=["stage", "axis", "beam", "grid_index", "v", "response_mag"])
-        writer.writeheader()
-        for row in rows:
-            row = dict(row, v=_fmt(row["v"]), response_mag=_fmt(row["response_mag"]))
-            writer.writerow(row)
+    _write_csv(path, BEAMPATTERN_COLUMNS, ([row[c] for c in BEAMPATTERN_COLUMNS] for row in rows))

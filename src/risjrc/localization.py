@@ -106,6 +106,7 @@ class StageDecision:
     statistics: list
     chosen: int  # position in the candidate list, 1..4
     t_s: int
+    correct: bool  # the chosen beam contains the true cell
 
 
 @dataclass
@@ -208,6 +209,7 @@ def hierarchical_localize(
             stats.append(float(np.abs(c * (coh + cross * u_bar) + n_bar) ** 2))
         chosen = int(np.argmax(stats))
         parent = pairs[chosen]
+        truth = tuple(true_axis_partition(c, s, cfg.grid_size) for c in record.true_cell)
         record.stages.append(
             StageDecision(
                 stage=s,
@@ -215,6 +217,7 @@ def hierarchical_localize(
                 statistics=stats,
                 chosen=chosen + 1,
                 t_s=t_s,
+                correct=parent == truth,
             )
         )
     record.est_cell = parent

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from risjrc.codebook import (
     SolverParams,
     assemble_stage,
     build_codebook,
+    build_matched_codebook,
     design_comm_phases,
     design_sensing_phases,
     load_codebook,
@@ -222,3 +224,29 @@ class TestSerialization:
         p.write_bytes(b"not a codebook")
         with pytest.raises(ValueError):
             load_codebook(str(p))
+
+
+@pytest.fixture(scope="module")
+def saved_tiny_book(tmp_path_factory):
+    """Bytes of a saved tiny codebook and a scratch path to write variants to."""
+    path = tmp_path_factory.mktemp("books") / "book.riscb"
+    save_codebook(build_matched_codebook(tiny_cfg()), str(path))
+    return path.read_bytes(), path
+
+
+class TestMalformedFiles:
+    @settings(max_examples=60, deadline=None)
+    @given(draw=st.data())
+    def test_every_truncation_rejected(self, saved_tiny_book, draw):
+        data, path = saved_tiny_book
+        path.write_bytes(data[: draw.draw(st.integers(0, len(data) - 1))])
+        with pytest.raises(ValueError, match=path.name):
+            load_codebook(str(path))
+
+    @settings(max_examples=20, deadline=None)
+    @given(extra=st.binary(min_size=1, max_size=64))
+    def test_trailing_bytes_rejected(self, saved_tiny_book, extra):
+        data, path = saved_tiny_book
+        path.write_bytes(data + extra)
+        with pytest.raises(ValueError, match="trailing"):
+            load_codebook(str(path))

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from risjrc.channels import ScenarioConfig
 from risjrc.harness import (
     ExperimentPlan,
     ResultTable,
@@ -30,6 +33,9 @@ class TestConfigIO:
         assert (cfg.theta_r_deg, cfg.theta_u_deg) == (45.0, -25.0)
         assert (cfg.sigma_b2_dbm, cfg.sigma_u2_dbm) == (-94.0, -80.0)
         assert plan.schedule_ls == (4, 8, 16, 16, 16)
+        assert cfg == ScenarioConfig()
+        assert replace(plan, schedule_ls=None) == ExperimentPlan()
+        assert config_hash(cfg, plan) == config_hash(ScenarioConfig(), ExperimentPlan())
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -150,10 +156,20 @@ class TestExperiments:
         assert values["transmissions_hierarchical"] == 4 * 39
         assert values["transmissions_exhaustive"] == 256.0
 
-    def test_codebook_mismatch_rejected(self, oracle_codebook_16):
-        cfg = desk_cfg(n_ris=1024, grid_size=16)
-        with pytest.raises(ValueError, match="codebook"):
-            run_experiment(small_plan(), cfg, oracle_codebook_16)
+    @pytest.mark.parametrize(
+        "scenario, plan_overrides, name",
+        [
+            (dict(n_ris=1024), {}, "N_r"),
+            (dict(grid_size=8), {}, "D"),
+            (dict(ris_spacing=0.5), {}, "spacing"),
+            ({}, dict(schedule_ls=(4, 4, 4, 4)), "schedule"),
+        ],
+        ids=["N_r", "D", "spacing", "schedule"],
+    )
+    def test_codebook_mismatch_rejected(self, oracle_codebook_16, scenario, plan_overrides, name):
+        cfg = desk_cfg(**{"n_ris": 256, "grid_size": 16, **scenario})
+        with pytest.raises(ValueError, match=f"codebook designed for {name}="):
+            run_experiment(small_plan(**plan_overrides), cfg, oracle_codebook_16)
 
     def test_trace_csv(self, tmp_path, oracle_codebook_16):
         cfg = desk_cfg(n_ris=256, grid_size=16)
