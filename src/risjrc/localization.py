@@ -209,7 +209,7 @@ def hierarchical_localize(
             stats.append(float(np.abs(c * (coh + cross * u_bar) + n_bar) ** 2))
         chosen = int(np.argmax(stats))
         parent = pairs[chosen]
-        truth = tuple(true_axis_partition(c, s, cfg.grid_size) for c in record.true_cell)
+        truth = tuple(true_axis_partition(cell, s, cfg.grid_size) for cell in record.true_cell)
         record.stages.append(
             StageDecision(
                 stage=s,
