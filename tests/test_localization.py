@@ -199,6 +199,30 @@ class TestCalibration:
         assert not res.feasible
         assert res.t_s is None
 
+    @pytest.mark.parametrize(
+        "cfg, stage, t_max, expected",
+        [
+            (desk_cfg(sigma_b2_dbm=-math.inf), 1, 8, [1]),  # feasible at T = 1
+            (desk_cfg(20.0), 1, 6, [1, 2, 4, 6]),  # infeasible, doubling capped at t_max
+            (desk_cfg(36.0), 2, 64, [1, 2, 4, 8, 6, 5]),  # feasible after a bisection
+        ],
+        ids=["t1", "infeasible", "bisection"],
+    )
+    def test_evaluation_order(self, desk_codebook, monkeypatch, cfg, stage, t_max, expected):
+        # the ensemble draws its snapshot increments in call order, so the
+        # sequence of evaluated counts fixes every calibrated schedule
+        seen = []
+        error_rate = StageEnsemble.error_rate
+
+        def recording(self, t_s):
+            seen.append(t_s)
+            return error_rate(self, t_s)
+
+        monkeypatch.setattr(StageEnsemble, "error_rate", recording)
+        scene = make_scene(cfg)
+        calibrate_snapshots(scene, desk_codebook, stage, 0.05, np.random.default_rng(3), trials=500, t_max=t_max)
+        assert seen == expected
+
     def test_error_decreases_with_power(self, desk_codebook):
         errs = []
         for p in (36.0, 42.0, 48.0):
