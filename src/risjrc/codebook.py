@@ -20,6 +20,8 @@ from .channels import ScenarioConfig
 from .geometry import direction_grid, ris_axis_steering
 
 CODEBOOK_MAGIC = b"RISCB1\n"
+_HEADER_KEYS = ("d", "n_ris", "spacing", "schedule", "stages")
+_STAGE_KEYS = ("stage", "l_s", "c_s", "n_beams_axis", "residuals_x", "residuals_y", "quality_warnings")
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,10 @@ class PartitionSpec:
         m = np.zeros(d, dtype=bool)
         m[self.indices - 1] = True
         return m
+
+    def midpoint(self, grid: np.ndarray) -> float:
+        """Direction cosine halfway between the partition's end cells."""
+        return 0.5 * (grid[self.indices[0] - 1] + grid[self.indices[-1] - 1])
 
 
 def partition_indices(s: int, i: int, d: int) -> PartitionSpec:
@@ -141,8 +147,7 @@ def design_sensing_phases(
             raise ValueError("init must be unit modulus")
         starts = [init.astype(complex)]
     else:
-        v_mid = 0.5 * (grid[part.indices[0] - 1] + grid[part.indices[-1] - 1])
-        phase0 = np.angle(matched_axis_beam(v_b_axis, v_mid, l_s, spacing))
+        phase0 = np.angle(matched_axis_beam(v_b_axis, part.midpoint(grid), l_s, spacing))
         starts = [np.exp(1j * phase0)]
         if rng is not None:
             for _ in range(max(0, params.n_starts - 1)):
@@ -195,7 +200,7 @@ def design_comm_phases(
 
 @dataclass
 class StageBook:
-    """Per-stage axis beams for both RIS axes and their partition map."""
+    """Per-stage axis beams for both RIS axes; column i - 1 serves ``partition_indices(stage, i, d)``."""
 
     stage: int
     l_s: int
@@ -204,7 +209,6 @@ class StageBook:
     w_y: np.ndarray  # n_axis x 2**s
     residuals_x: np.ndarray
     residuals_y: np.ndarray
-    partitions: list = field(default_factory=list)
     quality_warnings: list = field(default_factory=list)
 
     @property
@@ -269,48 +273,13 @@ def build_codebook(
     grid = direction_grid(d)
     ss = np.random.SeedSequence(seed)
 
-    stages = []
-    for s in range(1, n_stages + 1):
-        l_s = schedule[s - 1]
-        c_s = n_axis - l_s
-        n_beams = 2**s
-        w_x = np.empty((n_axis, n_beams), dtype=complex)
-        w_y = np.empty((n_axis, n_beams), dtype=complex)
-        res_x = np.empty(n_beams)
-        res_y = np.empty(n_beams)
-        parts = []
-        warnings = []
-        h_x = design_comm_phases(c_s, cfg.v_b.vx, cfg.v_u.vx, cfg.ris_spacing, offset=l_s)
-        h_y = design_comm_phases(c_s, cfg.v_b.vy, cfg.v_u.vy, cfg.ris_spacing, offset=l_s)
-        ceiling = solver.residual_ceiling_factor * l_s * math.sqrt(d)
-        for i in range(1, n_beams + 1):
-            parts.append(partition_indices(s, i, d))
-            for axis, v_b_axis, w, res, h in (
-                ("x", cfg.v_b.vx, w_x, res_x, h_x),
-                ("y", cfg.v_b.vy, w_y, res_y, h_y),
-            ):
-                rng = np.random.default_rng(ss.spawn(1)[0])
-                g, r = design_sensing_phases(
-                    s, i, l_s, v_b_axis, grid, solver, rng=rng, spacing=cfg.ris_spacing
-                )
-                w[:, i - 1] = np.concatenate([g, h])
-                res[i - 1] = r
-                if r > ceiling:
-                    warnings.append(f"stage {s} beam {i} axis {axis}: residual {r:.3g} above {ceiling:.3g}")
-        stages.append(
-            StageBook(
-                stage=s,
-                l_s=l_s,
-                c_s=c_s,
-                w_x=w_x,
-                w_y=w_y,
-                residuals_x=res_x,
-                residuals_y=res_y,
-                partitions=parts,
-                quality_warnings=warnings,
-            )
-        )
-    return Codebook(d=d, n_ris=cfg.n_ris, spacing=cfg.ris_spacing, schedule=schedule, stages=stages)
+    def beam(s, i, l_s, v_b_axis, v_u_axis):
+        rng = np.random.default_rng(ss.spawn(1)[0])
+        g, r = design_sensing_phases(s, i, l_s, v_b_axis, grid, solver, rng=rng, spacing=cfg.ris_spacing)
+        h = design_comm_phases(n_axis - l_s, v_b_axis, v_u_axis, cfg.ris_spacing, offset=l_s)
+        return np.concatenate([g, h]), r
+
+    return _assemble_codebook(cfg, schedule, beam, solver.residual_ceiling_factor)
 
 
 def build_matched_codebook(cfg: ScenarioConfig) -> Codebook:
@@ -321,36 +290,45 @@ def build_matched_codebook(cfg: ScenarioConfig) -> Codebook:
     midpoint, exact on the grid point at the final stage.  Useful as a
     noiseless oracle and as an upper-gain reference.
     """
-    n_axis = cfg.n_axis
-    d = cfg.grid_size
-    grid = direction_grid(d)
+    grid = direction_grid(cfg.grid_size)
+
+    def beam(s, i, l_s, v_b_axis, v_u_axis):
+        v_mid = partition_indices(s, i, cfg.grid_size).midpoint(grid)
+        return matched_axis_beam(v_b_axis, v_mid, l_s, cfg.ris_spacing), 0.0
+
+    return _assemble_codebook(cfg, (cfg.n_axis,) * cfg.n_stages, beam, math.inf)
+
+
+def _assemble_codebook(cfg: ScenarioConfig, schedule: tuple, beam, ceiling_factor: float) -> Codebook:
+    """Stage books from ``beam(s, i, l_s, v_b_axis, v_u_axis) -> (axis profile, residual)``, called
+    per stage, then partition, x axis before y; a residual above ceiling_factor * l_s * sqrt(D) warns."""
+    n_axis, d = cfg.n_axis, cfg.grid_size
     stages = []
-    for s in range(1, cfg.n_stages + 1):
+    for s, l_s in enumerate(schedule, start=1):
         n_beams = 2**s
-        w_x = np.empty((n_axis, n_beams), dtype=complex)
-        w_y = np.empty((n_axis, n_beams), dtype=complex)
-        parts = []
+        w = {axis: np.empty((n_axis, n_beams), dtype=complex) for axis in "xy"}
+        res = {axis: np.empty(n_beams) for axis in "xy"}
+        warnings = []
+        ceiling = ceiling_factor * l_s * math.sqrt(d)
         for i in range(1, n_beams + 1):
-            part = partition_indices(s, i, d)
-            parts.append(part)
-            v_mid = 0.5 * (grid[part.indices[0] - 1] + grid[part.indices[-1] - 1])
-            w_x[:, i - 1] = matched_axis_beam(cfg.v_b.vx, v_mid, n_axis, cfg.ris_spacing)
-            w_y[:, i - 1] = matched_axis_beam(cfg.v_b.vy, v_mid, n_axis, cfg.ris_spacing)
+            for axis, v_b_axis, v_u_axis in (("x", cfg.v_b.vx, cfg.v_u.vx), ("y", cfg.v_b.vy, cfg.v_u.vy)):
+                w[axis][:, i - 1], r = beam(s, i, l_s, v_b_axis, v_u_axis)
+                res[axis][i - 1] = r
+                if r > ceiling:
+                    warnings.append(f"stage {s} beam {i} axis {axis}: residual {r:.3g} above {ceiling:.3g}")
         stages.append(
             StageBook(
                 stage=s,
-                l_s=n_axis,
-                c_s=0,
-                w_x=w_x,
-                w_y=w_y,
-                residuals_x=np.zeros(n_beams),
-                residuals_y=np.zeros(n_beams),
-                partitions=parts,
+                l_s=l_s,
+                c_s=n_axis - l_s,
+                w_x=w["x"],
+                w_y=w["y"],
+                residuals_x=res["x"],
+                residuals_y=res["y"],
+                quality_warnings=warnings,
             )
         )
-    return Codebook(
-        d=d, n_ris=cfg.n_ris, spacing=cfg.ris_spacing, schedule=(n_axis,) * cfg.n_stages, stages=stages
-    )
+    return Codebook(d=d, n_ris=cfg.n_ris, spacing=cfg.ris_spacing, schedule=schedule, stages=stages)
 
 
 def sensing_response(book: StageBook, v_b_axis: float, grid: np.ndarray, spacing: float, axis: str = "x") -> np.ndarray:
@@ -376,8 +354,8 @@ def mask_fidelity(cb: Codebook, cfg: ScenarioConfig) -> list:
     for book in cb.stages:
         for axis, v_b_axis in (("x", cfg.v_b.vx), ("y", cfg.v_b.vy)):
             resp = sensing_response(book, v_b_axis, grid, cb.spacing, axis)
-            for i, part in enumerate(book.partitions, start=1):
-                m = part.mask(cb.d)
+            for i in range(1, book.n_beams_axis + 1):
+                m = partition_indices(book.stage, i, cb.d).mask(cb.d)
                 out.append(
                     MaskStats(
                         stage=book.stage,
@@ -441,6 +419,14 @@ def save_codebook(cb: Codebook, path: str):
                 f.write(pairs.astype("<f8").tobytes())
 
 
+def _check_keys(path: str, obj, keys: tuple, what: str):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: {what} is not a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{path}: {what} lacks key {key!r}")
+
+
 def load_codebook(path: str) -> Codebook:
     with open(path, "rb") as f:
         magic = f.read(len(CODEBOOK_MAGIC))
@@ -450,9 +436,13 @@ def load_codebook(path: str) -> Codebook:
             header = json.loads(f.readline().decode("utf-8"))
         except ValueError as e:
             raise ValueError(f"{path}: malformed codebook header: {e}") from None
+        _check_keys(path, header, _HEADER_KEYS, "codebook header")
+        if not isinstance(header["stages"], list):
+            raise ValueError(f"{path}: codebook header key 'stages' is not a list")
         n_axis = math.isqrt(header["n_ris"])
         stages = []
-        for meta in header["stages"]:
+        for k, meta in enumerate(header["stages"], start=1):
+            _check_keys(path, meta, _STAGE_KEYS, f"header of stage {k}")
             n_beams = meta["n_beams_axis"]
             mats = []
             for _ in range(2):
@@ -463,7 +453,6 @@ def load_codebook(path: str) -> Codebook:
                 pairs = np.frombuffer(raw, dtype="<f8")
                 flat = pairs[0::2] + 1j * pairs[1::2]
                 mats.append(flat.reshape(n_beams, n_axis).T)
-            parts = [partition_indices(meta["stage"], i, header["d"]) for i in range(1, n_beams + 1)]
             stages.append(
                 StageBook(
                     stage=meta["stage"],
@@ -473,7 +462,6 @@ def load_codebook(path: str) -> Codebook:
                     w_y=mats[1],
                     residuals_x=np.array(meta["residuals_x"]),
                     residuals_y=np.array(meta["residuals_y"]),
-                    partitions=parts,
                     quality_warnings=list(meta["quality_warnings"]),
                 )
             )

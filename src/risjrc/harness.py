@@ -94,12 +94,13 @@ class ExperimentPlan:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if not self.power_list:
             raise ValueError("power_list must be non-empty")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for name in ("trials", "parallel", "t_max", "calib_trials", "t_per_beam"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError("delta must be in (0, 1)")
         if self.schedule_source not in SCHEDULE_SOURCES:
             raise ValueError(f"schedule_source must be one of {SCHEDULE_SOURCES}")
-        if self.parallel < 1:
-            raise ValueError("parallel must be >= 1")
 
 
 def trial_rng(master_seed: int, experiment: str, point_index: int, trial: int) -> np.random.Generator:

@@ -13,7 +13,8 @@ de-rotated user-stream symbols, and n_bar the averaged beamformed noise
 (variance N_b sigma_b^2 / T).  The trial engines simulate z_bar directly
 from that law, which is algebraically exact and keeps Monte Carlo sweeps
 fast; the full matrix pipeline in :mod:`risjrc.channels` is used by the
-test-suite to validate the equivalence.
+test-suite to validate the equivalence.  Every engine evaluates |z_bar|^2
+through :func:`decision_statistic`, the one place the law is written.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .channels import (
     draw_fading,
     path_gains,
 )
-from .codebook import Codebook
+from .codebook import Codebook, StageBook
 from .geometry import nearest_grid_index, ris_axis_steering, ula_steering
 
 
@@ -57,6 +58,7 @@ class Scene:
     chi: complex  # b(theta_r)^H b(theta_u)
     corr_x: np.ndarray  # r(v_tx)^H r(v_j) over the grid, full axis aperture
     corr_y: np.ndarray
+    noise_scale: float  # sqrt(N_b sigma_b^2), std of one beamformed noise sample
 
 
 def make_scene(cfg: ScenarioConfig) -> Scene:
@@ -79,11 +81,12 @@ def make_scene(cfg: ScenarioConfig) -> Scene:
         chi=complex(b_r.conj() @ b_u),
         corr_x=corr_x,
         corr_y=corr_y,
+        noise_scale=math.sqrt(cfg.n_b * cfg.sigma_b2_watts),
     )
 
 
-def trial_coefficients(scene: Scene, fading: FadingDraw) -> tuple[complex, complex]:
-    """Per-trial coherent and cross-stream coefficients of the statistic."""
+def trial_coefficients(scene: Scene, fading: FadingDraw) -> tuple:
+    """Per-trial coherent and cross-stream coefficients; elementwise over array fading fields."""
     cfg = scene.cfg
     gamma = fading.rho * scene.gains.eta_rt**2
     g_br = fading.beta_br * scene.gains.eta_br
@@ -91,6 +94,17 @@ def trial_coefficients(scene: Scene, fading: FadingDraw) -> tuple[complex, compl
     coh = common * cfg.n_b**2 * math.sqrt(cfg.p_r_watts / cfg.n_b)
     cross = common * cfg.n_b * math.sqrt(cfg.p_u_watts / cfg.n_b) * scene.chi
     return coh, cross
+
+
+def decision_statistic(c, coh, cross, u_bar, n_bar):
+    """|z_bar|^2 of one probed beam; broadcasts when any argument is an array."""
+    return np.abs(c * (coh + cross * u_bar) + n_bar) ** 2
+
+
+def candidate_gains(scene: Scene, book: StageBook, pairs: list) -> list:
+    """Squared two-axis RIS response c of each candidate beam toward the target, as scalars
+    (numpy's array complex multiply can differ from the scalar one in the last bit)."""
+    return [((scene.q_x @ book.w_x[:, a - 1]) * (scene.q_y @ book.w_y[:, b - 1])) ** 2 for a, b in pairs]
 
 
 def qpsk_product_mean(rng: np.random.Generator, t_s: int) -> complex:
@@ -169,6 +183,11 @@ def true_axis_partition(cell_index: int, s: int, d: int) -> int:
     return (cell_index - 1) // block + 1
 
 
+def true_stage_pair(cell: tuple, s: int, d: int) -> tuple:
+    """Stage-s axis-partition pair containing a final-grid cell."""
+    return tuple(true_axis_partition(i, s, d) for i in cell)
+
+
 def hierarchical_localize(
     scene: Scene,
     cb: Codebook,
@@ -191,7 +210,6 @@ def hierarchical_localize(
     if fading is None:
         fading = draw_fading(rng)
     coh, cross = trial_coefficients(scene, fading)
-    noise_scale = math.sqrt(cfg.n_b * cfg.sigma_b2_watts)
 
     record = TrialRecord(true_cell=true_cell(cfg), est_cell=(0, 0))
     parent = None
@@ -200,16 +218,13 @@ def hierarchical_localize(
         t_s = schedule.t_s[s - 1]
         pairs = stage_candidates(s, parent)
         stats = []
-        for a, b in pairs:
-            a_x = scene.q_x @ book.w_x[:, a - 1]
-            a_y = scene.q_y @ book.w_y[:, b - 1]
-            c = (a_x * a_y) ** 2
+        for c in candidate_gains(scene, book, pairs):
             u_bar = qpsk_product_mean(rng, t_s)
-            n_bar = noise_scale * complex(complex_normal(rng, t_s).mean())
-            stats.append(float(np.abs(c * (coh + cross * u_bar) + n_bar) ** 2))
+            n_bar = scene.noise_scale * complex(complex_normal(rng, t_s).mean())
+            stats.append(float(decision_statistic(c, coh, cross, u_bar, n_bar)))
         chosen = int(np.argmax(stats))
         parent = pairs[chosen]
-        truth = tuple(true_axis_partition(cell, s, cfg.grid_size) for cell in record.true_cell)
+        truth = true_stage_pair(record.true_cell, s, cfg.grid_size)
         record.stages.append(
             StageDecision(
                 stage=s,
@@ -232,13 +247,12 @@ def exhaustive_localize(scene: Scene, rng: np.random.Generator, t_per_beam: int 
     d = cfg.grid_size
     fading = draw_fading(rng)
     coh, cross = trial_coefficients(scene, fading)
-    noise_scale = math.sqrt(cfg.n_b * cfg.sigma_b2_watts)
 
     c = (np.outer(scene.corr_x, scene.corr_y)) ** 2  # D x D squared responses
     k = rng.integers(0, 4, size=(d, d, t_per_beam))
     u_bar = np.exp(1j * k * np.pi / 2).mean(axis=2)
-    n_bar = noise_scale * complex_normal(rng, (d, d, t_per_beam)).mean(axis=2)
-    stats = np.abs(c * (coh + cross * u_bar) + n_bar) ** 2
+    n_bar = scene.noise_scale * complex_normal(rng, (d, d, t_per_beam)).mean(axis=2)
+    stats = decision_statistic(c, coh, cross, u_bar, n_bar)
     flat = int(np.argmax(stats))
     est = (flat // d + 1, flat % d + 1)
     rec = TrialRecord(true_cell=true_cell(cfg), est_cell=est)
@@ -315,35 +329,15 @@ class StageEnsemble:
     """
 
     def __init__(self, scene: Scene, cb: Codebook, stage: int, trials: int, rng: np.random.Generator):
-        cfg = scene.cfg
+        d = scene.cfg.grid_size
         self.rng = rng
         self.trials = trials
-        book = cb.stage(stage)
-        cell = true_cell(cfg)
-        if stage == 1:
-            parent = None
-        else:
-            parent = (
-                true_axis_partition(cell[0], stage - 1, cfg.grid_size),
-                true_axis_partition(cell[1], stage - 1, cfg.grid_size),
-            )
-        pairs = stage_candidates(stage, parent)
-        truth = (
-            true_axis_partition(cell[0], stage, cfg.grid_size),
-            true_axis_partition(cell[1], stage, cfg.grid_size),
-        )
-        self.true_pos = pairs.index(truth)
-        a_x = np.array([scene.q_x @ book.w_x[:, a - 1] for a, _ in pairs])
-        a_y = np.array([scene.q_y @ book.w_y[:, b - 1] for _, b in pairs])
-        self.c = (a_x * a_y) ** 2  # (4,)
-
-        fad = complex_normal(rng, (trials, 4))
-        gamma = fad[:, 3] * scene.gains.eta_rt**2
-        g_br = fad[:, 0] * scene.gains.eta_br
-        common = gamma * g_br**2
-        self.coh = common * cfg.n_b**2 * math.sqrt(cfg.p_r_watts / cfg.n_b)
-        self.cross = common * cfg.n_b * math.sqrt(cfg.p_u_watts / cfg.n_b) * scene.chi
-        self.noise_scale = math.sqrt(cfg.n_b * cfg.sigma_b2_watts)
+        cell = true_cell(scene.cfg)
+        pairs = stage_candidates(stage, None if stage == 1 else true_stage_pair(cell, stage - 1, d))
+        self.true_pos = pairs.index(true_stage_pair(cell, stage, d))
+        self.c = np.array(candidate_gains(scene, cb.stage(stage), pairs))  # (4,)
+        self.coh, self.cross = trial_coefficients(scene, FadingDraw(*complex_normal(rng, (trials, 4)).T))
+        self.noise_scale = scene.noise_scale
 
         zeros = np.zeros((trials, 4), dtype=complex)
         self._checkpoints = {0: (zeros, zeros.copy())}
@@ -366,7 +360,7 @@ class StageEnsemble:
         u_sum, n_sum = self._sums_at(t_s)
         u_bar = u_sum / t_s
         n_bar = self.noise_scale * n_sum / t_s
-        stats = np.abs(self.c[None, :] * (self.coh[:, None] + self.cross[:, None] * u_bar) + n_bar) ** 2
+        stats = decision_statistic(self.c[None, :], self.coh[:, None], self.cross[:, None], u_bar, n_bar)
         return float(np.mean(np.argmax(stats, axis=1) != self.true_pos))
 
 
@@ -409,21 +403,12 @@ def calibrate_snapshots(
         raise ValueError("t_max must be >= 1")
     ens = StageEnsemble(scene, cb, stage, trials, rng)
 
-    t = 1
-    err = ens.error_rate(t)
-    if err <= delta:
-        return CalibrationResult(stage, delta, trials, t_max, True, 1, err)
-    t_lo = 1  # highest failing count
-    t_hi = None
-    while t < t_max:
-        t = min(2 * t, t_max)
-        err = ens.error_rate(t)
-        if err <= delta:
-            t_hi, err_hi = t, err
-            break
-        t_lo = t
-    if t_hi is None:
-        return CalibrationResult(stage, delta, trials, t_max, False, None, err)
+    t_lo, t = 0, 1  # t_lo: highest failing count
+    while (err := ens.error_rate(t)) > delta:
+        if t >= t_max:
+            return CalibrationResult(stage, delta, trials, t_max, False, None, err)
+        t_lo, t = t, min(2 * t, t_max)
+    t_hi, err_hi = t, err
     while t_hi - t_lo > 1:
         mid = (t_lo + t_hi) // 2
         err = ens.error_rate(mid)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -234,6 +236,9 @@ def saved_tiny_book(tmp_path_factory):
     return path.read_bytes(), path
 
 
+_TOP_KEYS = {"d": 8, "n_ris": 16, "spacing": 0.25, "schedule": [4]}
+
+
 class TestMalformedFiles:
     @settings(max_examples=60, deadline=None)
     @given(draw=st.data())
@@ -249,4 +254,19 @@ class TestMalformedFiles:
         data, path = saved_tiny_book
         path.write_bytes(data + extra)
         with pytest.raises(ValueError, match="trailing"):
+            load_codebook(str(path))
+
+    @pytest.mark.parametrize(
+        "header, match",
+        [
+            ({"d": 8}, "codebook header lacks key 'n_ris'"),
+            ([1, 2], "codebook header is not a JSON object"),
+            ({**_TOP_KEYS, "stages": 3}, "'stages' is not a list"),
+            ({**_TOP_KEYS, "stages": [{"stage": 1}]}, "stage 1 lacks key 'l_s'"),
+        ],
+    )
+    def test_incomplete_header_rejected(self, tmp_path, header, match):
+        path = tmp_path / "header.riscb"
+        path.write_bytes(b"RISCB1\n" + json.dumps(header).encode() + b"\n")
+        with pytest.raises(ValueError, match=f"{path.name}: .*{match}"):
             load_codebook(str(path))

@@ -61,6 +61,25 @@ class TestConfigIO:
         with pytest.raises(ValueError, match=r"\[arrays\] n_b"):
             load_config(str(path))
 
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            ("delta", "0"),
+            ("delta", "1.5"),
+            ("delta", "nan"),
+            ("t_max", "0"),
+            ("calib_trials", "0"),
+            ("t_per_beam", "0"),
+            ("trials", "-1"),
+            ("parallel", "0"),
+        ],
+    )
+    def test_out_of_range_plan_rejected(self, tmp_path, key, text):
+        path = tmp_path / "bad5.cfg"
+        path.write_text(f"[experiment]\n{key} = {text}\n")
+        with pytest.raises(ValueError, match=key):
+            load_config(str(path))
+
 
 class TestWilson:
     def test_known_value(self):

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from risjrc.channels import (
+    FadingDraw,
     PhaseProfile,
     build_channels,
     draw_fading,
@@ -68,6 +71,30 @@ class TestBeamStatistic:
         a_y = scene.q_y @ book.w_y[:, 0]
         stat_engine = abs((a_x * a_y) ** 2 * coh) ** 2
         assert stat_pipeline == pytest.approx(stat_engine, rel=1e-9)
+
+
+_FADING = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+class TestCoefficientLaw:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        draws=arrays(np.complex128, st.tuples(st.integers(1, 16), st.just(4)), elements=_FADING),
+        power=st.floats(20.0, 60.0),
+    )
+    def test_batch_matches_per_trial_calls(self, draws, power):
+        # one law for both shapes: a batch equals its trials drawn one at a
+        # time bit for bit, and the scalar calls up to rounding, because
+        # numpy's array complex multiply may round differently from the scalar one
+        scene = make_scene(tiny_cfg(power))
+        coh, cross = trial_coefficients(scene, FadingDraw(*draws.T))
+        singles = [trial_coefficients(scene, FadingDraw(*row[:, None])) for row in draws]
+        np.testing.assert_array_equal(coh, np.concatenate([c for c, _ in singles]))
+        np.testing.assert_array_equal(cross, np.concatenate([x for _, x in singles]))
+        scalars = [trial_coefficients(scene, FadingDraw(*row)) for row in draws]
+        tol = 16 * np.finfo(float).eps
+        np.testing.assert_allclose(coh, [c for c, _ in scalars], rtol=tol, atol=0)
+        np.testing.assert_allclose(cross, [x for _, x in scalars], rtol=tol, atol=0)
 
 
 class TestDescentIndexing:
