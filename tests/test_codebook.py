@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from risjrc.codebook import (
     SolverParams,
     assemble_stage,
+    auto_on_weight,
     build_codebook,
     build_matched_codebook,
     design_comm_phases,
@@ -24,6 +25,61 @@ from risjrc.localization import make_scene, trial_coefficients
 from risjrc.channels import draw_fading
 
 from conftest import desk_cfg, tiny_cfg
+
+
+def reference_sensing_fit(s, i, l_s, v_b_axis, grid, params=None, init=None, rng=None, spacing=0.25):
+    """Per-start projected-gradient fit against ``response_rows(v_b)`` itself: no ramp, no batching."""
+    params = params or SolverParams()
+    part = partition_indices(s, i, len(grid))
+    mask = part.mask(len(grid))
+    a = response_rows(l_s, v_b_axis, grid, spacing)
+    wts = np.where(mask, np.sqrt(auto_on_weight(s) if params.on_weight is None else params.on_weight), 1.0)
+    a_w = wts[:, None] * a
+    mu = params.mu if params.mu is not None else 0.5 / np.linalg.svd(a_w, compute_uv=False)[0] ** 2
+    phase0 = np.angle(matched_axis_beam(v_b_axis, part.midpoint(grid), l_s, spacing))
+    n_perturbed = params.n_starts - 1 if rng is not None else 0
+    starts = [np.exp(1j * (phase0 + params.init_perturbation * rng.standard_normal(l_s))) for _ in range(n_perturbed)]
+    starts = [init.astype(complex)] if init is not None else [np.exp(1j * phase0)] + starts
+
+    def target(g):
+        phases = np.exp(1j * np.angle(a @ g)) if params.target_phase == "free" else 1.0
+        return wts * l_s * mask * phases
+
+    best_res, best_g = np.inf, None
+    for g in starts:
+        t_w = target(g)
+        prev = r_opt = np.linalg.norm(a_w @ g - t_w)
+        g_opt = g
+        for _ in range(params.max_iters):
+            g = np.exp(1j * np.angle(g + mu * (a_w.conj().T @ (t_w - a_w @ g))))
+            t_w = target(g)
+            res = np.linalg.norm(a_w @ g - t_w)
+            if res < r_opt:
+                r_opt, g_opt = res, g
+            if abs(prev - res) < params.tol * max(prev, 1e-300):
+                break
+            prev = res
+        if r_opt < best_res:
+            best_res, best_g = r_opt, g_opt
+    return best_g, best_res
+
+
+def reference_stages(cfg, schedule, seed):
+    """(w_x, w_y, residuals_x, residuals_y) per stage from per-beam reference fits, drawn in
+    ``build_codebook``'s RNG order: stage, then beam, x axis before y."""
+    grid = direction_grid(cfg.grid_size)
+    ss = np.random.SeedSequence(seed)
+    out = []
+    for s, l_s in enumerate(schedule, start=1):
+        beams = {"x": [], "y": []}
+        for i in range(1, 2**s + 1):
+            for axis, v_b, v_u in (("x", cfg.v_b.vx, cfg.v_u.vx), ("y", cfg.v_b.vy, cfg.v_u.vy)):
+                rng = np.random.default_rng(ss.spawn(1)[0])
+                g, r = reference_sensing_fit(s, i, l_s, v_b, grid, rng=rng, spacing=cfg.ris_spacing)
+                h = design_comm_phases(cfg.n_axis - l_s, v_b, v_u, cfg.ris_spacing, offset=l_s)
+                beams[axis].append((np.concatenate([g, h]), r))
+        out.append([np.stack([b[k] for b in beams[axis]], axis=-1) for k in (0, 1) for axis in "xy"])
+    return out
 
 
 class TestPartitions:
@@ -95,6 +151,28 @@ class TestSensingDesign:
         g2, r2 = design_sensing_phases(2, 3, 8, 0.133, grid, rng=np.random.default_rng(9))
         np.testing.assert_array_equal(g1, g2)
         assert r1 == r2
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        data=st.data(),
+        s=st.integers(1, 3),
+        l_s=st.integers(1, 12),
+        v_b=st.floats(-1.0, 1.0),
+        seed=st.none() | st.integers(0, 2**32 - 1),
+        target_phase=st.sampled_from(["free", "fixed"]),
+        warm=st.booleans(),
+    )
+    def test_matches_reference(self, data, s, l_s, v_b, seed, target_phase, warm):
+        """The canonical (v_b = 0) solve ramped back to v_b equals the direct per-start fit."""
+        grid = direction_grid(16)
+        i = data.draw(st.integers(1, 2**s))
+        params = SolverParams(target_phase=target_phase)
+        init = np.exp(2j * np.pi * np.random.default_rng(seed).random(l_s)) if warm else None
+        rng = (lambda: None) if seed is None else (lambda: np.random.default_rng(seed))
+        g, res = design_sensing_phases(s, i, l_s, v_b, grid, params, init=init, rng=rng())
+        g_ref, res_ref = reference_sensing_fit(s, i, l_s, v_b, grid, params, init=init, rng=rng())
+        np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-10)
+        assert res == pytest.approx(res_ref, rel=0, abs=1e-10)
 
     def test_fixed_phase_variant_runs(self):
         grid = direction_grid(16)
@@ -202,6 +280,19 @@ class TestBuildCodebook:
         for b1, b2 in zip(cb1.stages, cb2.stages):
             np.testing.assert_array_equal(b1.w_x, b2.w_x)
             np.testing.assert_array_equal(b1.w_y, b2.w_y)
+
+    @staticmethod
+    def assert_matches_reference(cb, cfg, seed):
+        for book, ref in zip(cb.stages, reference_stages(cfg, cb.schedule, seed), strict=True):
+            for got, want in zip((book.w_x, book.w_y, book.residuals_x, book.residuals_y), ref):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+    def test_tiny_matches_reference(self):
+        cfg = tiny_cfg()
+        self.assert_matches_reference(build_codebook(cfg, seed=3), cfg, 3)
+
+    def test_desk_matches_reference(self, desk_codebook):
+        self.assert_matches_reference(desk_codebook, desk_cfg(), 0)
 
     def test_schedule_length_checked(self):
         with pytest.raises(ValueError):
