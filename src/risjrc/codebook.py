@@ -6,6 +6,13 @@ fitted so that the one-axis RIS response is flat (value L_s) on the
 partition and dark elsewhere; the remaining elements of the axis profile
 steer a closed-form pencil beam at the user.  Two-dimensional stage beams
 are Kronecker products of the two axis books.
+
+The sensing fits of a stage run as one batched projected-gradient solve,
+one row per (partition, axis, start), on the canonical rows
+A(0) = response_rows(l_s, 0, grid).  response_rows(v_b) = A(0) diag(r(v_b))
+and the unit-modulus projection, the free-phase target and the matched
+start all commute with that diagonal, so the fit for incidence v_b is
+conj(r(v_b)) times the canonical fit started from r(v_b) times the start.
 """
 
 from __future__ import annotations
@@ -20,8 +27,10 @@ from .channels import ScenarioConfig
 from .geometry import direction_grid, ris_axis_steering
 
 CODEBOOK_MAGIC = b"RISCB1\n"
-_HEADER_KEYS = ("d", "n_ris", "spacing", "schedule", "stages")
-_STAGE_KEYS = ("stage", "l_s", "c_s", "n_beams_axis", "residuals_x", "residuals_y", "quality_warnings")
+_JSON_KINDS = {"an integer": int, "a number": (int, float), "a list": list}
+_HEADER_KEYS = dict(d="an integer", n_ris="an integer", spacing="a number", schedule="a list", stages="a list")
+_STAGE_KEYS = dict(stage="an integer", l_s="an integer", c_s="an integer", n_beams_axis="an integer")
+_STAGE_KEYS.update(residuals_x="a list", residuals_y="a list", quality_warnings="a list")
 
 
 @dataclass(frozen=True)
@@ -75,8 +84,7 @@ def response_rows(l_s: int, v_b_axis: float, grid: np.ndarray, spacing: float) -
     first ``l_s`` axis elements.
     """
     r_b = ris_axis_steering(v_b_axis, l_s, spacing)
-    r_grid = np.stack([ris_axis_steering(v, l_s, spacing) for v in grid])  # D x L
-    return r_grid.conj() * r_b[None, :]
+    return ris_axis_steering(grid, l_s, spacing).conj() * r_b[None, :]
 
 
 def unit_modulus_projection(g: np.ndarray) -> np.ndarray:
@@ -116,6 +124,10 @@ def design_sensing_phases(
     yields visibly weaker illumination.  Returns the best iterate by
     residual and that residual.
 
+    This is a one-beam call of the stage solver behind ``build_codebook``:
+    the fit runs on the canonical rows A(0) = ``response_rows(l_s, 0, grid)``
+    and is mapped back to ``v_b_axis`` by the phase ramp conj(r(v_b)).
+
     Parameters
     ----------
     init : optional warm start; replaces the default multi-start set
@@ -124,60 +136,71 @@ def design_sensing_phases(
     rng : used only for the perturbed starts; omit for a single cold
         deterministic start.
     """
-    params = params or SolverParams()
     if l_s < 1:
         raise ValueError("sensing element count must be >= 1")
-    d = len(grid)
-    part = partition_indices(s, i, d)
-    mask = part.mask(d)
-    amp = float(l_s) * mask.astype(float)
+    rngs = None if rng is None else [rng]
+    g, res = _fit_sensing(s, l_s, [i], [v_b_axis], grid, params or SolverParams(), spacing, rngs, init)
+    return g[0], float(res[0])
 
-    a = response_rows(l_s, v_b_axis, grid, spacing)
+
+def _fit_sensing(s, l_s, parts, v_b, grid, params, spacing, rngs=None, init=None):
+    """Sensing profiles (one row per beam) and residuals of beams (s, parts[k]) at incidence v_b[k].
+
+    One canonical row per start, each stopped by its own rule; the best iterate per row, then per beam,
+    wins (earliest on ties).  ``rngs[k]`` draws beam k's perturbed starts; without ``rngs``, or with
+    ``init``, each beam has one start."""
+    d = len(grid)
+    a0 = response_rows(l_s, 0.0, grid, spacing)
+    ramps = ris_axis_steering(v_b, l_s, spacing)
+    specs = [partition_indices(s, i, d) for i in parts]
+    masks = np.array([p.mask(d) for p in specs])
     w_on = params.on_weight if params.on_weight is not None else auto_on_weight(s)
-    wts = np.where(mask, math.sqrt(w_on), 1.0)
-    a_w = wts[:, None] * a
-    if params.mu is None:
-        smax = np.linalg.svd(a_w, compute_uv=False)[0]
-        mu = 0.5 / smax**2
-    else:
-        mu = params.mu
+    wts = np.where(masks, math.sqrt(w_on), 1.0)
+    sigma_max = np.linalg.svd(wts[:, :, None] * a0, compute_uv=False)[:, 0]
+    mu = 0.5 / sigma_max**2 if params.mu is None else np.full(len(specs), params.mu)
 
     if init is not None:
         if not np.allclose(np.abs(init), 1.0, atol=1e-9):
             raise ValueError("init must be unit modulus")
-        starts = [init.astype(complex)]
+        h = ramps[:, None, :] * init
     else:
-        phase0 = np.angle(matched_axis_beam(v_b_axis, part.midpoint(grid), l_s, spacing))
-        starts = [np.exp(1j * phase0)]
-        if rng is not None:
-            for _ in range(max(0, params.n_starts - 1)):
-                starts.append(np.exp(1j * (phase0 + params.init_perturbation * rng.standard_normal(l_s))))
+        # the matched start toward the midpoint, times r(v_b), is r(v_mid)
+        phase0 = np.angle(ris_axis_steering([p.midpoint(grid) for p in specs], l_s, spacing))
+        pert = np.zeros((len(specs), 1, l_s))
+        if rngs is not None:
+            draws = [rng.standard_normal((max(0, params.n_starts - 1), l_s)) for rng in rngs]
+            pert = np.concatenate([pert, np.stack(draws)], axis=1)
+        h = np.exp(1j * (phase0[:, None, :] + params.init_perturbation * pert))
+    n_starts = h.shape[1]
+    h = h.reshape(-1, l_s)
+    w, on, mu = (np.repeat(x, n_starts, axis=0) for x in (wts, masks, mu[:, None]))
+    a0_t, a0_c = np.ascontiguousarray(a0.T), a0.conj()
+    t_on = math.sqrt(w_on) * l_s  # weighted target magnitude on the partition; zero off it
 
-    free_phase = params.target_phase == "free"
+    def weighted_residual(h, w, on):
+        y = h @ a0_t
+        r = w * y
+        r[on] -= t_on * np.exp(1j * np.angle(y[on])) if params.target_phase == "free" else t_on
+        return r, np.linalg.norm(r, axis=1)
 
-    def weighted_target(gv):
-        if free_phase:
-            return wts * amp * np.exp(1j * np.angle(a @ gv)) * mask
-        return wts * amp
-
-    best_g, best_res = None, np.inf
-    for g in starts:
-        t_w = weighted_target(g)
-        res = float(np.linalg.norm(a_w @ g - t_w))
-        g_opt, r_opt = g, res
-        prev = res
-        for _ in range(params.max_iters):
-            g = unit_modulus_projection(g + mu * (a_w.conj().T @ (t_w - a_w @ g)))
-            t_w = weighted_target(g)
-            res = float(np.linalg.norm(a_w @ g - t_w))
-            if res < r_opt:  # strict: earliest iterate wins ties
-                r_opt, g_opt = res, g
-            if abs(prev - res) < params.tol * max(prev, 1e-300):
+    r, res = weighted_residual(h, w, on)
+    best_h, best_res, prev = h.copy(), res.copy(), res
+    ids = np.arange(len(h))  # rows still iterating
+    for _ in range(params.max_iters):
+        h = unit_modulus_projection(h - mu * ((w * r) @ a0_c))
+        r, res = weighted_residual(h, w, on)
+        better = res < best_res[ids]  # strict: earliest iterate wins ties
+        best_res[ids[better]], best_h[ids[better]] = res[better], h[better]
+        going = ~(np.abs(prev - res) < params.tol * np.maximum(prev, 1e-300))
+        if not going.all():
+            ids, h, r, w, on, mu, res = (x[going] for x in (ids, h, r, w, on, mu, res))
+            if not ids.size:
                 break
-            prev = res
-        if r_opt < best_res:
-            best_res, best_g = r_opt, g_opt
-    return best_g, best_res
+        prev = res
+
+    k = np.argmin(best_res.reshape(-1, n_starts), axis=1)  # earliest start wins ties
+    best = np.arange(len(specs)) * n_starts + k  # each beam's winning row
+    return unit_modulus_projection(ramps.conj() * best_h[best]), best_res[best]
 
 
 def design_comm_phases(
@@ -256,10 +279,10 @@ def build_codebook(
 ) -> Codebook:
     """Design the full hierarchical codebook for a scenario.
 
-    Sensing parts are solved per partition on each axis against that
-    axis's incident cosine; comm parts are closed-form and shared by all
-    beams of a stage.  Deterministic for fixed (cfg, schedule, solver,
-    seed).
+    Sensing parts are fitted per partition on each axis against that
+    axis's incident cosine, a whole stage in one batched solve; comm parts
+    are closed-form and shared by all beams of a stage.  Deterministic for
+    fixed (cfg, schedule, solver, seed).
     """
     n_axis = cfg.n_axis
     d = cfg.grid_size
@@ -272,14 +295,18 @@ def build_codebook(
     solver = solver or SolverParams()
     grid = direction_grid(d)
     ss = np.random.SeedSequence(seed)
+    axes = ((cfg.v_b.vx, cfg.v_u.vx), (cfg.v_b.vy, cfg.v_u.vy))
 
-    def beam(s, i, l_s, v_b_axis, v_u_axis):
-        rng = np.random.default_rng(ss.spawn(1)[0])
-        g, r = design_sensing_phases(s, i, l_s, v_b_axis, grid, solver, rng=rng, spacing=cfg.ris_spacing)
-        h = design_comm_phases(n_axis - l_s, v_b_axis, v_u_axis, cfg.ris_spacing, offset=l_s)
-        return np.concatenate([g, h]), r
+    def stage(s, l_s):
+        n_beams = 2**s
+        rngs = [np.random.default_rng(child) for child in ss.spawn(2 * n_beams)]  # per beam, x axis before y
+        parts = np.repeat(np.arange(1, n_beams + 1), 2)
+        g, res = _fit_sensing(s, l_s, parts, [v for v, _ in axes] * n_beams, grid, solver, cfg.ris_spacing, rngs)
+        comm = [design_comm_phases(n_axis - l_s, v_b, v_u, cfg.ris_spacing, offset=l_s) for v_b, v_u in axes]
+        w_x, w_y = (np.vstack([g[k::2].T, np.tile(h[:, None], n_beams)]) for k, h in enumerate(comm))
+        return w_x, w_y, res[0::2], res[1::2]
 
-    return _assemble_codebook(cfg, schedule, beam, solver.residual_ceiling_factor)
+    return _assemble_codebook(cfg, schedule, stage, solver.residual_ceiling_factor)
 
 
 def build_matched_codebook(cfg: ScenarioConfig) -> Codebook:
@@ -292,43 +319,40 @@ def build_matched_codebook(cfg: ScenarioConfig) -> Codebook:
     """
     grid = direction_grid(cfg.grid_size)
 
-    def beam(s, i, l_s, v_b_axis, v_u_axis):
-        v_mid = partition_indices(s, i, cfg.grid_size).midpoint(grid)
-        return matched_axis_beam(v_b_axis, v_mid, l_s, cfg.ris_spacing), 0.0
+    def stage(s, l_s):
+        mids = [partition_indices(s, i, cfg.grid_size).midpoint(grid) for i in range(1, 2**s + 1)]
+        w_x, w_y = (matched_axis_beam(v_b, mids, l_s, cfg.ris_spacing).T.copy() for v_b in (cfg.v_b.vx, cfg.v_b.vy))
+        return w_x, w_y, np.zeros(2**s), np.zeros(2**s)
 
-    return _assemble_codebook(cfg, (cfg.n_axis,) * cfg.n_stages, beam, math.inf)
+    return _assemble_codebook(cfg, (cfg.n_axis,) * cfg.n_stages, stage, math.inf)
 
 
-def _assemble_codebook(cfg: ScenarioConfig, schedule: tuple, beam, ceiling_factor: float) -> Codebook:
-    """Stage books from ``beam(s, i, l_s, v_b_axis, v_u_axis) -> (axis profile, residual)``, called
-    per stage, then partition, x axis before y; a residual above ceiling_factor * l_s * sqrt(D) warns."""
-    n_axis, d = cfg.n_axis, cfg.grid_size
+def _assemble_codebook(cfg: ScenarioConfig, schedule: tuple, stage, ceiling_factor: float) -> Codebook:
+    """Stage books from ``stage(s, l_s) -> (w_x, w_y, residuals_x, residuals_y)``, one n_axis x 2**s
+    column per beam; a residual above ceiling_factor * l_s * sqrt(D) warns, per beam, x axis before y."""
     stages = []
     for s, l_s in enumerate(schedule, start=1):
-        n_beams = 2**s
-        w = {axis: np.empty((n_axis, n_beams), dtype=complex) for axis in "xy"}
-        res = {axis: np.empty(n_beams) for axis in "xy"}
-        warnings = []
-        ceiling = ceiling_factor * l_s * math.sqrt(d)
-        for i in range(1, n_beams + 1):
-            for axis, v_b_axis, v_u_axis in (("x", cfg.v_b.vx, cfg.v_u.vx), ("y", cfg.v_b.vy, cfg.v_u.vy)):
-                w[axis][:, i - 1], r = beam(s, i, l_s, v_b_axis, v_u_axis)
-                res[axis][i - 1] = r
-                if r > ceiling:
-                    warnings.append(f"stage {s} beam {i} axis {axis}: residual {r:.3g} above {ceiling:.3g}")
+        w_x, w_y, res_x, res_y = stage(s, l_s)
+        ceiling = ceiling_factor * l_s * math.sqrt(cfg.grid_size)
+        warnings = [
+            f"stage {s} beam {i} axis {axis}: residual {r:.3g} above {ceiling:.3g}"
+            for i, pair in enumerate(zip(res_x, res_y), start=1)
+            for axis, r in zip("xy", pair)
+            if r > ceiling
+        ]
         stages.append(
             StageBook(
                 stage=s,
                 l_s=l_s,
-                c_s=n_axis - l_s,
-                w_x=w["x"],
-                w_y=w["y"],
-                residuals_x=res["x"],
-                residuals_y=res["y"],
+                c_s=cfg.n_axis - l_s,
+                w_x=w_x,
+                w_y=w_y,
+                residuals_x=res_x,
+                residuals_y=res_y,
                 quality_warnings=warnings,
             )
         )
-    return Codebook(d=d, n_ris=cfg.n_ris, spacing=cfg.ris_spacing, schedule=schedule, stages=stages)
+    return Codebook(d=cfg.grid_size, n_ris=cfg.n_ris, spacing=cfg.ris_spacing, schedule=schedule, stages=stages)
 
 
 def sensing_response(book: StageBook, v_b_axis: float, grid: np.ndarray, spacing: float, axis: str = "x") -> np.ndarray:
@@ -385,9 +409,9 @@ def half_power_width(w_axis_sensing: np.ndarray, v_b_axis: float, spacing: float
 
 
 def save_codebook(cb: Codebook, path: str):
-    """Write the codebook: JSON header line, then little-endian float64 pairs.
+    """Write the codebook: JSON header line, then little-endian complex128, i.e. (real, imag) float64 pairs.
 
-    Per stage, w_x then w_y, each column-major as interleaved (real, imag).
+    Per stage, w_x then w_y, each column-major.
     """
     header = {
         "d": cb.d,
@@ -412,19 +436,17 @@ def save_codebook(cb: Codebook, path: str):
         f.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
         for b in cb.stages:
             for w in (b.w_x, b.w_y):
-                flat = w.T.reshape(-1)  # column by column
-                pairs = np.empty(2 * flat.size)
-                pairs[0::2] = flat.real
-                pairs[1::2] = flat.imag
-                f.write(pairs.astype("<f8").tobytes())
+                f.write(w.T.astype("<c16").tobytes())  # column by column
 
 
-def _check_keys(path: str, obj, keys: tuple, what: str):
+def _check_keys(path: str, obj, keys: dict, what: str):
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: {what} is not a JSON object")
-    for key in keys:
+    for key, kind in keys.items():
         if key not in obj:
             raise ValueError(f"{path}: {what} lacks key {key!r}")
+        if isinstance(obj[key], bool) or not isinstance(obj[key], _JSON_KINDS[kind]):
+            raise ValueError(f"{path}: {what} key {key!r} is not {kind}: {obj[key]!r}")
 
 
 def load_codebook(path: str) -> Codebook:
@@ -437,29 +459,30 @@ def load_codebook(path: str) -> Codebook:
         except ValueError as e:
             raise ValueError(f"{path}: malformed codebook header: {e}") from None
         _check_keys(path, header, _HEADER_KEYS, "codebook header")
-        if not isinstance(header["stages"], list):
-            raise ValueError(f"{path}: codebook header key 'stages' is not a list")
-        n_axis = math.isqrt(header["n_ris"])
+        n_ris, schedule, metas = header["n_ris"], header["schedule"], header["stages"]
+        n_axis = math.isqrt(max(n_ris, 0))
+        if n_ris < 1 or n_axis * n_axis != n_ris:
+            raise ValueError(f"{path}: codebook header key 'n_ris' is not a positive square: {n_ris}")
+        if len(schedule) != len(metas) or not all(type(l) is int and 1 <= l <= n_axis for l in schedule):
+            raise ValueError(f"{path}: codebook header key 'schedule' is not {len(metas)} integers in 1..{n_axis}")
         stages = []
-        for k, meta in enumerate(header["stages"], start=1):
+        for k, (meta, l_s) in enumerate(zip(metas, schedule), start=1):
             _check_keys(path, meta, _STAGE_KEYS, f"header of stage {k}")
-            n_beams = meta["n_beams_axis"]
-            mats = []
-            for _ in range(2):
-                n_bytes = 2 * n_axis * n_beams * 8
-                raw = f.read(n_bytes)
-                if len(raw) != n_bytes:
-                    raise ValueError(f"{path}: stage {meta['stage']} payload has {len(raw)} of {n_bytes} bytes")
-                pairs = np.frombuffer(raw, dtype="<f8")
-                flat = pairs[0::2] + 1j * pairs[1::2]
-                mats.append(flat.reshape(n_beams, n_axis).T)
+            for key, want in (("stage", k), ("n_beams_axis", 2**k), ("l_s", l_s), ("c_s", n_axis - l_s)):
+                if meta[key] != want:
+                    raise ValueError(f"{path}: header of stage {k} key {key!r} is {meta[key]}, expected {want}")
+            n_bytes = 2 * n_axis * 2**k * 16  # w_x, then w_y
+            raw = f.read(n_bytes)
+            if len(raw) != n_bytes:
+                raise ValueError(f"{path}: stage {k} payload has {len(raw)} of {n_bytes} bytes")
+            w_x, w_y = np.frombuffer(raw, dtype="<c16").reshape(2, 2**k, n_axis).transpose(0, 2, 1).astype(complex)
             stages.append(
                 StageBook(
                     stage=meta["stage"],
                     l_s=meta["l_s"],
                     c_s=meta["c_s"],
-                    w_x=mats[0],
-                    w_y=mats[1],
+                    w_x=w_x,
+                    w_y=w_y,
                     residuals_x=np.array(meta["residuals_x"]),
                     residuals_y=np.array(meta["residuals_y"]),
                     quality_warnings=list(meta["quality_warnings"]),

@@ -58,20 +58,22 @@ def direction_cosines(azimuth_deg: float, elevation_deg: float) -> DirectionCosi
     return DirectionCosine(math.sin(el) * math.sin(az), math.sin(el) * math.cos(az))
 
 
-def ris_axis_steering(v: float, n_axis: int, spacing_wavelengths: float = 0.25) -> np.ndarray:
+def ris_axis_steering(v, n_axis: int, spacing_wavelengths: float = 0.25) -> np.ndarray:
     """Steering vector along one RIS axis for direction cosine ``v``.
 
     Entry n (1-based) is exp(1j * 2*pi * spacing * (n-1) * v).  Spacing is
-    in wavelengths and must be in (0, 0.5] to avoid grating lobes.
+    in wavelengths and must be in (0, 0.5] to avoid grating lobes.  A 1-D
+    array of cosines gives one steering vector per row.
     """
     if not (0.0 < spacing_wavelengths <= 0.5):
         raise ValueError(f"spacing must be in (0, 0.5] wavelengths, got {spacing_wavelengths}")
-    if not math.isfinite(v) or abs(v) > 1.0:
+    v = np.asarray(v, dtype=float)
+    if not np.all(np.abs(v) <= 1.0):  # False for NaN; infinities exceed 1
         raise ValueError(f"direction cosine must be in [-1, 1], got {v}")
     if n_axis < 1:
         raise ValueError("n_axis must be >= 1")
     n = np.arange(n_axis)
-    return np.exp(2j * np.pi * spacing_wavelengths * n * v)
+    return np.exp(2j * np.pi * spacing_wavelengths * n * v[..., None])
 
 
 def ris_full_steering(v: DirectionCosine, n_ris: int, spacing_wavelengths: float = 0.25) -> np.ndarray:

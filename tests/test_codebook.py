@@ -152,21 +152,30 @@ class TestSensingDesign:
         np.testing.assert_array_equal(g1, g2)
         assert r1 == r2
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         data=st.data(),
         s=st.integers(1, 3),
-        l_s=st.integers(1, 12),
+        l_s=st.integers(2, 12),
         v_b=st.floats(-1.0, 1.0),
         seed=st.none() | st.integers(0, 2**32 - 1),
         target_phase=st.sampled_from(["free", "fixed"]),
         warm=st.booleans(),
+        mu=st.sampled_from([None, 1e-3]),
+        max_iters=st.integers(0, 4),
+        tol=st.sampled_from([1e-8, 1e-3, 3e-2]),
     )
-    def test_matches_reference(self, data, s, l_s, v_b, seed, target_phase, warm):
-        """The canonical (v_b = 0) solve ramped back to v_b equals the direct per-start fit."""
+    def test_matches_reference(self, data, s, l_s, v_b, seed, target_phase, warm, mu, max_iters, tol):
+        """Ramp identity: the canonical (v_b = 0) solve, ramped back to v_b, equals the direct fit.
+
+        A few iterations isolate the identity from the solver's own conditioning: a matched
+        start can sit on an unstable fixed point that grows a last-bit difference ~5x per
+        iteration, and with l_s = 1 the free target leaves only a global phase, on which all
+        iterates tie.  TestBuildCodebook compares full-length solves at codebook scale.
+        """
         grid = direction_grid(16)
         i = data.draw(st.integers(1, 2**s))
-        params = SolverParams(target_phase=target_phase)
+        params = SolverParams(target_phase=target_phase, mu=mu, max_iters=max_iters, tol=tol)
         init = np.exp(2j * np.pi * np.random.default_rng(seed).random(l_s)) if warm else None
         rng = (lambda: None) if seed is None else (lambda: np.random.default_rng(seed))
         g, res = design_sensing_phases(s, i, l_s, v_b, grid, params, init=init, rng=rng())
@@ -328,6 +337,7 @@ def saved_tiny_book(tmp_path_factory):
 
 
 _TOP_KEYS = {"d": 8, "n_ris": 16, "spacing": 0.25, "schedule": [4]}
+_STAGE_1 = dict(stage=1, l_s=4, c_s=0, n_beams_axis=2, residuals_x=[], residuals_y=[], quality_warnings=[])
 
 
 class TestMalformedFiles:
@@ -354,6 +364,10 @@ class TestMalformedFiles:
             ([1, 2], "codebook header is not a JSON object"),
             ({**_TOP_KEYS, "stages": 3}, "'stages' is not a list"),
             ({**_TOP_KEYS, "stages": [{"stage": 1}]}, "stage 1 lacks key 'l_s'"),
+            ({**_TOP_KEYS, "n_ris": "16", "stages": [_STAGE_1]}, "key 'n_ris' is not an integer"),
+            ({**_TOP_KEYS, "stages": [{**_STAGE_1, "n_beams_axis": -1}]}, "stage 1 key 'n_beams_axis' is -1"),
+            ({**_TOP_KEYS, "n_ris": 15, "stages": [_STAGE_1]}, "key 'n_ris' is not a positive square"),
+            ({**_TOP_KEYS, "schedule": [4, 4, 4], "stages": []}, "key 'schedule' is not 0 integers"),
         ],
     )
     def test_incomplete_header_rejected(self, tmp_path, header, match):
