@@ -169,8 +169,8 @@ class TestSensingDesign:
         """Ramp identity: the canonical (v_b = 0) solve, ramped back to v_b, equals the direct fit.
 
         A few iterations isolate the identity from the solver's own conditioning: a matched
-        start can sit on an unstable fixed point that grows a last-bit difference ~5x per
-        iteration, and with l_s = 1 the free target leaves only a global phase, on which all
+        start can sit on an unstable fixed point that grows a last-bit difference several-fold
+        per iteration, and with l_s = 1 the free target leaves only a global phase, on which all
         iterates tie.  TestBuildCodebook compares full-length solves at codebook scale.
         """
         grid = direction_grid(16)

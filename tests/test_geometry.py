@@ -72,6 +72,17 @@ class TestRisSteering:
         with pytest.raises(ValueError):
             ris_axis_steering(0.5, 4, 0.0)
 
+    @pytest.mark.parametrize("v", [1.5, -1.01, math.nan, math.inf, [0.2, -1.01], [0.0, math.nan]])
+    def test_cosine_out_of_range_rejected(self, v):
+        with pytest.raises(ValueError, match="direction cosine"):
+            ris_axis_steering(v, 4)
+
+    def test_array_of_cosines_equals_row_loop(self):
+        for d, n, spacing in ((16, 16, 0.25), (32, 64, 0.25), (8, 4, 0.3)):
+            v = direction_grid(d)
+            rows = np.stack([ris_axis_steering(x, n, spacing) for x in v])
+            np.testing.assert_array_equal(ris_axis_steering(v, n, spacing), rows)
+
     def test_full_steering_hand_kronecker(self):
         v = DirectionCosine(1.0, 1.0)
         np.testing.assert_allclose(ris_full_steering(v, 4, 0.25), [1, 1j, 1j, -1], atol=1e-12)
