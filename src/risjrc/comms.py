@@ -75,6 +75,8 @@ def comm_phase_profile(cfg: ScenarioConfig) -> PhaseProfile:
 def stage_phase_profile(cb: Codebook, stage: int, beam: int = 1) -> PhaseProfile:
     """Axis profile pair of one codebook beam (same axis beam on both axes)."""
     book = cb.stage(stage)
+    if not 1 <= beam <= book.n_beams_axis:
+        raise ValueError(f"beam must be in 1..{book.n_beams_axis}, got {beam}")
     return PhaseProfile(omega_x=book.w_x[:, beam - 1], omega_y=book.w_y[:, beam - 1])
 
 

@@ -243,6 +243,8 @@ def hierarchical_localize(
 
 def exhaustive_localize(scene: Scene, rng: np.random.Generator, t_per_beam: int = 1) -> TrialRecord:
     """Scan all D x D matched pencil beams and pick the argmax statistic."""
+    if t_per_beam < 1:
+        raise ValueError("t_per_beam must be >= 1")
     cfg = scene.cfg
     d = cfg.grid_size
     fading = draw_fading(rng)
@@ -329,13 +331,14 @@ class StageEnsemble:
     """
 
     def __init__(self, scene: Scene, cb: Codebook, stage: int, trials: int, rng: np.random.Generator):
+        book = cb.stage(stage)
         d = scene.cfg.grid_size
         self.rng = rng
         self.trials = trials
         cell = true_cell(scene.cfg)
         pairs = stage_candidates(stage, None if stage == 1 else true_stage_pair(cell, stage - 1, d))
         self.true_pos = pairs.index(true_stage_pair(cell, stage, d))
-        self.c = np.array(candidate_gains(scene, cb.stage(stage), pairs))  # (4,)
+        self.c = np.array(candidate_gains(scene, book, pairs))  # (4,)
         self.coh, self.cross = trial_coefficients(scene, FadingDraw(*complex_normal(rng, (trials, 4)).T))
         self.noise_scale = scene.noise_scale
 

@@ -375,3 +375,15 @@ class TestMalformedFiles:
         path.write_bytes(b"RISCB1\n" + json.dumps(header).encode() + b"\n")
         with pytest.raises(ValueError, match=f"{path.name}: .*{match}"):
             load_codebook(str(path))
+
+
+class TestOneBasedStage:
+    @pytest.mark.parametrize("s", [0, -1, 4])
+    def test_out_of_range_stage_rejected(self, s):
+        cb = build_matched_codebook(tiny_cfg())  # stages 1..3
+        with pytest.raises(ValueError, match=r"stage must be in 1\.\.3, got "):
+            cb.stage(s)
+
+    def test_stages_in_range(self):
+        cb = build_matched_codebook(tiny_cfg())
+        assert [cb.stage(s).stage for s in (1, 2, 3)] == [1, 2, 3]

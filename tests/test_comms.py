@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from risjrc.channels import PhaseProfile, build_channels, draw_fading, path_gains
-from risjrc.codebook import matched_axis_beam
+from risjrc.codebook import build_matched_codebook, matched_axis_beam
 from risjrc.comms import (
     average_se,
     build_link_matrices,
@@ -177,3 +177,21 @@ class TestAverageSe:
         s_last = average_se(cfg, stage_phase_profile(desk_codebook, desk_codebook.n_stages), 800, rng()).mean
         no_ris = average_se(cfg, None, 800, rng()).mean
         assert bench >= s1 >= s_last >= no_ris
+
+
+class TestStagePhaseProfile:
+    @pytest.mark.parametrize("beam", [0, -1, 3])
+    def test_out_of_range_beam_rejected(self, beam):
+        cb = build_matched_codebook(tiny_cfg())  # two axis beams at stage 1
+        with pytest.raises(ValueError, match=r"beam must be in 1\.\.2, got "):
+            stage_phase_profile(cb, 1, beam=beam)
+
+    def test_out_of_range_stage_rejected(self):
+        with pytest.raises(ValueError, match=r"stage must be in 1\.\.3"):
+            stage_phase_profile(build_matched_codebook(tiny_cfg()), 0)
+
+    def test_beam_column(self):
+        cb = build_matched_codebook(tiny_cfg())
+        omega = stage_phase_profile(cb, 2, beam=3)
+        np.testing.assert_array_equal(omega.omega_x, cb.stage(2).w_x[:, 2])
+        np.testing.assert_array_equal(omega.omega_y, cb.stage(2).w_y[:, 2])

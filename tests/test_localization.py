@@ -9,19 +9,21 @@ from risjrc.channels import (
     FadingDraw,
     PhaseProfile,
     build_channels,
+    complex_normal,
     draw_fading,
     make_transmit_block,
     path_gains,
     radar_receive,
 )
 from risjrc.codebook import build_matched_codebook
-from risjrc.geometry import DirectionCosine, direction_grid
+from risjrc.geometry import DirectionCosine, direction_grid, ula_steering
 from risjrc.localization import (
     SnapshotSchedule,
     StageEnsemble,
     beam_2d_index,
     beam_statistic,
     calibrate_snapshots,
+    decision_statistic,
     exhaustive_localize,
     exhaustive_transmissions,
     hierarchical_localize,
@@ -71,6 +73,52 @@ class TestBeamStatistic:
         a_y = scene.q_y @ book.w_y[:, 0]
         stat_engine = abs((a_x * a_y) ** 2 * coh) ** 2
         assert stat_pipeline == pytest.approx(stat_engine, rel=1e-9)
+
+
+class TestEngineLaw:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        power=st.floats(20.0, 60.0),
+        t_s=st.integers(1, 16),
+        stage=st.integers(1, 3),
+        beam=st.integers(0, 63),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_statistic_matches_pipeline_with_noise_and_both_streams(self, power, t_s, stage, beam, seed):
+        # the scalar law, fed the same symbols and the same noise matrix as the
+        # receive pipeline: u_bar = mean(s_u conj(s_r)), n_bar = mean((b_r @ noise) conj(s_r))
+        cfg = tiny_cfg(power)
+        cb = build_matched_codebook(cfg)
+        book = cb.stage(stage)
+        a, b = divmod(beam % 4**stage, 2**stage)
+        rng = np.random.default_rng(seed)
+        fad = draw_fading(rng)
+        cs = build_channels(cfg, fad)
+        x = make_transmit_block(cfg, t_s, rng)
+        omega = PhaseProfile(book.w_x[:, a], book.w_y[:, b])
+        sigma_b2 = cfg.sigma_b2_watts
+        y = radar_receive(x, omega, cfg.v_t, cs.gamma, cs, cfg, sigma_b2, np.random.default_rng(seed + 1))
+        noise = np.sqrt(sigma_b2) * complex_normal(np.random.default_rng(seed + 1), (cfg.n_b, t_s))
+        stat_pipeline = beam_statistic(y, x.s_r, cfg.theta_r_deg)
+
+        scene = make_scene(cfg)
+        coh, cross = trial_coefficients(scene, fad)
+        c = ((scene.q_x @ book.w_x[:, a]) * (scene.q_y @ book.w_y[:, b])) ** 2
+        u_bar = np.mean(x.s_u * x.s_r.conj())
+        n_bar = np.mean((ula_steering(cfg.theta_r_deg, cfg.n_b) @ noise) * x.s_r.conj())
+        stat_engine = decision_statistic(c, coh, cross, u_bar, n_bar)
+        scale = (abs(c * (coh + cross * u_bar)) + abs(n_bar)) ** 2
+        assert abs(stat_pipeline - stat_engine) <= 1e-12 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(t_s=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+    def test_symbol_products_are_fourth_roots_of_unity(self, t_s, seed):
+        # the de-rotated product s_u conj(s_r) of two QPSK symbols is one of
+        # 1, j, -1, -j: the law the engines sample through multinomial counts
+        x = make_transmit_block(tiny_cfg(), t_s, np.random.default_rng(seed))
+        products = x.s_u * x.s_r.conj()
+        roots = np.array([1.0, 1.0j, -1.0, -1.0j])
+        assert np.all(np.min(np.abs(products[:, None] - roots), axis=1) <= 1e-15)
 
 
 _FADING = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False)
@@ -281,3 +329,19 @@ class TestEngineAgainstPipeline:
         err_trial = wrong / trials
         hw = 2 * 1.96 * math.sqrt(0.25 / trials)
         assert err_trial == pytest.approx(err_batch, abs=hw)
+
+
+class TestInputRanges:
+    @pytest.mark.parametrize("stage", [0, -1, 4])
+    def test_stage_error_rejects_stage_out_of_range(self, stage):
+        cfg = tiny_cfg()
+        cb = build_matched_codebook(cfg)
+        with pytest.raises(ValueError, match=r"stage must be in 1\.\.3"):
+            stage_error(make_scene(cfg), cb, stage, 1, 10, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"stage must be in 1\.\.3"):
+            calibrate_snapshots(make_scene(cfg), cb, stage, 0.05, np.random.default_rng(0), trials=10)
+
+    @pytest.mark.parametrize("t_per_beam", [0, -1])
+    def test_exhaustive_rejects_no_snapshots(self, t_per_beam):
+        with pytest.raises(ValueError, match="t_per_beam must be >= 1"):
+            exhaustive_localize(make_scene(tiny_cfg()), np.random.default_rng(0), t_per_beam=t_per_beam)
