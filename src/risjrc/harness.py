@@ -33,8 +33,8 @@ from .geometry import DirectionCosine, direction_grid
 from .localization import (
     SnapshotSchedule,
     calibrate_snapshots,
+    descend,
     exhaustive_transmissions,
-    hierarchical_localize,
     hierarchical_transmissions,
     make_scene,
     snapshot_rule_literal,
@@ -392,13 +392,11 @@ def resolve_schedule(cfg: ScenarioConfig, plan: ExperimentPlan, cb: Codebook) ->
 def _run_trial_block(args) -> list:
     """Worker: run a block of localization trials, return compact outcomes."""
     cfg, cb, schedule, master_seed, kind, point_index, trial_indices = args
-    scene = make_scene(cfg)
-    out = []
-    for t in trial_indices:
-        rng = trial_rng(master_seed, kind, point_index, t)
-        rec = hierarchical_localize(scene, cb, schedule, rng)
-        out.append((t, rec.success, tuple(dec.correct for dec in rec.stages), rec.total_transmissions))
-    return out
+    rngs = [trial_rng(master_seed, kind, point_index, t) for t in trial_indices]
+    stages = descend(make_scene(cfg), cb, schedule, rngs)
+    correct = np.stack([stage[-1] for stage in stages], axis=1).tolist()
+    # the last stage's pair is the estimated cell, so its correctness is the trial's success
+    return [(t, ok[-1], tuple(ok), hierarchical_transmissions(schedule)) for t, ok in zip(trial_indices, correct)]
 
 
 def run_localization_trials(
@@ -409,22 +407,14 @@ def run_localization_trials(
     point_index: int,
 ) -> list:
     """All trials of one power point; order-stable under any parallel degree."""
-    indices = list(range(plan.trials))
+    bounds = sorted({plan.trials * k // plan.parallel for k in range(plan.parallel + 1)})  # no empty block
+    args = [(cfg, cb, schedule, plan.master_seed, plan.kind, point_index, range(*b)) for b in zip(bounds, bounds[1:])]
     if plan.parallel <= 1:
-        blocks = [_run_trial_block((cfg, cb, schedule, plan.master_seed, plan.kind, point_index, indices))]
+        blocks = map(_run_trial_block, args)
     else:
-        n_chunks = min(plan.parallel * 4, max(1, plan.trials))
-        chunks = [indices[i::n_chunks] for i in range(n_chunks)]
-        args = [
-            (cfg, cb, schedule, plan.master_seed, plan.kind, point_index, chunk)
-            for chunk in chunks
-            if chunk
-        ]
         with ProcessPoolExecutor(max_workers=plan.parallel) as pool:
             blocks = list(pool.map(_run_trial_block, args))
-    merged = [r for block in blocks for r in block]
-    merged.sort(key=lambda r: r[0])
-    return merged
+    return [r for block in blocks for r in block]  # contiguous blocks, in trial order
 
 
 def _power_points(cfg: ScenarioConfig, plan: ExperimentPlan, add):
@@ -558,7 +548,7 @@ def run_experiment(plan: ExperimentPlan, cfg: ScenarioConfig, cb: Codebook | Non
     return table
 
 
-def beampattern_table(cfg: ScenarioConfig, cb: Codebook) -> list:
+def beampattern_csv(cfg: ScenarioConfig, cb: Codebook, path: str):
     """Raw per-beam axis response magnitudes over the grid, for plotting."""
     grid = direction_grid(cb.d)
     rows = []
@@ -566,20 +556,5 @@ def beampattern_table(cfg: ScenarioConfig, cb: Codebook) -> list:
         for axis, v_b_axis in (("x", cfg.v_b.vx), ("y", cfg.v_b.vy)):
             resp = sensing_response(book, v_b_axis, grid, cb.spacing, axis)
             for i in range(book.n_beams_axis):
-                for j in range(cb.d):
-                    rows.append(
-                        {
-                            "stage": book.stage,
-                            "axis": axis,
-                            "beam": i + 1,
-                            "grid_index": j + 1,
-                            "v": float(grid[j]),
-                            "response_mag": float(resp[j, i]),
-                        }
-                    )
-    return rows
-
-
-def beampattern_csv(cfg: ScenarioConfig, cb: Codebook, path: str):
-    rows = beampattern_table(cfg, cb)
-    _write_csv(path, BEAMPATTERN_COLUMNS, ([row[c] for c in BEAMPATTERN_COLUMNS] for row in rows))
+                rows += ([book.stage, axis, i + 1, j + 1, float(grid[j]), float(resp[j, i])] for j in range(cb.d))
+    _write_csv(path, BEAMPATTERN_COLUMNS, rows)

@@ -10,17 +10,19 @@ model is rank-1, that statistic has an exact scalar form
 with c the squared two-axis RIS response of the beam toward the target,
 chi the transmit-side beam cross-correlation, u_bar the average of the
 de-rotated user-stream symbols, and n_bar the averaged beamformed noise
-(variance N_b sigma_b^2 / T).  The trial engines simulate z_bar directly
-from that law, which is algebraically exact and keeps Monte Carlo sweeps
-fast; the full matrix pipeline in :mod:`risjrc.channels` is used by the
-test-suite to validate the equivalence.  Every engine evaluates |z_bar|^2
-through :func:`decision_statistic`, the one place the law is written.
+(variance N_b sigma_b^2 / T).  The engines simulate z_bar directly from
+that law, which is algebraically exact; the full matrix pipeline in
+:mod:`risjrc.channels` is the test-suite's oracle for it.  One draw law
+(:func:`qpsk_product_sum`, :func:`noise_sum`) feeds every engine, and one
+stage decision (:func:`stage_decision`) serves both the calibrator's
+:class:`StageEnsemble` and :func:`descend`, the search batched over trials;
+:func:`hierarchical_localize` is its one-trial view.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -101,16 +103,42 @@ def decision_statistic(c, coh, cross, u_bar, n_bar):
     return np.abs(c * (coh + cross * u_bar) + n_bar) ** 2
 
 
-def candidate_gains(scene: Scene, book: StageBook, pairs: list) -> list:
-    """Squared two-axis RIS response c of each candidate beam toward the target, as scalars
-    (numpy's array complex multiply can differ from the scalar one in the last bit)."""
-    return [((scene.q_x @ book.w_x[:, a - 1]) * (scene.q_y @ book.w_y[:, b - 1])) ** 2 for a, b in pairs]
+_QPSK_ROOTS = np.array([1.0, 1.0j, -1.0, -1.0j])
+_CHILDREN = ((0, 0), (0, 1), (1, 0), (1, 1))  # offsets of the four children of an axis pair, in probe order
 
 
-def qpsk_product_mean(rng: np.random.Generator, t_s: int) -> complex:
-    """Mean of T de-rotated user symbols (uniform fourth roots of unity)."""
-    k = rng.integers(0, 4, size=t_s)
-    return complex(np.exp(1j * k * np.pi / 2).mean())
+def qpsk_product_sum(rng: np.random.Generator, t, size=()) -> np.ndarray:
+    """Sum of t de-rotated user symbols s_u conj(s_r), each uniform over {1, j, -1, -j}.
+
+    Drawn exactly, as multinomial counts of the four roots; ``t`` broadcasts against ``size``.
+    """
+    return rng.multinomial(t, [0.25] * 4, size=size) @ _QPSK_ROOTS
+
+
+def qpsk_product_mean(rng: np.random.Generator, t_s, size=()) -> np.ndarray:
+    """Mean of t_s de-rotated user symbols."""
+    return qpsk_product_sum(rng, t_s, size) / t_s
+
+
+def noise_sum(rng: np.random.Generator, t, size=()) -> np.ndarray:
+    """Sum of t unit-variance complex Gaussian samples: one draw scaled by sqrt(t)."""
+    return np.sqrt(t) * complex_normal(rng, size)
+
+
+def stage_decision(scene: Scene, book: StageBook, parents, coh, cross, u_bar, n_bar) -> tuple:
+    """One search stage over N trials: probe the four children of each parent axis pair.
+
+    ``parents`` holds (N, 2) 1-based axis pairs of the previous stage ((1, 1) at stage 1),
+    ``coh``/``cross`` (N,) trial coefficients and ``u_bar``/``n_bar`` (N, 4) snapshot means.
+    Returns the candidate pairs (N, 4, 2), their statistics (N, 4), the chosen position (N,)
+    and the chosen pair (N, 2); ties go to the lowest position.
+    """
+    pairs = 2 * np.asarray(parents)[:, None, :] - 1 + np.array(_CHILDREN)
+    gain_x, gain_y = scene.q_x @ book.w_x, scene.q_y @ book.w_y
+    c = (gain_x[pairs[..., 0] - 1] * gain_y[pairs[..., 1] - 1]) ** 2
+    stats = decision_statistic(c, coh[:, None], cross[:, None], u_bar, n_bar)
+    chosen = np.argmax(stats, axis=1)
+    return pairs, stats, chosen, pairs[np.arange(len(chosen)), chosen]
 
 
 @dataclass
@@ -120,7 +148,6 @@ class StageDecision:
     statistics: list
     chosen: int  # position in the candidate list, 1..4
     t_s: int
-    correct: bool  # the chosen beam contains the true cell
 
 
 @dataclass
@@ -156,12 +183,8 @@ def stage_candidates(s: int, parent_ab: tuple | None) -> list:
     Stage 1 probes all four quadrant beams; later stages probe the four
     children of the previously chosen axis pair.
     """
-    if s == 1:
-        pairs = [(1, 1), (1, 2), (2, 1), (2, 2)]
-    else:
-        a, b = parent_ab
-        pairs = [(2 * a - 1, 2 * b - 1), (2 * a - 1, 2 * b), (2 * a, 2 * b - 1), (2 * a, 2 * b)]
-    return pairs
+    a, b = (1, 1) if s == 1 else parent_ab
+    return [(2 * a - 1 + i, 2 * b - 1 + j) for i, j in _CHILDREN]
 
 
 def beam_2d_index(s: int, ab: tuple) -> int:
@@ -188,54 +211,51 @@ def true_stage_pair(cell: tuple, s: int, d: int) -> tuple:
     return tuple(true_axis_partition(i, s, d) for i in cell)
 
 
-def hierarchical_localize(
-    scene: Scene,
-    cb: Codebook,
-    schedule: SnapshotSchedule,
-    rng: np.random.Generator,
-    fading: FadingDraw | None = None,
-) -> TrialRecord:
-    """Run one multi-stage search trial and return its full trace.
+def descend(scene: Scene, cb: Codebook, schedule: SnapshotSchedule, rngs) -> list:
+    """The multi-stage search over a batch of trials, one generator per trial.
 
-    Fading and the target cross-section are drawn once per trial; symbols
-    and receiver noise are redrawn for every beam transmission.  Ties in
-    the argmax go to the lowest candidate position.
+    Each trial draws one block of fixed shape whatever its decisions (fading, then the (stages, 4)
+    symbol means, then the (stages, 4) noise sums), so any subset of trials reproduces alone.
+    Returns per stage ``stage_decision``'s four arrays and whether the chosen beam holds the true cell.
     """
     cfg = scene.cfg
-    n_stages = cfg.n_stages
-    if cb.n_stages != n_stages:
-        raise ValueError(f"codebook has {cb.n_stages} stages, scenario needs {n_stages}")
-    if len(schedule.t_s) != n_stages:
-        raise ValueError(f"schedule has {len(schedule.t_s)} entries, scenario needs {n_stages}")
-    if fading is None:
-        fading = draw_fading(rng)
-    coh, cross = trial_coefficients(scene, fading)
+    if cb.n_stages != cfg.n_stages:
+        raise ValueError(f"codebook has {cb.n_stages} stages, scenario needs {cfg.n_stages}")
+    if len(schedule.t_s) != cfg.n_stages:
+        raise ValueError(f"schedule has {len(schedule.t_s)} entries, scenario needs {cfg.n_stages}")
+    t = np.array(schedule.t_s)[:, None]
+    shape = (cfg.n_stages, 4)
+    draws = [(astuple(draw_fading(rng)), qpsk_product_mean(rng, t, shape), noise_sum(rng, t, shape)) for rng in rngs]
+    fading, u_bar, n_sum = (np.array(d) for d in zip(*draws))
+    coh, cross = trial_coefficients(scene, FadingDraw(*fading.T))
+    n_bar = scene.noise_scale * n_sum / t
 
-    record = TrialRecord(true_cell=true_cell(cfg), est_cell=(0, 0))
-    parent = None
-    for s in range(1, n_stages + 1):
-        book = cb.stage(s)
-        t_s = schedule.t_s[s - 1]
-        pairs = stage_candidates(s, parent)
-        stats = []
-        for c in candidate_gains(scene, book, pairs):
-            u_bar = qpsk_product_mean(rng, t_s)
-            n_bar = scene.noise_scale * complex(complex_normal(rng, t_s).mean())
-            stats.append(float(decision_statistic(c, coh, cross, u_bar, n_bar)))
-        chosen = int(np.argmax(stats))
-        parent = pairs[chosen]
-        truth = true_stage_pair(record.true_cell, s, cfg.grid_size)
+    cell = true_cell(cfg)
+    parents = np.ones((len(draws), 2), dtype=int)  # the root, whose children are the stage-1 quadrants
+    stages = []
+    for s, book in enumerate(cb.stages, start=1):
+        decision = stage_decision(scene, book, parents, coh, cross, u_bar[:, s - 1], n_bar[:, s - 1])
+        parents = decision[3]
+        stages.append((*decision, np.all(parents == true_stage_pair(cell, s, cfg.grid_size), axis=1)))
+    return stages
+
+
+def hierarchical_localize(
+    scene: Scene, cb: Codebook, schedule: SnapshotSchedule, rng: np.random.Generator
+) -> TrialRecord:
+    """Run one multi-stage search trial and return its full trace: :func:`descend` for one trial."""
+    record = TrialRecord(true_cell=true_cell(scene.cfg), est_cell=(0, 0))
+    for s, (pairs, stats, chosen, pair, _) in enumerate(descend(scene, cb, schedule, [rng]), start=1):
         record.stages.append(
             StageDecision(
                 stage=s,
-                beam_indices=[beam_2d_index(s, p) for p in pairs],
-                statistics=stats,
-                chosen=chosen + 1,
-                t_s=t_s,
-                correct=parent == truth,
+                beam_indices=[beam_2d_index(s, p) for p in pairs[0].tolist()],
+                statistics=stats[0].tolist(),
+                chosen=int(chosen[0]) + 1,
+                t_s=schedule.t_s[s - 1],
             )
         )
-    record.est_cell = parent
+        record.est_cell = tuple(pair[0].tolist())
     record.total_transmissions = hierarchical_transmissions(schedule)
     record.success = record.est_cell == record.true_cell
     return record
@@ -251,9 +271,8 @@ def exhaustive_localize(scene: Scene, rng: np.random.Generator, t_per_beam: int 
     coh, cross = trial_coefficients(scene, fading)
 
     c = (np.outer(scene.corr_x, scene.corr_y)) ** 2  # D x D squared responses
-    k = rng.integers(0, 4, size=(d, d, t_per_beam))
-    u_bar = np.exp(1j * k * np.pi / 2).mean(axis=2)
-    n_bar = scene.noise_scale * complex_normal(rng, (d, d, t_per_beam)).mean(axis=2)
+    u_bar = qpsk_product_mean(rng, t_per_beam, (d, d))
+    n_bar = scene.noise_scale * noise_sum(rng, t_per_beam, (d, d)) / t_per_beam
     stats = decision_statistic(c, coh, cross, u_bar, n_bar)
     flat = int(np.argmax(stats))
     est = (flat // d + 1, flat % d + 1)
@@ -323,24 +342,21 @@ class StageEnsemble:
     """Vectorized isolated-stage simulator over a Monte Carlo trial batch.
 
     Conditions on correct ancestor decisions: the four candidates are the
-    children of the true stage-(s-1) partition.  Snapshot sums are
-    maintained incrementally so the error rate can be evaluated at an
-    increasing sequence of snapshot counts on common random draws (the
-    QPSK symbol sum is drawn through multinomial counts and the noise sum
-    through a single scaled Gaussian; both are exact).
+    children of the true stage-(s-1) partition, decided by
+    :func:`stage_decision`.  Snapshot sums are maintained incrementally
+    through the one draw law, so the error rate can be evaluated at an
+    increasing sequence of snapshot counts on common random draws.
     """
 
     def __init__(self, scene: Scene, cb: Codebook, stage: int, trials: int, rng: np.random.Generator):
-        book = cb.stage(stage)
-        d = scene.cfg.grid_size
+        self.book = cb.stage(stage)
+        self.scene = scene
         self.rng = rng
         self.trials = trials
-        cell = true_cell(scene.cfg)
-        pairs = stage_candidates(stage, None if stage == 1 else true_stage_pair(cell, stage - 1, d))
-        self.true_pos = pairs.index(true_stage_pair(cell, stage, d))
-        self.c = np.array(candidate_gains(scene, book, pairs))  # (4,)
+        cell, d = true_cell(scene.cfg), scene.cfg.grid_size
+        self.parents = np.broadcast_to((1, 1) if stage == 1 else true_stage_pair(cell, stage - 1, d), (trials, 2))
+        self.truth = true_stage_pair(cell, stage, d)
         self.coh, self.cross = trial_coefficients(scene, FadingDraw(*complex_normal(rng, (trials, 4)).T))
-        self.noise_scale = scene.noise_scale
 
         zeros = np.zeros((trials, 4), dtype=complex)
         self._checkpoints = {0: (zeros, zeros.copy())}
@@ -350,9 +366,8 @@ class StageEnsemble:
             t0 = max(t for t in self._checkpoints if t < t_s)
             u_sum, n_sum = self._checkpoints[t0]
             dt = t_s - t0
-            counts = self.rng.multinomial(dt, [0.25] * 4, size=(self.trials, 4))
-            u_sum = u_sum + counts @ np.array([1.0, 1.0j, -1.0, -1.0j])
-            n_sum = n_sum + math.sqrt(dt) * complex_normal(self.rng, (self.trials, 4))
+            u_sum = u_sum + qpsk_product_sum(self.rng, dt, (self.trials, 4))
+            n_sum = n_sum + noise_sum(self.rng, dt, (self.trials, 4))
             self._checkpoints[t_s] = (u_sum, n_sum)
         return self._checkpoints[t_s]
 
@@ -362,9 +377,9 @@ class StageEnsemble:
             raise ValueError("snapshot count must be >= 1")
         u_sum, n_sum = self._sums_at(t_s)
         u_bar = u_sum / t_s
-        n_bar = self.noise_scale * n_sum / t_s
-        stats = decision_statistic(self.c[None, :], self.coh[:, None], self.cross[:, None], u_bar, n_bar)
-        return float(np.mean(np.argmax(stats, axis=1) != self.true_pos))
+        n_bar = self.scene.noise_scale * n_sum / t_s
+        *_, pair = stage_decision(self.scene, self.book, self.parents, self.coh, self.cross, u_bar, n_bar)
+        return float(np.mean(np.any(pair != self.truth, axis=1)))
 
 
 def stage_error(

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -24,12 +25,16 @@ from risjrc.localization import (
     beam_statistic,
     calibrate_snapshots,
     decision_statistic,
+    descend,
     exhaustive_localize,
     exhaustive_transmissions,
     hierarchical_localize,
     hierarchical_transmissions,
     make_scene,
+    noise_sum,
     overall_error_bound,
+    qpsk_product_mean,
+    qpsk_product_sum,
     snapshot_rule_literal,
     stage_candidates,
     stage_error,
@@ -39,6 +44,82 @@ from risjrc.localization import (
 )
 
 from conftest import desk_cfg, tiny_cfg
+
+
+def reference_localize(scene, cb, schedule, rng):
+    """The per-candidate scalar search loop that the batched descent replaced, kept as its oracle.
+
+    Replays the descent's draw layout from ``rng`` (fading, then the (stages, 4) symbol means, then
+    the noise sums) and evaluates each candidate with scalar arithmetic.  Returns the chosen axis
+    pair and the four statistics of every stage.
+    """
+    cfg = scene.cfg
+    t = np.array(schedule.t_s)[:, None]
+    fading = draw_fading(rng)
+    u_bar = qpsk_product_mean(rng, t, (cfg.n_stages, 4))
+    n_bar = scene.noise_scale * noise_sum(rng, t, (cfg.n_stages, 4)) / t
+    coh, cross = trial_coefficients(scene, fading)
+    parent, chosen, statistics = None, [], []
+    for s in range(1, cfg.n_stages + 1):
+        book = cb.stage(s)
+        pairs = stage_candidates(s, parent)
+        stats = []
+        for k, (a, b) in enumerate(pairs):
+            c = ((scene.q_x @ book.w_x[:, a - 1]) * (scene.q_y @ book.w_y[:, b - 1])) ** 2
+            u, n = complex(u_bar[s - 1, k]), complex(n_bar[s - 1, k])
+            stats.append(float(decision_statistic(c, coh, cross, u, n)))
+        parent = pairs[int(np.argmax(stats))]
+        chosen.append(parent)
+        statistics.append(stats)
+    return chosen, statistics
+
+
+@functools.cache
+def matched_desk_codebook():
+    return build_matched_codebook(desk_cfg())
+
+
+class TestDescent:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        power=st.floats(33.0, 50.0),
+        schedule=st.lists(st.integers(1, 40), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+        designed=st.booleans(),
+    )
+    def test_matches_scalar_reference_on_equal_draws(self, desk_codebook, power, schedule, seed, designed):
+        cb = desk_codebook if designed else matched_desk_codebook()
+        scene = make_scene(desk_cfg(power))
+        sched = SnapshotSchedule(tuple(schedule))
+        stages = descend(scene, cb, sched, [np.random.default_rng((seed, k)) for k in range(8)])
+        for k in range(8):
+            chosen, statistics = reference_localize(scene, cb, sched, np.random.default_rng((seed, k)))
+            for s, (_, stats, _, pair, _) in enumerate(stages):
+                assert tuple(pair[k].tolist()) == chosen[s]
+                np.testing.assert_allclose(stats[k], statistics[s], rtol=1e-12, atol=0)
+
+    def test_any_subset_of_trials_reproduces_alone(self, desk_codebook):
+        scene = make_scene(desk_cfg(39.0))
+        sched = SnapshotSchedule((5, 2, 1, 1))
+        batch = descend(scene, desk_codebook, sched, [np.random.default_rng(k) for k in range(12)])
+        for k in (0, 5, 11):
+            alone = descend(scene, desk_codebook, sched, [np.random.default_rng(k)])
+            for in_batch, by_itself in zip(batch, alone, strict=True):
+                for x, y in zip(in_batch, by_itself, strict=True):
+                    np.testing.assert_array_equal(x[k], y[0])
+            rec = hierarchical_localize(scene, desk_codebook, sched, np.random.default_rng(k))
+            assert [dec.statistics for dec in rec.stages] == [stage[1][k].tolist() for stage in batch]
+            assert rec.est_cell == tuple(batch[-1][3][k].tolist())
+
+    @settings(max_examples=40, deadline=None)
+    @given(t=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+    def test_symbol_sums_are_reachable_gaussian_integers(self, t, seed):
+        # a sum of t fourth roots of unity: integer parts, |re| + |im| <= t, re + im = t mod 2
+        u = qpsk_product_sum(np.random.default_rng(seed), t, (50,))
+        re, im = u.real.astype(int), u.imag.astype(int)
+        np.testing.assert_array_equal(u, re + 1j * im)
+        assert np.all(np.abs(re) + np.abs(im) <= t)
+        assert np.all((re + im - t) % 2 == 0)
 
 
 class TestBeamStatistic:
