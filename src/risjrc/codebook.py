@@ -254,7 +254,6 @@ class Codebook:
         return len(self.stages)
 
     def stage(self, s: int) -> StageBook:
-        """Stage book of the 1-based stage ``s``."""
         if not 1 <= s <= self.n_stages:
             raise ValueError(f"stage must be in 1..{self.n_stages}, got {s}")
         return self.stages[s - 1]

@@ -392,7 +392,7 @@ def resolve_schedule(cfg: ScenarioConfig, plan: ExperimentPlan, cb: Codebook) ->
 def _run_trial_block(args) -> list:
     """Worker: run a block of localization trials, return compact outcomes."""
     cfg, cb, schedule, master_seed, kind, point_index, trial_indices = args
-    rngs = [trial_rng(master_seed, kind, point_index, t) for t in trial_indices]
+    rngs = (trial_rng(master_seed, kind, point_index, t) for t in trial_indices)  # each freed after its draws
     stages = descend(make_scene(cfg), cb, schedule, rngs)
     correct = np.stack([stage[-1] for stage in stages], axis=1).tolist()
     # the last stage's pair is the estimated cell, so its correctness is the trial's success

@@ -22,7 +22,7 @@ stage decision (:func:`stage_decision`) serves both the calibrator's
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -212,7 +212,7 @@ def true_stage_pair(cell: tuple, s: int, d: int) -> tuple:
 
 
 def descend(scene: Scene, cb: Codebook, schedule: SnapshotSchedule, rngs) -> list:
-    """The multi-stage search over a batch of trials, one generator per trial.
+    """The multi-stage search over a batch of trials, one generator per trial from the iterable ``rngs``.
 
     Each trial draws one block of fixed shape whatever its decisions (fading, then the (stages, 4)
     symbol means, then the (stages, 4) noise sums), so any subset of trials reproduces alone.
@@ -225,13 +225,16 @@ def descend(scene: Scene, cb: Codebook, schedule: SnapshotSchedule, rngs) -> lis
         raise ValueError(f"schedule has {len(schedule.t_s)} entries, scenario needs {cfg.n_stages}")
     t = np.array(schedule.t_s)[:, None]
     shape = (cfg.n_stages, 4)
-    draws = [(astuple(draw_fading(rng)), qpsk_product_mean(rng, t, shape), noise_sum(rng, t, shape)) for rng in rngs]
-    fading, u_bar, n_sum = (np.array(d) for d in zip(*draws))
+
+    def block(rng):  # the fading fields in FadingDraw's order, then the symbol means, then the noise sums
+        return tuple(vars(draw_fading(rng)).values()), qpsk_product_mean(rng, t, shape), noise_sum(rng, t, shape)
+
+    fading, u_bar, n_sum = (np.array(d) for d in zip(*map(block, rngs)))
     coh, cross = trial_coefficients(scene, FadingDraw(*fading.T))
     n_bar = scene.noise_scale * n_sum / t
 
     cell = true_cell(cfg)
-    parents = np.ones((len(draws), 2), dtype=int)  # the root, whose children are the stage-1 quadrants
+    parents = np.ones((len(coh), 2), dtype=int)  # the root, whose children are the stage-1 quadrants
     stages = []
     for s, book in enumerate(cb.stages, start=1):
         decision = stage_decision(scene, book, parents, coh, cross, u_bar[:, s - 1], n_bar[:, s - 1])
