@@ -133,7 +133,7 @@ def stage_decision(scene: Scene, book: StageBook, parents, coh, cross, u_bar, n_
     Returns the candidate pairs (N, 4, 2), their statistics (N, 4), the chosen position (N,)
     and the chosen pair (N, 2); ties go to the lowest position.
     """
-    pairs = 2 * np.asarray(parents)[:, None, :] - 1 + np.array(_CHILDREN)
+    pairs = 2 * parents[:, None, :] - 1 + np.array(_CHILDREN)
     gain_x, gain_y = scene.q_x @ book.w_x, scene.q_y @ book.w_y
     c = (gain_x[pairs[..., 0] - 1] * gain_y[pairs[..., 1] - 1]) ** 2
     stats = decision_statistic(c, coh[:, None], cross[:, None], u_bar, n_bar)
