@@ -8,7 +8,7 @@ materialized, while remaining algebraically exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -82,6 +82,14 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # -inf dBm is a noiseless receiver (0 W), not a malformed value
+            noiseless = value == -math.inf and f.name in ("sigma_b2_dbm", "sigma_u2_dbm")
+            if isinstance(value, float) and not math.isfinite(value) and not noiseless:
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if self.ris_spacing <= 0:
+            raise ValueError(f"ris_spacing must be > 0, got {self.ris_spacing!r}")
         if self.grid_size < 2 or self.grid_size & (self.grid_size - 1):
             raise ValueError(f"grid_size must be a power of two >= 2, got {self.grid_size}")
         axis_size(self.n_ris)

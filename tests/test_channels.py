@@ -68,6 +68,32 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="grid_size"):
             desk_cfg(grid_size=12)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sigma_u2_dbm", math.nan),
+            ("sigma_b2_dbm", math.nan),
+            ("sigma_u2_dbm", math.inf),
+            ("power", math.inf),
+            ("d_bu", math.nan),
+            ("alpha_ru", math.inf),
+            ("eta0_db", math.nan),
+            ("theta_u_deg", math.nan),
+            ("ris_spacing", math.inf),
+            ("ris_spacing", math.nan),
+            ("ris_spacing", 0.0),
+            ("ris_spacing", -0.25),
+        ],
+    )
+    def test_non_finite_or_bad_spacing_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ScenarioConfig(n_ris=16, grid_size=8, **{field: value})
+
+    @pytest.mark.parametrize("field", ["sigma_b2_dbm", "sigma_u2_dbm"])
+    def test_minus_infinite_noise_is_noiseless(self, field):
+        cfg = ScenarioConfig(n_ris=16, grid_size=8, **{field: -math.inf})
+        assert (cfg.sigma_b2_watts if field == "sigma_b2_dbm" else cfg.sigma_u2_watts) == 0.0
+
     def test_with_power_preserves_split(self):
         cfg = desk_cfg(36.0).with_power(42.0)
         assert cfg.p_r_watts == pytest.approx(cfg.p_u_watts)

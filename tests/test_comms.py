@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import exp1
 
-from risjrc.channels import PhaseProfile, build_channels, draw_fading, path_gains
+from risjrc.channels import FadingDraw, PhaseProfile, build_channels, draw_fading, path_gains
 from risjrc.codebook import build_matched_codebook, matched_axis_beam
 from risjrc.comms import (
+    _fading_block,
+    _se_samples,
     average_se,
     build_link_matrices,
     comm_phase_profile,
@@ -177,6 +181,54 @@ class TestAverageSe:
         s_last = average_se(cfg, stage_phase_profile(desk_codebook, desk_codebook.n_stages), 800, rng()).mean
         no_ris = average_se(cfg, None, 800, rng()).mean
         assert bench >= s1 >= s_last >= no_ris
+
+
+class TestBatchedSeOracle:
+    """The batched rank-1 closed form against the per-trial ``slogdet`` pipeline."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        power=st.floats(-30.0, 50.0),
+        seed=st.integers(0, 2**32 - 1),
+        trials=st.integers(1, 40),
+        scenario=st.sampled_from(["no-ris", "benchmark", "random"]),
+        phases=st.lists(st.floats(0.0, 2 * math.pi), min_size=8, max_size=8),
+    )
+    def test_per_trial_values_match_pipeline(self, power, seed, trials, scenario, phases):
+        cfg = tiny_cfg(power)
+        omega = {
+            "no-ris": None,
+            "benchmark": comm_phase_profile(cfg),
+            "random": PhaseProfile(np.exp(1j * np.array(phases[:4])), np.exp(1j * np.array(phases[4:]))),
+        }[scenario]
+        got = _se_samples(cfg, omega, trials, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        link = build_link_matrices(cfg)
+        want = [
+            spectral_efficiency(effective_channel(build_channels(cfg, draw_fading(rng)), omega, link), cfg.sigma_u2_watts)
+            for _ in range(trials)
+        ]
+        # the oracle's own cancellation error reaches ~1e-12 relative
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 60))
+    def test_batched_draw_is_the_draw_fading_stream(self, seed, trials):
+        block = _fading_block(np.random.default_rng(seed), trials)
+        rng = np.random.default_rng(seed)
+        successive = np.array([list(vars(draw_fading(rng)).values()) for _ in range(trials)])
+        np.testing.assert_array_equal(block, successive)
+
+    @pytest.mark.parametrize("power", [30.0, 42.0])
+    def test_no_ris_matches_exact_mean(self, power):
+        # SE = log2(1 + c·X) with X = |β_bu|² ~ Exp(1), so E[SE] = e^{1/c}·E₁(1/c)/ln 2
+        cfg = desk_cfg(power)
+        h_unit = effective_channel(build_channels(cfg, FadingDraw(0.0, 1.0, 0.0, 0.0)), None, build_link_matrices(cfg))
+        c = np.linalg.norm(h_unit) ** 2 / cfg.sigma_u2_watts
+        exact = math.exp(1.0 / c) * exp1(1.0 / c) / math.log(2.0)
+        est = average_se(cfg, None, 200_000, np.random.default_rng(11))
+        sigma = est.halfwidth / 1.96
+        assert abs(est.mean - exact) < 4.0 * sigma
 
 
 class TestStagePhaseProfile:

@@ -80,6 +80,20 @@ class TestConfigIO:
         with pytest.raises(ValueError, match=key):
             load_config(str(path))
 
+    @pytest.mark.parametrize(
+        "section, key, text, field",
+        [
+            ("noise_dbm", "sigma_u2", "nan", "sigma_u2_dbm"),
+            ("ris", "spacing_wavelengths", "inf", "ris_spacing"),
+            ("ris", "spacing_wavelengths", "0", "ris_spacing"),
+        ],
+    )
+    def test_non_finite_scenario_value_rejected(self, tmp_path, section, key, text, field):
+        path = tmp_path / "bad6.cfg"
+        path.write_text(f"[{section}]\n{key} = {text}\n")
+        with pytest.raises(ValueError, match=field):
+            load_config(str(path))
+
 
 class TestWilson:
     def test_known_value(self):
