@@ -103,16 +103,39 @@ def decision_statistic(c, coh, cross, u_bar, n_bar):
     return np.abs(c * (coh + cross * u_bar) + n_bar) ** 2
 
 
-_QPSK_ROOTS = np.array([1.0, 1.0j, -1.0, -1.0j])
 _CHILDREN = ((0, 0), (0, 1), (1, 0), (1, 1))  # offsets of the four children of an axis pair, in probe order
+_LOW_BITS = np.array([(1 << b) - 1 for b in range(65)], dtype=np.uint64)  # _LOW_BITS[b] keeps a word's low b bits
+
+
+def _symbol_sums(words: np.ndarray, t) -> np.ndarray:
+    """Sums of t de-rotated QPSK symbols from raw words laid out (K, ..., 2), with K >= ceil(t/64).
+
+    The last axis holds the real and the imaginary sign component, and word k of a component
+    carries its signs 64k to 64k + 63: only its low min(64, t - 64k) bits count.  ``t`` broadcasts
+    against the middle axes.
+    """
+    t = np.asarray(t)
+    k = np.arange(len(words)).reshape((-1,) + (1,) * (words.ndim - 1))
+    ones = np.bitwise_count(words & _LOW_BITS[np.clip(t[..., None] - 64 * k, 0, 64)]).sum(axis=0, dtype=np.int64)
+    a, b = ones[..., 0], ones[..., 1]  # A = 2a - t and B = 2b - t
+    sums = np.empty(np.broadcast_shapes(a.shape, t.shape), complex)
+    sums.real, sums.imag = a + b - t, b - a
+    return sums
 
 
 def qpsk_product_sum(rng: np.random.Generator, t, size=()) -> np.ndarray:
     """Sum of t de-rotated user symbols s_u conj(s_r), each uniform over {1, j, -1, -j}.
 
-    Drawn exactly, as multinomial counts of the four roots; ``t`` broadcasts against ``size``.
+    Rotated by 45 degrees, a QPSK symbol has independent random real and imaginary signs, so the
+    sum is ((A + B) + j(B - A))/2 with A and B each 2 popcount(t random bits) - t: an exact
+    Gaussian integer.  The bits are raw 64-bit words of ``rng``'s bit generator, drawn one word
+    per sum and component at a time (word 0 of every sum, then word 1, ...), so memory does not
+    grow with t.  The cost is ceil(t/64) words per sum and component, growing with t where a
+    multinomial draw's did not.  ``t`` broadcasts against ``size``.
     """
-    return rng.multinomial(t, [0.25] * 4, size=size) @ _QPSK_ROOTS
+    size, t = tuple(size), np.asarray(t)
+    chunks = (rng.bit_generator.random_raw((1, *size, 2)) for _ in range(-(-int(t.max(initial=0)) // 64)))
+    return sum((_symbol_sums(w, np.clip(t - 64 * k, 0, 64)) for k, w in enumerate(chunks)), np.zeros(size, complex))
 
 
 def qpsk_product_mean(rng: np.random.Generator, t_s, size=()) -> np.ndarray:
@@ -120,25 +143,36 @@ def qpsk_product_mean(rng: np.random.Generator, t_s, size=()) -> np.ndarray:
     return qpsk_product_sum(rng, t_s, size) / t_s
 
 
+def _scaled_complex(re: np.ndarray, im: np.ndarray, scale) -> np.ndarray:
+    """(re + j im) * scale, written part by part: numpy's complex arithmetic costs several times more."""
+    z = np.empty(np.broadcast_shapes(re.shape, np.shape(scale)), complex)
+    z.real, z.imag = re * scale, im * scale
+    return z
+
+
 def noise_sum(rng: np.random.Generator, t, size=()) -> np.ndarray:
-    """Sum of t unit-variance complex Gaussian samples: one draw scaled by sqrt(t)."""
-    return np.sqrt(t) * complex_normal(rng, size)
+    """Sum of t unit-variance complex Gaussian samples: one draw scaled by sqrt(t).
+
+    Drawn as :func:`complex_normal` draws (all real parts, then all imaginary parts).
+    """
+    return _scaled_complex(rng.standard_normal(size), rng.standard_normal(size), np.sqrt(np.divide(t, 2.0)))
 
 
 def stage_decision(scene: Scene, book: StageBook, parents, coh, cross, u_bar, n_bar) -> tuple:
     """One search stage over N trials: probe the four children of each parent axis pair.
 
-    ``parents`` holds (N, 2) 1-based axis pairs of the previous stage ((1, 1) at stage 1),
-    ``coh``/``cross`` (N,) trial coefficients and ``u_bar``/``n_bar`` (N, 4) snapshot means.
-    Returns the candidate pairs (N, 4, 2), their statistics (N, 4), the chosen position (N,)
-    and the chosen pair (N, 2); ties go to the lowest position.
+    ``parents`` holds (N, 2) 1-based axis pairs of the previous stage ((1, 1) at stage 1), or
+    one row that all trials share; ``coh``/``cross`` are (N,) trial coefficients and
+    ``u_bar``/``n_bar`` (N, 4) snapshot means.  Returns the candidate pairs (one row per row of
+    ``parents``, 4, 2), their statistics (N, 4), the chosen position (N,) and the chosen pair
+    (N, 2); ties go to the lowest position.
     """
     pairs = 2 * parents[:, None, :] - 1 + np.array(_CHILDREN)
     gain_x, gain_y = scene.q_x @ book.w_x, scene.q_y @ book.w_y
     c = (gain_x[pairs[..., 0] - 1] * gain_y[pairs[..., 1] - 1]) ** 2
     stats = decision_statistic(c, coh[:, None], cross[:, None], u_bar, n_bar)
     chosen = np.argmax(stats, axis=1)
-    return pairs, stats, chosen, pairs[np.arange(len(chosen)), chosen]
+    return pairs, stats, chosen, np.take_along_axis(pairs, chosen[:, None, None], axis=1)[:, 0]
 
 
 @dataclass
@@ -165,6 +199,8 @@ class SnapshotSchedule:
     provenance: str = "manual"  # manual | literal-rule | calibrated
 
     def __post_init__(self):
+        if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool) for t in self.t_s):
+            raise ValueError(f"snapshot counts must be integers, got {self.t_s}")
         if any(t < 1 for t in self.t_s):
             raise ValueError("snapshot counts must be >= 1")
 
@@ -214,8 +250,12 @@ def true_stage_pair(cell: tuple, s: int, d: int) -> tuple:
 def descend(scene: Scene, cb: Codebook, schedule: SnapshotSchedule, rngs) -> list:
     """The multi-stage search over a batch of trials, one generator per trial from the iterable ``rngs``.
 
-    Each trial draws one block of fixed shape whatever its decisions (fading, then the (stages, 4)
-    symbol means, then the (stages, 4) noise sums), so any subset of trials reproduces alone.
+    Each trial draws one block of fixed shape whatever its decisions, so any subset of trials
+    reproduces alone: one ``standard_normal(8 + 8 * stages)`` call (the fading as
+    :func:`draw_fading` draws it, 4 real then 4 imaginary parts, then the (stages, 4) noise sums
+    as :func:`noise_sum` draws them), then one ``random_raw`` call holding, stage after stage, the
+    words that :func:`qpsk_product_sum` would draw for that stage's four symbol sums.  The words
+    become sums after the blocks are stacked, across all trials at once.
     Returns per stage ``stage_decision``'s four arrays and whether the chosen beam holds the true cell.
     """
     cfg = scene.cfg
@@ -223,15 +263,23 @@ def descend(scene: Scene, cb: Codebook, schedule: SnapshotSchedule, rngs) -> lis
         raise ValueError(f"codebook has {cb.n_stages} stages, scenario needs {cfg.n_stages}")
     if len(schedule.t_s) != cfg.n_stages:
         raise ValueError(f"schedule has {len(schedule.t_s)} entries, scenario needs {cfg.n_stages}")
-    t = np.array(schedule.t_s)[:, None]
-    shape = (cfg.n_stages, 4)
+    n_s, t = cfg.n_stages, np.array(schedule.t_s)
+    words = -(-t // 64)  # per symbol sum and sign component, per stage
+    ends = 8 * np.cumsum(words)
 
-    def block(rng):  # the fading fields in FadingDraw's order, then the symbol means, then the noise sums
-        return tuple(vars(draw_fading(rng)).values()), qpsk_product_mean(rng, t, shape), noise_sum(rng, t, shape)
+    def block(rng):
+        return rng.standard_normal(8 + 8 * n_s), rng.bit_generator.random_raw(ends[-1])
 
-    fading, u_bar, n_sum = (np.array(d) for d in zip(*map(block, rngs)))
+    normals, raw = (np.array(d) for d in zip(*map(block, rngs)))
+    fading = (normals[:, :4] + 1j * normals[:, 4:8]) / np.sqrt(2.0)
+    noise_re, noise_im = np.moveaxis(normals[:, 8:].reshape(-1, 2, n_s, 4), 1, 0)
+    n_bar = scene.noise_scale * _scaled_complex(noise_re, noise_im, np.sqrt(t / 2.0)[:, None]) / t[:, None]
     coh, cross = trial_coefficients(scene, FadingDraw(*fading.T))
-    n_bar = scene.noise_scale * n_sum / t
+    u_sum = [
+        _symbol_sums(np.moveaxis(raw[:, end - 8 * k : end].reshape(-1, k, 4, 2), 1, 0), t_s)
+        for t_s, k, end in zip(t, words, ends)
+    ]
+    u_bar = np.stack(u_sum, axis=1) / t[:, None]
 
     cell = true_cell(cfg)
     parents = np.ones((len(coh), 2), dtype=int)  # the root, whose children are the stage-1 quadrants
@@ -352,13 +400,16 @@ class StageEnsemble:
     """
 
     def __init__(self, scene: Scene, cb: Codebook, stage: int, trials: int, rng: np.random.Generator):
+        if trials < 1:
+            raise ValueError("trials must be >= 1")
         self.book = cb.stage(stage)
         self.scene = scene
         self.rng = rng
         self.trials = trials
         cell, d = true_cell(scene.cfg), scene.cfg.grid_size
-        self.parents = np.broadcast_to((1, 1) if stage == 1 else true_stage_pair(cell, stage - 1, d), (trials, 2))
-        self.truth = true_stage_pair(cell, stage, d)
+        self.parent = np.array([(1, 1) if stage == 1 else true_stage_pair(cell, stage - 1, d)])  # shared by all trials
+        a, b = true_stage_pair(cell, stage, d)
+        self.truth = _CHILDREN.index(((a - 1) % 2, (b - 1) % 2))  # the true child's probe position
         self.coh, self.cross = trial_coefficients(scene, FadingDraw(*complex_normal(rng, (trials, 4)).T))
 
         zeros = np.zeros((trials, 4), dtype=complex)
@@ -376,13 +427,14 @@ class StageEnsemble:
 
     def error_rate(self, t_s: int) -> float:
         """Empirical stage error probability at t_s snapshots per beam."""
-        if t_s < 1:
-            raise ValueError("snapshot count must be >= 1")
+        if not isinstance(t_s, (int, np.integer)) or t_s < 1:
+            raise ValueError(f"snapshot count must be an integer >= 1, got {t_s!r}")
         u_sum, n_sum = self._sums_at(t_s)
-        u_bar = u_sum / t_s
-        n_bar = self.scene.noise_scale * n_sum / t_s
-        *_, pair = stage_decision(self.scene, self.book, self.parents, self.coh, self.cross, u_bar, n_bar)
-        return float(np.mean(np.any(pair != self.truth, axis=1)))
+        inv = 1.0 / t_s  # the same bits as dividing by t_s, without numpy's complex division
+        u_bar = u_sum * inv
+        n_bar = self.scene.noise_scale * n_sum * inv
+        _, _, chosen, _ = stage_decision(self.scene, self.book, self.parent, self.coh, self.cross, u_bar, n_bar)
+        return float(np.mean(chosen != self.truth))
 
 
 def stage_error(
@@ -418,6 +470,8 @@ def calibrate_snapshots(
     draws across counts), then bisects.  Reports infeasibility at t_max
     instead of raising.
     """
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must be in (0, 1)")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if t_max < 1:

@@ -33,7 +33,6 @@ from risjrc.localization import (
     make_scene,
     noise_sum,
     overall_error_bound,
-    qpsk_product_mean,
     qpsk_product_sum,
     snapshot_rule_literal,
     stage_candidates,
@@ -49,15 +48,15 @@ from conftest import desk_cfg, tiny_cfg
 def reference_localize(scene, cb, schedule, rng):
     """The per-candidate scalar search loop that the batched descent replaced, kept as its oracle.
 
-    Replays the descent's draw layout from ``rng`` (fading, then the (stages, 4) symbol means, then
-    the noise sums) and evaluates each candidate with scalar arithmetic.  Returns the chosen axis
-    pair and the four statistics of every stage.
+    Replays the descent's draw layout from ``rng`` call by call (fading, then the (stages, 4) noise
+    sums, then each stage's four symbol sums) and evaluates each candidate with scalar arithmetic.
+    Returns the chosen axis pair and the four statistics of every stage.
     """
     cfg = scene.cfg
     t = np.array(schedule.t_s)[:, None]
     fading = draw_fading(rng)
-    u_bar = qpsk_product_mean(rng, t, (cfg.n_stages, 4))
     n_bar = scene.noise_scale * noise_sum(rng, t, (cfg.n_stages, 4)) / t
+    u_bar = np.array([qpsk_product_sum(rng, t_s, (4,)) for t_s in schedule.t_s]) / t
     coh, cross = trial_coefficients(scene, fading)
     parent, chosen, statistics = None, [], []
     for s in range(1, cfg.n_stages + 1):
@@ -114,12 +113,36 @@ class TestDescent:
     @settings(max_examples=40, deadline=None)
     @given(t=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
     def test_symbol_sums_are_reachable_gaussian_integers(self, t, seed):
-        # a sum of t fourth roots of unity: integer parts, |re| + |im| <= t, re + im = t mod 2
-        u = qpsk_product_sum(np.random.default_rng(seed), t, (50,))
+        # a sum of t fourth roots of unity: integer parts, |re| + |im| <= t, re + im = t mod 2;
+        # per-row counts broadcast against the size
+        t = np.array([[t], [t + 70]])
+        u = qpsk_product_sum(np.random.default_rng(seed), t, (2, 50))
         re, im = u.real.astype(int), u.imag.astype(int)
         np.testing.assert_array_equal(u, re + 1j * im)
         assert np.all(np.abs(re) + np.abs(im) <= t)
         assert np.all((re + im - t) % 2 == 0)
+
+
+class TestSignSumLaw:
+    @settings(max_examples=60, deadline=None)
+    @given(t=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
+    def test_word_sums_equal_explicit_symbol_sums(self, t, seed):
+        # rebuild each symbol from the same raw words: bit i of a sum's real and imaginary words are
+        # the signs (a, b) of its symbol i, which is ((a + b) + j(b - a))/2 (word i // 64, bit i % 64)
+        size = (3,)
+        u = qpsk_product_sum(np.random.default_rng(seed), t, size)
+        words = np.random.default_rng(seed).bit_generator.random_raw((-(-t // 64), *size, 2))
+        for e in range(size[0]):
+            total = 0
+            for i in range(t):
+                a, b = (1 if int(words[i // 64, e, c]) >> (i % 64) & 1 else -1 for c in (0, 1))
+                total += complex(a + b, b - a) / 2
+            assert u[e] == total
+
+    def test_single_symbols_are_uniform_over_the_roots(self):
+        u = qpsk_product_sum(np.random.default_rng(0), 1, (200_000,))
+        for root in (1, 1j, -1, -1j):
+            assert np.mean(u == root) == pytest.approx(0.25, abs=4 * math.sqrt(0.25 * 0.75 / 200_000))
 
 
 class TestBeamStatistic:
@@ -195,7 +218,7 @@ class TestEngineLaw:
     @given(t_s=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
     def test_symbol_products_are_fourth_roots_of_unity(self, t_s, seed):
         # the de-rotated product s_u conj(s_r) of two QPSK symbols is one of
-        # 1, j, -1, -j: the law the engines sample through multinomial counts
+        # 1, j, -1, -j: the law the engines sample as sums of independent random signs
         x = make_transmit_block(tiny_cfg(), t_s, np.random.default_rng(seed))
         products = x.s_u * x.s_r.conj()
         roots = np.array([1.0, 1.0j, -1.0, -1.0j])
@@ -360,7 +383,7 @@ class TestCalibration:
         [
             (desk_cfg(sigma_b2_dbm=-math.inf), 1, 8, [1]),  # feasible at T = 1
             (desk_cfg(20.0), 1, 6, [1, 2, 4, 6]),  # infeasible, doubling capped at t_max
-            (desk_cfg(36.0), 2, 64, [1, 2, 4, 8, 6, 5]),  # feasible after a bisection
+            (desk_cfg(33.0), 2, 64, [1, 2, 4, 8, 16, 12, 10, 11]),  # feasible after a bisection that moves both ends
         ],
         ids=["t1", "infeasible", "bisection"],
     )
@@ -421,6 +444,35 @@ class TestInputRanges:
             stage_error(make_scene(cfg), cb, stage, 1, 10, np.random.default_rng(0))
         with pytest.raises(ValueError, match=r"stage must be in 1\.\.3"):
             calibrate_snapshots(make_scene(cfg), cb, stage, 0.05, np.random.default_rng(0), trials=10)
+
+    @pytest.mark.parametrize("delta", [math.nan, 0.0, 1.0, 1.5])
+    def test_calibration_rejects_delta_out_of_range(self, delta):
+        cfg = tiny_cfg()
+        with pytest.raises(ValueError, match=r"delta must be in \(0, 1\)"):
+            calibrate_snapshots(make_scene(cfg), build_matched_codebook(cfg), 1, delta, np.random.default_rng(0), trials=10)
+
+    @pytest.mark.parametrize("t_s", [(1.5, 2, 3), (2.0, 2, 3), (np.float64(2), 2, 3), (True, 2, 3), ("2", 2, 3)])
+    def test_schedule_rejects_non_integer_counts(self, t_s):
+        with pytest.raises(ValueError, match="snapshot counts must be integers"):
+            SnapshotSchedule(t_s)
+
+    @pytest.mark.parametrize("t_s", [0, 1.5, 2.0])
+    def test_stage_error_rejects_non_integer_or_zero_count(self, t_s):
+        cfg = tiny_cfg()
+        with pytest.raises(ValueError, match="snapshot count must be an integer >= 1"):
+            stage_error(make_scene(cfg), build_matched_codebook(cfg), 1, t_s, 10, np.random.default_rng(0))
+
+    def test_schedule_accepts_numpy_integers(self):
+        assert SnapshotSchedule((np.int64(2), np.int32(1), 3)).t_s == (2, 1, 3)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_ensemble_rejects_no_trials(self, trials):
+        cfg = tiny_cfg()
+        cb = build_matched_codebook(cfg)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            stage_error(make_scene(cfg), cb, 1, 1, trials, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            StageEnsemble(make_scene(cfg), cb, 1, trials, np.random.default_rng(0))
 
     @pytest.mark.parametrize("t_per_beam", [0, -1])
     def test_exhaustive_rejects_no_snapshots(self, t_per_beam):
