@@ -23,7 +23,6 @@ from risjrc import (
     target_response,
     ula_steering,
 )
-from risjrc.channels import dbm_to_watts
 
 print("=== steering vectors ===")
 b = ula_steering(45.0, 8)
@@ -45,14 +44,11 @@ for model in ("literal", "standard", "standard_power"):
 
 print()
 print("=== channel synthesis ===")
-total = dbm_to_watts(36.0)
 cfg = ScenarioConfig(
     n_ris=1024,
     grid_size=16,
     pathloss_model="standard_power",
     power=36.0,
-    p_r_watts=total / 2,
-    p_u_watts=total / 2,
 )
 rng = np.random.default_rng(0)
 fading = draw_fading(rng)
@@ -70,8 +66,6 @@ small = ScenarioConfig(
     grid_size=8,
     pathloss_model="standard_power",
     power=36.0,
-    p_r_watts=total / 2,
-    p_u_watts=total / 2,
 )
 cs_small = build_channels(small, fading)
 x = make_transmit_block(small, 4, rng)

@@ -9,18 +9,14 @@ codebook file and dumping raw beampattern data for plotting.
 import numpy as np
 
 from risjrc import ScenarioConfig, build_codebook, load_codebook, mask_fidelity, save_codebook
-from risjrc.channels import dbm_to_watts
 from risjrc.codebook import half_power_width
 from risjrc.harness import beampattern_csv
 
-total = dbm_to_watts(36.0)
 cfg = ScenarioConfig(
     n_ris=1024,
     grid_size=32,
     pathloss_model="standard_power",
     power=36.0,
-    p_r_watts=total / 2,
-    p_u_watts=total / 2,
 )
 
 print("designing codebook (5 stages, 2+4+8+16+32 beams per axis, both axes)...")

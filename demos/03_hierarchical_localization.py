@@ -8,7 +8,6 @@ search against the exhaustive pencil-beam baseline.
 import numpy as np
 
 from risjrc import ScenarioConfig, build_codebook
-from risjrc.channels import dbm_to_watts
 from risjrc.localization import (
     SnapshotSchedule,
     exhaustive_localize,
@@ -18,14 +17,11 @@ from risjrc.localization import (
     make_scene,
 )
 
-total = dbm_to_watts(45.0)
 cfg = ScenarioConfig(
     n_ris=1024,
     grid_size=16,
     pathloss_model="standard_power",
     power=45.0,
-    p_r_watts=total / 2,
-    p_u_watts=total / 2,
 )
 cb = build_codebook(cfg, seed=0)
 scene = make_scene(cfg)

@@ -11,21 +11,18 @@ reported with a sign flag).
 import numpy as np
 
 from risjrc import ScenarioConfig, build_codebook
-from risjrc.channels import dbm_to_watts, path_gains
+from risjrc.channels import path_gains
 from risjrc.localization import calibrate_snapshots, make_scene, snapshot_rule_literal, stage_error
 
 DELTA = 0.05
 
 
 def cfg_at(p_dbm):
-    total = dbm_to_watts(p_dbm)
     return ScenarioConfig(
         n_ris=1024,
         grid_size=16,
         pathloss_model="standard_power",
         power=p_dbm,
-        p_r_watts=total / 2,
-        p_u_watts=total / 2,
     )
 
 

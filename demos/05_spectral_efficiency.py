@@ -10,15 +10,11 @@ links.
 import numpy as np
 
 from risjrc import ScenarioConfig, average_se, build_codebook, comm_phase_profile
-from risjrc.channels import dbm_to_watts
 from risjrc.comms import stage_phase_profile
 
-total = dbm_to_watts(36.0)
 cfg = ScenarioConfig(
     pathloss_model="standard_power",
     power=36.0,
-    p_r_watts=total / 2,
-    p_u_watts=total / 2,
 )  # full-size arrays: 64 Tx antennas, 16 Rx, 64x64 RIS
 
 print("designing the full-size codebook (one-time)...")

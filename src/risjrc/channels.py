@@ -37,8 +37,8 @@ class ScenarioConfig:
     """Scenario geometry, power budget, and model switches.
 
     Powers are stored in the configured units (``power_units``); all
-    internal math is in linear watts.  The radar/user split is explicit
-    and must sum to the total transmit power.
+    internal math is in linear watts.  The radar/user split must sum to
+    the total transmit power; each share left unset is half of the total.
     """
 
     # array sizes
@@ -73,12 +73,15 @@ class ScenarioConfig:
     # transmit power and split
     power: float = 36.0
     power_units: str = "dBm"
-    p_r_watts: float = dbm_to_watts(36.0) / 2
-    p_u_watts: float = dbm_to_watts(36.0) / 2
+    p_r_watts: float | None = None
+    p_u_watts: float | None = None
     # RIS element spacing in wavelengths
     ris_spacing: float = 0.25
 
     def __post_init__(self):
+        for name in ("p_r_watts", "p_u_watts"):
+            if getattr(self, name) is None:
+                setattr(self, name, self.p_total_watts / 2)
         self.validate()
 
     def validate(self):
@@ -195,14 +198,27 @@ class FadingDraw:
     rho: complex
 
 
+def complex_from_parts(re, im, scale=1.0 / np.sqrt(2.0)) -> np.ndarray:
+    """(re + j im) * scale, written part by part because numpy's complex arithmetic costs several times
+    more; the default gives the bits of ``(re + 1j * im) / np.sqrt(2.0)`` (``np.sqrt(0.5)`` is 1 ulp larger)."""
+    z = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im), np.shape(scale)), complex)
+    z.real, z.imag = re * scale, im * scale
+    return z
+
+
 def complex_normal(rng: np.random.Generator, size=None) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian draws, zero mean, unit variance."""
-    return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
+    """Circularly-symmetric complex Gaussian draws, zero mean, unit variance: real parts, then imaginary."""
+    return complex_from_parts(rng.standard_normal(size), rng.standard_normal(size))
+
+
+def fading_from_normals(normals: np.ndarray) -> FadingDraw:
+    """The fading of each row of a ``(..., >= 8)`` block of standard normals: 4 real parts, then 4
+    imaginary parts, in the order br, bu, ru, rho; later entries are ignored."""
+    return FadingDraw(*np.moveaxis(complex_from_parts(normals[..., :4], normals[..., 4:8]), -1, 0))
 
 
 def draw_fading(rng: np.random.Generator) -> FadingDraw:
-    z = complex_normal(rng, 4)
-    return FadingDraw(beta_br=z[0], beta_bu=z[1], beta_ru=z[2], rho=z[3])
+    return fading_from_normals(rng.standard_normal(8))
 
 
 @dataclass

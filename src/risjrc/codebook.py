@@ -490,6 +490,8 @@ def load_codebook(path: str) -> Codebook:
                     quality_warnings=list(meta["quality_warnings"]),
                 )
             )
+        if not stages or header["d"] != 2 ** len(stages):
+            raise ValueError(f"{path}: codebook header key 'd' is {header['d']}, not 2**n for n = {len(stages)} >= 1 stages")
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after the last stage")
     return Codebook(

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelSet, PhaseProfile, ScenarioConfig, path_gains
+from .channels import ChannelSet, PhaseProfile, ScenarioConfig, fading_from_normals, path_gains
 from .codebook import Codebook, matched_axis_beam
 from .geometry import ris_axis_steering, ula_steering
 
@@ -92,17 +92,6 @@ class SeEstimate:
     trials: int
 
 
-def _fading_block(rng: np.random.Generator, trials: int) -> np.ndarray:
-    """(trials, 4) fading coefficients, columns in ``FadingDraw`` order.
-
-    Row t is bit for bit the t-th of successive ``draw_fading`` calls on
-    the same generator: each trial takes four real parts, then four
-    imaginary parts.
-    """
-    z = rng.standard_normal((trials, 2, 4))
-    return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
-
-
 def _se_samples(
     cfg: ScenarioConfig,
     omega: PhaseProfile | None,
@@ -131,15 +120,15 @@ def _se_samples(
     u_b = ula_steering(cfg.zeta_b_deg, cfg.n_u)
     u_r = ula_steering(cfg.zeta_r_deg, cfg.n_u)
     m_direct = np.outer(link.c.conj().T @ u_b, b_u.conj() @ link.f) @ link.p
-    beta = _fading_block(rng, trials)  # columns br, bu, ru, rho
-    a = beta[:, 1] * eta.eta_bu
+    beta = fading_from_normals(rng.standard_normal((trials, 8)))  # trial t is the t-th draw_fading draw
+    a = beta.beta_bu * eta.eta_bu
     if omega is None:
         m_cascade = np.zeros((2, 2), dtype=complex)
         b = np.zeros(trials, dtype=complex)
     else:
         a_ru = _cascade_axis_gain(cfg, omega)
         m_cascade = a_ru * np.outer(link.c.conj().T @ u_r, b_r.conj() @ link.f) @ link.p
-        b = (beta[:, 2] * eta.eta_ru) * (beta[:, 0] * eta.eta_br)
+        b = (beta.beta_ru * eta.eta_ru) * (beta.beta_br * eta.eta_br)
     norm_d = np.vdot(m_direct, m_direct).real
     norm_c = np.vdot(m_cascade, m_cascade).real
     cross = np.vdot(m_cascade, m_direct)

@@ -31,9 +31,6 @@ class DirectionCosine:
         if abs(self.vx) > 1.0 or abs(self.vy) > 1.0:
             raise ValueError(f"direction cosines must lie in [-1, 1], got ({self.vx}, {self.vy})")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.vx, self.vy])
-
 
 def ula_steering(theta_deg: float, n_elems: int) -> np.ndarray:
     """Steering vector of a half-wavelength ULA toward angle ``theta_deg``.

@@ -19,7 +19,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import comms
-from .channels import ScenarioConfig, db_to_linear, dbm_to_watts, path_gains
+from .channels import ScenarioConfig, path_gains
 from .codebook import (
     Codebook,
     SolverParams,
@@ -230,12 +230,6 @@ def load_config(path: str) -> tuple[ScenarioConfig, ExperimentPlan]:
         scenario[name] = DirectionCosine(
             scenario.pop(f"{name}.vx", default.vx), scenario.pop(f"{name}.vy", default.vy)
         )
-    # the radar/user split defaults to half of the configured total each
-    power = scenario.get("power", base.power)
-    total_w = dbm_to_watts(power) if scenario.get("power_units", base.power_units) == "dBm" else db_to_linear(power)
-    scenario.setdefault("p_r_watts", total_w / 2)
-    scenario.setdefault("p_u_watts", total_w / 2)
-
     cfg = ScenarioConfig(**scenario)
     plan = ExperimentPlan(**values[ExperimentPlan], solver=SolverParams(**values[SolverParams]))
     plan.validate()

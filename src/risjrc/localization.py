@@ -30,8 +30,10 @@ from .channels import (
     FadingDraw,
     PathGains,
     ScenarioConfig,
+    complex_from_parts,
     complex_normal,
     draw_fading,
+    fading_from_normals,
     path_gains,
 )
 from .codebook import Codebook, StageBook
@@ -143,19 +145,12 @@ def qpsk_product_mean(rng: np.random.Generator, t_s, size=()) -> np.ndarray:
     return qpsk_product_sum(rng, t_s, size) / t_s
 
 
-def _scaled_complex(re: np.ndarray, im: np.ndarray, scale) -> np.ndarray:
-    """(re + j im) * scale, written part by part: numpy's complex arithmetic costs several times more."""
-    z = np.empty(np.broadcast_shapes(re.shape, np.shape(scale)), complex)
-    z.real, z.imag = re * scale, im * scale
-    return z
-
-
 def noise_sum(rng: np.random.Generator, t, size=()) -> np.ndarray:
     """Sum of t unit-variance complex Gaussian samples: one draw scaled by sqrt(t).
 
     Drawn as :func:`complex_normal` draws (all real parts, then all imaginary parts).
     """
-    return _scaled_complex(rng.standard_normal(size), rng.standard_normal(size), np.sqrt(np.divide(t, 2.0)))
+    return complex_from_parts(rng.standard_normal(size), rng.standard_normal(size), np.sqrt(np.divide(t, 2.0)))
 
 
 def stage_decision(scene: Scene, book: StageBook, parents, coh, cross, u_bar, n_bar) -> tuple:
@@ -193,13 +188,17 @@ class TrialRecord:
     success: bool = False
 
 
+def _is_integer(t) -> bool:
+    return isinstance(t, (int, np.integer)) and not isinstance(t, bool)
+
+
 @dataclass(frozen=True)
 class SnapshotSchedule:
     t_s: tuple
     provenance: str = "manual"  # manual | literal-rule | calibrated
 
     def __post_init__(self):
-        if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool) for t in self.t_s):
+        if not all(_is_integer(t) for t in self.t_s):
             raise ValueError(f"snapshot counts must be integers, got {self.t_s}")
         if any(t < 1 for t in self.t_s):
             raise ValueError("snapshot counts must be >= 1")
@@ -251,11 +250,11 @@ def descend(scene: Scene, cb: Codebook, schedule: SnapshotSchedule, rngs) -> lis
     """The multi-stage search over a batch of trials, one generator per trial from the iterable ``rngs``.
 
     Each trial draws one block of fixed shape whatever its decisions, so any subset of trials
-    reproduces alone: one ``standard_normal(8 + 8 * stages)`` call (the fading as
-    :func:`draw_fading` draws it, 4 real then 4 imaginary parts, then the (stages, 4) noise sums
-    as :func:`noise_sum` draws them), then one ``random_raw`` call holding, stage after stage, the
-    words that :func:`qpsk_product_sum` would draw for that stage's four symbol sums.  The words
-    become sums after the blocks are stacked, across all trials at once.
+    reproduces alone: one ``standard_normal(8 + 8 * stages)`` call (the fading as :func:`draw_fading`
+    draws it, then the (stages, 4) noise sums as :func:`noise_sum` draws them), then one
+    ``random_raw`` call holding, stage after stage, the words that :func:`qpsk_product_sum` would
+    draw for that stage's four symbol sums.  The words become sums after the blocks are stacked,
+    across all trials at once.
     Returns per stage ``stage_decision``'s four arrays and whether the chosen beam holds the true cell.
     """
     cfg = scene.cfg
@@ -271,10 +270,9 @@ def descend(scene: Scene, cb: Codebook, schedule: SnapshotSchedule, rngs) -> lis
         return rng.standard_normal(8 + 8 * n_s), rng.bit_generator.random_raw(ends[-1])
 
     normals, raw = (np.array(d) for d in zip(*map(block, rngs)))
-    fading = (normals[:, :4] + 1j * normals[:, 4:8]) / np.sqrt(2.0)
     noise_re, noise_im = np.moveaxis(normals[:, 8:].reshape(-1, 2, n_s, 4), 1, 0)
-    n_bar = scene.noise_scale * _scaled_complex(noise_re, noise_im, np.sqrt(t / 2.0)[:, None]) / t[:, None]
-    coh, cross = trial_coefficients(scene, FadingDraw(*fading.T))
+    n_bar = scene.noise_scale * complex_from_parts(noise_re, noise_im, np.sqrt(t / 2.0)[:, None]) / t[:, None]
+    coh, cross = trial_coefficients(scene, fading_from_normals(normals))
     u_sum = [
         _symbol_sums(np.moveaxis(raw[:, end - 8 * k : end].reshape(-1, k, 4, 2), 1, 0), t_s)
         for t_s, k, end in zip(t, words, ends)
@@ -314,8 +312,8 @@ def hierarchical_localize(
 
 def exhaustive_localize(scene: Scene, rng: np.random.Generator, t_per_beam: int = 1) -> TrialRecord:
     """Scan all D x D matched pencil beams and pick the argmax statistic."""
-    if t_per_beam < 1:
-        raise ValueError("t_per_beam must be >= 1")
+    if not _is_integer(t_per_beam) or t_per_beam < 1:
+        raise ValueError(f"t_per_beam must be an integer >= 1, got {t_per_beam!r}")
     cfg = scene.cfg
     d = cfg.grid_size
     fading = draw_fading(rng)
@@ -427,7 +425,7 @@ class StageEnsemble:
 
     def error_rate(self, t_s: int) -> float:
         """Empirical stage error probability at t_s snapshots per beam."""
-        if not isinstance(t_s, (int, np.integer)) or t_s < 1:
+        if not _is_integer(t_s) or t_s < 1:
             raise ValueError(f"snapshot count must be an integer >= 1, got {t_s!r}")
         u_sum, n_sum = self._sums_at(t_s)
         inv = 1.0 / t_s  # the same bits as dividing by t_s, without numpy's complex division

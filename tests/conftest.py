@@ -1,6 +1,6 @@
 import pytest
 
-from risjrc.channels import ScenarioConfig, dbm_to_watts
+from risjrc.channels import ScenarioConfig
 from risjrc.codebook import build_codebook, build_matched_codebook
 
 
@@ -12,15 +12,12 @@ def desk_cfg(
     **overrides,
 ) -> ScenarioConfig:
     """Workstation-scale scenario used across the suite."""
-    total = dbm_to_watts(power_dbm)
     kwargs = dict(
         n_ris=n_ris,
         grid_size=grid_size,
         pathloss_model=model,
         power=power_dbm,
         power_units="dBm",
-        p_r_watts=total / 2,
-        p_u_watts=total / 2,
     )
     kwargs.update(overrides)
     return ScenarioConfig(**kwargs)

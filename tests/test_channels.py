@@ -53,6 +53,13 @@ class TestFading:
         assert abs(z.mean()) < 0.02
         assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, rel=0.03)
 
+    def test_complex_normal_is_the_complex_division_bit_for_bit(self):
+        # part by part, scaled by 1/sqrt(2): np.sqrt(0.5) is one ulp larger and would move every draw
+        z = complex_normal(np.random.default_rng(5), 4096)
+        rng = np.random.default_rng(5)
+        x, y = rng.standard_normal(4096), rng.standard_normal(4096)
+        np.testing.assert_array_equal(z.view(np.float64), ((x + 1j * y) / np.sqrt(2.0)).view(np.float64))
+
     def test_determinism(self):
         a = draw_fading(np.random.default_rng(7))
         b = draw_fading(np.random.default_rng(7))

@@ -368,12 +368,24 @@ class TestMalformedFiles:
             ({**_TOP_KEYS, "stages": [{**_STAGE_1, "n_beams_axis": -1}]}, "stage 1 key 'n_beams_axis' is -1"),
             ({**_TOP_KEYS, "n_ris": 15, "stages": [_STAGE_1]}, "key 'n_ris' is not a positive square"),
             ({**_TOP_KEYS, "schedule": [4, 4, 4], "stages": []}, "key 'schedule' is not 0 integers"),
+            ({**_TOP_KEYS, "schedule": [], "stages": []}, "key 'd' is 8, not 2\\*\\*n for n = 0"),
         ],
     )
     def test_incomplete_header_rejected(self, tmp_path, header, match):
         path = tmp_path / "header.riscb"
         path.write_bytes(b"RISCB1\n" + json.dumps(header).encode() + b"\n")
         with pytest.raises(ValueError, match=f"{path.name}: .*{match}"):
+            load_codebook(str(path))
+
+    def test_stage_count_must_match_d(self, saved_tiny_book):
+        # the D=8 book with its last stage cut from both the header and the payload
+        data, path = saved_tiny_book
+        header_line, payload = data[len(b"RISCB1\n") :].split(b"\n", 1)
+        header = json.loads(header_line)
+        header["schedule"], header["stages"] = header["schedule"][:2], header["stages"][:2]
+        last_stage_bytes = 2 * 4 * 2**3 * 16  # w_x and w_y: 4 axis elements x 8 beams, complex128
+        path.write_bytes(b"RISCB1\n" + json.dumps(header).encode() + b"\n" + payload[:-last_stage_bytes])
+        with pytest.raises(ValueError, match=f"{path.name}: .*key 'd' is 8, not 2\\*\\*n for n = 2"):
             load_codebook(str(path))
 
 

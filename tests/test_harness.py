@@ -37,6 +37,15 @@ class TestConfigIO:
         assert replace(plan, schedule_ls=None) == ExperimentPlan()
         assert config_hash(cfg, plan) == config_hash(ScenarioConfig(), ExperimentPlan())
 
+    @pytest.mark.parametrize("power, units", [(40.0, "dBm"), (27.5, "dBm"), (6.0, "dB")])
+    def test_default_split_is_the_loaders(self, tmp_path, power, units):
+        path = tmp_path / "power.cfg"
+        path.write_text(f"[power]\ntotal = {power}\nunits = {units}\n")
+        cfg, _ = load_config(str(path))
+        want = ScenarioConfig(power=power, power_units=units)
+        assert vars(cfg) == vars(want)
+        assert want.p_r_watts == want.p_u_watts == want.p_total_watts / 2
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[arrays]\nn_b = 8\nbogus = 1\n")
