@@ -211,6 +211,19 @@ def complex_normal(rng: np.random.Generator, size=None) -> np.ndarray:
     return complex_from_parts(rng.standard_normal(size), rng.standard_normal(size))
 
 
+def normals_from_words(words: np.ndarray) -> np.ndarray:
+    """Standard normals from raw 64-bit words by Box-Muller, one normal per word along the last axis.
+
+    Each word maps to u = ((w >> 11) + 0.5) 2^-53 in (0, 1], never 0; words 2i and 2i + 1 give the
+    radius sqrt(-2 ln u) and the angle 2 pi u of normals 2i (cosine) and 2i + 1 (sine).
+    """
+    u = ((words >> np.uint64(11)) + 0.5) * 2.0**-53
+    radius, angle = np.sqrt(-2.0 * np.log(u[..., 0::2])), 2.0 * np.pi * u[..., 1::2]
+    z = np.empty(u.shape)
+    z[..., 0::2], z[..., 1::2] = radius * np.cos(angle), radius * np.sin(angle)
+    return z
+
+
 def fading_from_normals(normals: np.ndarray) -> FadingDraw:
     """The fading of each row of a ``(..., >= 8)`` block of standard normals: 4 real parts, then 4
     imaginary parts, in the order br, bu, ru, rho; later entries are ignored."""

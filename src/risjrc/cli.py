@@ -20,7 +20,7 @@ from .harness import (
     trial_trace_csv,
     write_default_config,
 )
-from .localization import hierarchical_localize, make_scene
+from .localization import hierarchical_localize, make_scene, trial_width
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -64,7 +64,7 @@ def _localize(args, kind):
     cfg_p = cfg.with_power(power)
     schedule, _ = resolve_schedule(cfg_p, plan, book)
     scene = make_scene(cfg_p)
-    rng = trial_rng(plan.master_seed, plan.kind, 0, 0)
+    rng = trial_rng(plan.master_seed, plan.kind, 0, 0, trial_width(schedule))
     rec = hierarchical_localize(scene, book, schedule, rng)
     for dec in rec.stages:
         print(

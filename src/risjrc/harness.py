@@ -1,8 +1,12 @@
 """Experiment orchestration: config files, RNG discipline, sweeps, CSV.
 
-Every random quantity in an experiment flows through a generator derived
-from (master seed, experiment id, power-point index, trial index), so
-results are bit-reproducible and independent of the parallelism degree.
+Every random quantity in an experiment is keyed by the master seed, the
+experiment id and the power-point index.  The localization trials of a
+sweep point read one counter-based Philox stream in which trial t owns a
+fixed range of words, so a block of trials is one draw and any trial
+reproduces alone (:func:`trial_rng`).  Calibration, stage-error and SE draws
+come from tagged :func:`aux_rng` streams.  Results are bit-reproducible and
+independent of the parallelism degree.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .localization import (
     make_scene,
     snapshot_rule_literal,
     stage_error,
+    trial_width,
 )
 
 SCHEDULE_SOURCES = ("manual", "literal-rule", "calibrated")
@@ -103,10 +108,17 @@ class ExperimentPlan:
             raise ValueError(f"schedule_source must be one of {SCHEDULE_SOURCES}")
 
 
-def trial_rng(master_seed: int, experiment: str, point_index: int, trial: int) -> np.random.Generator:
-    """Independent generator for one trial of one sweep point."""
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(_EXPERIMENT_IDS[experiment], point_index, trial))
-    return np.random.default_rng(ss)
+def trial_rng(master_seed: int, experiment: str, point_index: int, trial: int, width: int) -> np.random.Generator:
+    """Generator at the start of trial ``trial``'s row in its sweep point's trial stream.
+
+    A sweep point keys one Philox stream, and each trial owns ``width`` consecutive raw words of
+    it, ``trial_width(schedule)`` for the search.  Reading n rows from here draws trials
+    ``trial`` .. ``trial + n - 1`` in one call, the same words as each trial drawn alone.
+    """
+    if width % 4:
+        raise ValueError(f"width must be a multiple of 4, the words of one Philox counter step, got {width}")
+    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(_EXPERIMENT_IDS[experiment], point_index))
+    return np.random.Generator(np.random.Philox(ss, counter=[trial * width // 4, 0, 0, 0]))
 
 
 def aux_rng(master_seed: int, experiment: str, point_index: int, tag: int) -> np.random.Generator:
@@ -384,13 +396,16 @@ def resolve_schedule(cfg: ScenarioConfig, plan: ExperimentPlan, cb: Codebook) ->
 
 
 def _run_trial_block(args) -> list:
-    """Worker: run a block of localization trials, return compact outcomes."""
-    cfg, cb, schedule, master_seed, kind, point_index, trial_indices = args
-    rngs = (trial_rng(master_seed, kind, point_index, t) for t in trial_indices)  # each freed after its draws
-    stages = descend(make_scene(cfg), cb, schedule, rngs)
+    """Worker: run a contiguous range of localization trials from one draw, return compact outcomes."""
+    cfg, cb, schedule, master_seed, kind, point_index, trials = args
+    width = trial_width(schedule)
+    rng = trial_rng(master_seed, kind, point_index, trials.start, width)
+    words = rng.bit_generator.random_raw((len(trials), width))
+    stages = descend(make_scene(cfg), cb, schedule, words)
     correct = np.stack([stage[-1] for stage in stages], axis=1).tolist()
+    transmissions = hierarchical_transmissions(schedule)
     # the last stage's pair is the estimated cell, so its correctness is the trial's success
-    return [(t, ok[-1], tuple(ok), hierarchical_transmissions(schedule)) for t, ok in zip(trial_indices, correct)]
+    return [(t, ok[-1], tuple(ok), transmissions) for t, ok in zip(trials, correct)]
 
 
 def run_localization_trials(

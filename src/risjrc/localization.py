@@ -12,10 +12,11 @@ chi the transmit-side beam cross-correlation, u_bar the average of the
 de-rotated user-stream symbols, and n_bar the averaged beamformed noise
 (variance N_b sigma_b^2 / T).  The engines simulate z_bar directly from
 that law, which is algebraically exact; the full matrix pipeline in
-:mod:`risjrc.channels` is the test-suite's oracle for it.  One draw law
-(:func:`qpsk_product_sum`, :func:`noise_sum`) feeds every engine, and one
-stage decision (:func:`stage_decision`) serves both the calibrator's
-:class:`StageEnsemble` and :func:`descend`, the search batched over trials;
+:mod:`risjrc.channels` is the test-suite's oracle for it.  One law for the
+snapshot sums (:func:`qpsk_product_sum`, :func:`noise_sum`) feeds every
+engine, and one stage decision (:func:`stage_decision`) serves both the
+calibrator's :class:`StageEnsemble` and :func:`descend`, the search over a
+block of trials that reads each trial's draws from one row of raw words;
 :func:`hierarchical_localize` is its one-trial view.
 """
 
@@ -34,6 +35,7 @@ from .channels import (
     complex_normal,
     draw_fading,
     fading_from_normals,
+    normals_from_words,
     path_gains,
 )
 from .codebook import Codebook, StageBook
@@ -246,15 +248,21 @@ def true_stage_pair(cell: tuple, s: int, d: int) -> tuple:
     return tuple(true_axis_partition(i, s, d) for i in cell)
 
 
-def descend(scene: Scene, cb: Codebook, schedule: SnapshotSchedule, rngs) -> list:
-    """The multi-stage search over a batch of trials, one generator per trial from the iterable ``rngs``.
+def trial_width(schedule: SnapshotSchedule) -> int:
+    """Raw 64-bit words one search trial reads: 8 + 8 stages for its normals, then 8 ceil(T_s/64)
+    per stage for its symbol sums.  A multiple of 8, so every trial starts on a whole Philox counter step."""
+    return 8 + 8 * len(schedule.t_s) + 8 * sum(-(-t // 64) for t in schedule.t_s)
 
-    Each trial draws one block of fixed shape whatever its decisions, so any subset of trials
-    reproduces alone: one ``standard_normal(8 + 8 * stages)`` call (the fading as :func:`draw_fading`
-    draws it, then the (stages, 4) noise sums as :func:`noise_sum` draws them), then one
-    ``random_raw`` call holding, stage after stage, the words that :func:`qpsk_product_sum` would
-    draw for that stage's four symbol sums.  The words become sums after the blocks are stacked,
-    across all trials at once.
+
+def descend(scene: Scene, cb: Codebook, schedule: SnapshotSchedule, words) -> list:
+    """The multi-stage search over an (N, W) block of raw 64-bit words, one row per trial; W is ``trial_width``.
+
+    Every row has the same layout whatever the trial's decisions, so any subset of trials
+    reproduces alone.  Its first 8 + 8 * stages words become standard normals through
+    :func:`normals_from_words`: the fading as :func:`fading_from_normals` reads it, then the real
+    and the imaginary parts of the (stages, 4) noise sums.  The rest holds, stage after stage, the
+    words that :func:`qpsk_product_sum` would draw for that stage's four symbol sums.  A (0, W)
+    block gives empty arrays.
     Returns per stage ``stage_decision``'s four arrays and whether the chosen beam holds the true cell.
     """
     cfg = scene.cfg
@@ -262,20 +270,21 @@ def descend(scene: Scene, cb: Codebook, schedule: SnapshotSchedule, rngs) -> lis
         raise ValueError(f"codebook has {cb.n_stages} stages, scenario needs {cfg.n_stages}")
     if len(schedule.t_s) != cfg.n_stages:
         raise ValueError(f"schedule has {len(schedule.t_s)} entries, scenario needs {cfg.n_stages}")
+    width, words = trial_width(schedule), np.asarray(words)
+    if words.ndim != 2 or words.shape[1] != width:
+        raise ValueError(f"trial block must have {width} words per row, got shape {words.shape}")
     n_s, t = cfg.n_stages, np.array(schedule.t_s)
-    words = -(-t // 64)  # per symbol sum and sign component, per stage
-    ends = 8 * np.cumsum(words)
+    n_normals = 8 + 8 * n_s
+    normals, raw = normals_from_words(words[:, :n_normals]), words[:, n_normals:]
+    chunks = -(-t // 64)  # words per symbol sum and sign component, per stage
+    ends = 8 * np.cumsum(chunks)
 
-    def block(rng):
-        return rng.standard_normal(8 + 8 * n_s), rng.bit_generator.random_raw(ends[-1])
-
-    normals, raw = (np.array(d) for d in zip(*map(block, rngs)))
     noise_re, noise_im = np.moveaxis(normals[:, 8:].reshape(-1, 2, n_s, 4), 1, 0)
     n_bar = scene.noise_scale * complex_from_parts(noise_re, noise_im, np.sqrt(t / 2.0)[:, None]) / t[:, None]
     coh, cross = trial_coefficients(scene, fading_from_normals(normals))
     u_sum = [
         _symbol_sums(np.moveaxis(raw[:, end - 8 * k : end].reshape(-1, k, 4, 2), 1, 0), t_s)
-        for t_s, k, end in zip(t, words, ends)
+        for t_s, k, end in zip(t, chunks, ends)
     ]
     u_bar = np.stack(u_sum, axis=1) / t[:, None]
 
@@ -292,9 +301,11 @@ def descend(scene: Scene, cb: Codebook, schedule: SnapshotSchedule, rngs) -> lis
 def hierarchical_localize(
     scene: Scene, cb: Codebook, schedule: SnapshotSchedule, rng: np.random.Generator
 ) -> TrialRecord:
-    """Run one multi-stage search trial and return its full trace: :func:`descend` for one trial."""
+    """Run one multi-stage search trial and return its full trace: :func:`descend` on the next
+    ``trial_width(schedule)`` raw words of ``rng``'s bit generator."""
     record = TrialRecord(true_cell=true_cell(scene.cfg), est_cell=(0, 0))
-    for s, (pairs, stats, chosen, pair, _) in enumerate(descend(scene, cb, schedule, [rng]), start=1):
+    words = rng.bit_generator.random_raw((1, trial_width(schedule)))
+    for s, (pairs, stats, chosen, pair, _) in enumerate(descend(scene, cb, schedule, words), start=1):
         record.stages.append(
             StageDecision(
                 stage=s,

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from risjrc.channels import (
     FadingDraw,
@@ -11,6 +12,7 @@ from risjrc.channels import (
     complex_normal,
     draw_fading,
     make_transmit_block,
+    normals_from_words,
     pathloss,
     path_gains,
     radar_receive,
@@ -64,6 +66,26 @@ class TestFading:
         a = draw_fading(np.random.default_rng(7))
         b = draw_fading(np.random.default_rng(7))
         assert a == b
+
+
+class TestNormalsFromWords:
+    def test_standard_normal_law(self):
+        # bounds fixed from n alone: 5 standard errors for the mean, the variance (sqrt(2/n)) and the
+        # pair correlation, and the Kolmogorov-Smirnov statistic at a 1e-6 level, sqrt(ln(2/1e-6)/2)/sqrt(n)
+        n = 2**17
+        z = normals_from_words(np.random.Philox(key=11).random_raw(n))
+        assert abs(z.mean()) <= 5 / math.sqrt(n)
+        assert abs(z.var() - 1.0) <= 5 * math.sqrt(2 / n)
+        assert abs(np.corrcoef(z[0::2], z[1::2])[0, 1]) <= 5 / math.sqrt(n / 2)
+        assert stats.kstest(z, "norm").statistic <= math.sqrt(math.log(2 / 1e-6) / 2) / math.sqrt(n)
+
+    def test_extreme_words_stay_finite(self):
+        # u never reaches 0: the smallest word gives u = 2^-54, the largest rounds up to u = 1
+        words = np.array([[0, 0], [2**64 - 1, 2**64 - 1]], dtype=np.uint64)
+        z = normals_from_words(words)
+        assert np.all(np.isfinite(z))
+        np.testing.assert_allclose(z[0], [math.sqrt(108 * math.log(2)), 0.0], rtol=1e-15, atol=1e-12)
+        np.testing.assert_array_equal(z[1], [0.0, -0.0])
 
 
 class TestScenarioConfig:

@@ -1,14 +1,18 @@
+import csv
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from risjrc import cli, harness
 from risjrc.channels import ScenarioConfig
 from risjrc.harness import (
     ExperimentPlan,
     ResultTable,
     config_hash,
     emit_csv,
+    get_codebook,
     load_config,
     resolve_schedule,
     run_experiment,
@@ -18,9 +22,10 @@ from risjrc.harness import (
     wilson_halfwidth,
     write_default_config,
 )
-from risjrc.localization import SnapshotSchedule, hierarchical_localize, make_scene
+from risjrc.localization import SnapshotSchedule, beam_2d_index, descend, hierarchical_localize, make_scene
 
 from conftest import desk_cfg
+from test_cli import TINY_CONFIG
 
 
 class TestConfigIO:
@@ -217,7 +222,7 @@ class TestExperiments:
         cfg = desk_cfg(n_ris=256, grid_size=16)
         scene = make_scene(cfg)
         rec = hierarchical_localize(
-            scene, oracle_codebook_16, SnapshotSchedule((2, 1, 1, 1)), trial_rng(1, "overall-error-vs-P", 0, 0)
+            scene, oracle_codebook_16, SnapshotSchedule((2, 1, 1, 1)), trial_rng(1, "overall-error-vs-P", 0, 0, 72)
         )
         path = tmp_path / "trace.csv"
         trial_trace_csv([rec], str(path), 42.0, 1)
@@ -228,13 +233,83 @@ class TestExperiments:
 
 class TestRngStreams:
     def test_trial_streams_distinct(self):
-        a = trial_rng(1, "se-vs-P", 0, 0).standard_normal(4)
-        b = trial_rng(1, "se-vs-P", 0, 1).standard_normal(4)
-        c = trial_rng(1, "se-vs-P", 1, 0).standard_normal(4)
+        a = trial_rng(1, "se-vs-P", 0, 0, 8).standard_normal(4)
+        b = trial_rng(1, "se-vs-P", 0, 1, 8).standard_normal(4)
+        c = trial_rng(1, "se-vs-P", 1, 0, 8).standard_normal(4)
         assert not np.allclose(a, b)
         assert not np.allclose(a, c)
 
     def test_trial_streams_reproducible(self):
-        a = trial_rng(9, "se-vs-P", 2, 3).standard_normal(4)
-        b = trial_rng(9, "se-vs-P", 2, 3).standard_normal(4)
+        a = trial_rng(9, "se-vs-P", 2, 3, 8).standard_normal(4)
+        b = trial_rng(9, "se-vs-P", 2, 3, 8).standard_normal(4)
         np.testing.assert_array_equal(a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        first=st.integers(0, 10**6),
+        n=st.integers(1, 30),
+        steps=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        point=st.integers(0, 4),
+        data=st.data(),
+    )
+    def test_block_draws_are_counter_ranges(self, first, n, steps, seed, point, data):
+        # one draw of n rows equals, bit for bit, the concatenated draws of any split and each row drawn alone
+        width = 4 * steps
+
+        def rows(start, count):
+            return trial_rng(seed, "overall-error-vs-P", point, start, width).bit_generator.random_raw((count, width))
+
+        whole = rows(first, n)
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=4)))
+        bounds = [0, *cuts, n]
+        blocks = [rows(first + a, b - a) for a, b in zip(bounds, bounds[1:])]
+        np.testing.assert_array_equal(np.concatenate(blocks), whole)
+        for t in range(n):
+            np.testing.assert_array_equal(rows(first + t, 1)[0], whole[t])
+
+    @pytest.mark.parametrize("width", [6, 2])
+    def test_width_off_the_counter_step_rejected(self, width):
+        with pytest.raises(ValueError, match="multiple of 4"):
+            trial_rng(1, "overall-error-vs-P", 0, 3, width)
+
+
+class TestTrialReproducibility:
+    def test_localize_trace_is_row_zero_of_the_sweep(self, tmp_path, monkeypatch):
+        config = tmp_path / "tiny.cfg"
+        config.write_text(TINY_CONFIG + "schedule_source = manual\nsnapshots = 3, 1, 70\n")
+        trace = tmp_path / "trace.csv"
+        assert cli.main(["localize", "--config", str(config), "--out", str(trace)]) == 0
+        with open(trace, newline="") as f:
+            rows = list(csv.DictReader(f))
+
+        cfg, plan = load_config(str(config))
+        plan.kind = "overall-error-vs-P"
+        cb = get_codebook(cfg, plan)
+        cfg_p = cfg.with_power(plan.power_list[0])
+        schedule, _ = resolve_schedule(cfg_p, plan, cb)
+        swept = []
+
+        def recording(*args):
+            swept.append(descend(*args))
+            return swept[-1]
+
+        monkeypatch.setattr(harness, "descend", recording)
+        outcomes = run_localization_trials(cfg_p, cb, schedule, plan, 0)
+        (stages,) = swept
+        assert len(rows) == len(stages) == cfg.n_stages
+        for s, (row, (pairs, stats, chosen, _, correct)) in enumerate(zip(rows, stages), start=1):
+            assert [float(v) for v in row["statistics"].split(";")] == stats[0].tolist()
+            assert int(row["chosen"]) == chosen[0] + 1
+            assert row["beam_indices"] == ";".join(str(beam_2d_index(s, p)) for p in pairs[0].tolist())
+            assert bool(correct[0]) == outcomes[0][2][s - 1]
+            assert int(row["success"]) == outcomes[0][1]
+
+    def test_uneven_blocks_match_serial(self, desk_codebook):
+        # 1001 trials split 333/334/334 over three workers: every block must start at its own counter
+        cfg = desk_cfg(39.0)
+        sched = SnapshotSchedule((5, 2, 1, 1))
+        serial = run_localization_trials(cfg, desk_codebook, sched, small_plan(trials=1001, parallel=1), 0)
+        split = run_localization_trials(cfg, desk_codebook, sched, small_plan(trials=1001, parallel=3), 0)
+        assert serial == split
+        assert 0 < sum(o[1] for o in serial) < 1001  # outcomes vary, so a repeated block would show

@@ -31,13 +31,13 @@ from risjrc.localization import (
     hierarchical_localize,
     hierarchical_transmissions,
     make_scene,
-    noise_sum,
     overall_error_bound,
     qpsk_product_sum,
     snapshot_rule_literal,
     stage_candidates,
     stage_error,
     trial_coefficients,
+    trial_width,
     true_axis_partition,
     true_cell,
 )
@@ -45,27 +45,56 @@ from risjrc.localization import (
 from conftest import desk_cfg, tiny_cfg
 
 
-def reference_localize(scene, cb, schedule, rng):
+def _scalar_normals(words) -> list:
+    """Box-Muller on word pairs with scalar math: the law of ``channels.normals_from_words``."""
+    u = [((int(w) >> 11) + 0.5) * 2.0**-53 for w in words]
+    normals = []
+    for u_r, u_a in zip(u[0::2], u[1::2]):
+        radius, angle = math.sqrt(-2.0 * math.log(u_r)), 2.0 * math.pi * u_a
+        normals += [radius * math.cos(angle), radius * math.sin(angle)]
+    return normals
+
+
+def _scalar_symbol_sum(words, t) -> complex:
+    """Sum of t de-rotated QPSK symbols from its (real, imaginary) sign words, one pair per 64 snapshots."""
+    ones = [0, 0]
+    for k, pair in enumerate(words):
+        bits = min(64, t - 64 * k)
+        for c, w in enumerate(pair):
+            ones[c] += bin(int(w) & ((1 << bits) - 1)).count("1")
+    a, b = (2 * n - t for n in ones)
+    return complex(a + b, b - a) / 2
+
+
+def reference_localize(scene, cb, schedule, row):
     """The per-candidate scalar search loop that the batched descent replaced, kept as its oracle.
 
-    Replays the descent's draw layout from ``rng`` call by call (fading, then the (stages, 4) noise
-    sums, then each stage's four symbol sums) and evaluates each candidate with scalar arithmetic.
+    Reads one trial's word row by the layout ``descend`` documents (8 + 8 stages words of normals,
+    then per stage ceil(T_s/64) chunks of (4 candidates, 2 sign components) words) with scalar
+    Box-Muller and popcounts, and evaluates each candidate with scalar arithmetic.
     Returns the chosen axis pair and the four statistics of every stage.
     """
     cfg = scene.cfg
-    t = np.array(schedule.t_s)[:, None]
-    fading = draw_fading(rng)
-    n_bar = scene.noise_scale * noise_sum(rng, t, (cfg.n_stages, 4)) / t
-    u_bar = np.array([qpsk_product_sum(rng, t_s, (4,)) for t_s in schedule.t_s]) / t
+    n_s = cfg.n_stages
+    z = _scalar_normals(row[: 8 + 8 * n_s])
+    fading = FadingDraw(*(complex(z[i], z[4 + i]) / math.sqrt(2.0) for i in range(4)))
+    noise_re, noise_im = z[8 : 8 + 4 * n_s], z[8 + 4 * n_s :]
     coh, cross = trial_coefficients(scene, fading)
+    start = 8 + 8 * n_s
     parent, chosen, statistics = None, [], []
-    for s in range(1, cfg.n_stages + 1):
+    for s in range(1, n_s + 1):
+        t = schedule.t_s[s - 1]
+        chunks = -(-t // 64)
+        stage_words = row[start : start + 8 * chunks]
+        start += 8 * chunks
         book = cb.stage(s)
         pairs = stage_candidates(s, parent)
         stats = []
         for k, (a, b) in enumerate(pairs):
             c = ((scene.q_x @ book.w_x[:, a - 1]) * (scene.q_y @ book.w_y[:, b - 1])) ** 2
-            u, n = complex(u_bar[s - 1, k]), complex(n_bar[s - 1, k])
+            u = _scalar_symbol_sum([stage_words[8 * j + 2 * k : 8 * j + 2 * k + 2] for j in range(chunks)], t) / t
+            i = 4 * (s - 1) + k
+            n = scene.noise_scale * complex(noise_re[i], noise_im[i]) * math.sqrt(t / 2.0) / t
             stats.append(float(decision_statistic(c, coh, cross, u, n)))
         parent = pairs[int(np.argmax(stats))]
         chosen.append(parent)
@@ -82,7 +111,7 @@ class TestDescent:
     @settings(max_examples=25, deadline=None)
     @given(
         power=st.floats(33.0, 50.0),
-        schedule=st.lists(st.integers(1, 40), min_size=4, max_size=4),
+        schedule=st.lists(st.integers(1, 150), min_size=4, max_size=4),
         seed=st.integers(0, 2**32 - 1),
         designed=st.booleans(),
     )
@@ -90,25 +119,46 @@ class TestDescent:
         cb = desk_codebook if designed else matched_desk_codebook()
         scene = make_scene(desk_cfg(power))
         sched = SnapshotSchedule(tuple(schedule))
-        stages = descend(scene, cb, sched, [np.random.default_rng((seed, k)) for k in range(8)])
+        words = np.random.default_rng(seed).bit_generator.random_raw((8, trial_width(sched)))
+        stages = descend(scene, cb, sched, words)
         for k in range(8):
-            chosen, statistics = reference_localize(scene, cb, sched, np.random.default_rng((seed, k)))
+            chosen, statistics = reference_localize(scene, cb, sched, words[k])
             for s, (_, stats, _, pair, _) in enumerate(stages):
                 assert tuple(pair[k].tolist()) == chosen[s]
                 np.testing.assert_allclose(stats[k], statistics[s], rtol=1e-12, atol=0)
 
     def test_any_subset_of_trials_reproduces_alone(self, desk_codebook):
+        # a block of trials is a Philox counter range: trial k alone starts k rows in
         scene = make_scene(desk_cfg(39.0))
-        sched = SnapshotSchedule((5, 2, 1, 1))
-        batch = descend(scene, desk_codebook, sched, [np.random.default_rng(k) for k in range(12)])
+        sched = SnapshotSchedule((5, 2, 100, 1))
+        width = trial_width(sched)
+        batch = descend(scene, desk_codebook, sched, np.random.Philox(key=7).random_raw((12, width)))
         for k in (0, 5, 11):
-            alone = descend(scene, desk_codebook, sched, [np.random.default_rng(k)])
+            philox = np.random.Philox(key=7, counter=[k * width // 4, 0, 0, 0])
+            alone = descend(scene, desk_codebook, sched, philox.random_raw((1, width)))
             for in_batch, by_itself in zip(batch, alone, strict=True):
                 for x, y in zip(in_batch, by_itself, strict=True):
                     np.testing.assert_array_equal(x[k], y[0])
-            rec = hierarchical_localize(scene, desk_codebook, sched, np.random.default_rng(k))
+            philox = np.random.Philox(key=7, counter=[k * width // 4, 0, 0, 0])
+            rec = hierarchical_localize(scene, desk_codebook, sched, np.random.Generator(philox))
             assert [dec.statistics for dec in rec.stages] == [stage[1][k].tolist() for stage in batch]
             assert rec.est_cell == tuple(batch[-1][3][k].tolist())
+
+    def test_zero_trials_give_empty_stages(self, desk_codebook):
+        sched = SnapshotSchedule((3, 1, 1, 1))
+        stages = descend(make_scene(desk_cfg()), desk_codebook, sched, np.zeros((0, trial_width(sched)), np.uint64))
+        assert len(stages) == 4
+        for pairs, stats, chosen, pair, correct in stages:
+            assert (pairs.shape, stats.shape, chosen.shape, pair.shape, correct.shape) == (
+                (0, 4, 2), (0, 4), (0,), (0, 2), (0,)
+            )
+
+    @pytest.mark.parametrize("shape", [(3, 71), (3, 73), (72,), (0,)])
+    def test_block_of_wrong_width_rejected(self, desk_codebook, shape):
+        sched = SnapshotSchedule((63, 3, 1, 1))
+        assert trial_width(sched) == 72
+        with pytest.raises(ValueError, match=rf"72 words per row, got shape \({shape[0]},"):
+            descend(make_scene(desk_cfg()), desk_codebook, sched, np.zeros(shape, np.uint64))
 
     @settings(max_examples=40, deadline=None)
     @given(t=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
@@ -421,7 +471,8 @@ class TestEngineAgainstPipeline:
         err_batch = stage_error(scene, desk_codebook, 1, 2, trials, np.random.default_rng(21))
         # one batched descent equals each trial alone (TestDescent); its last stage-1 column marks a correct pick
         sched = SnapshotSchedule((2, 1, 1, 1))
-        stages = descend(scene, desk_codebook, sched, (np.random.default_rng(10_000 + t) for t in range(trials)))
+        words = np.random.default_rng(10_000).bit_generator.random_raw((trials, trial_width(sched)))
+        stages = descend(scene, desk_codebook, sched, words)
         err_trial = float(np.mean(~stages[0][4]))
         hw = 2 * 1.96 * math.sqrt(0.25 / trials)
         assert err_trial == pytest.approx(err_batch, abs=hw)
