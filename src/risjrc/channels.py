@@ -32,6 +32,10 @@ def db_to_linear(p_db: float) -> float:
     return 10.0 ** (p_db / 10.0)
 
 
+def _total_watts(power: float, units: str) -> float:
+    return dbm_to_watts(power) if units == "dBm" else db_to_linear(power)
+
+
 @dataclass
 class ScenarioConfig:
     """Scenario geometry, power budget, and model switches.
@@ -119,9 +123,7 @@ class ScenarioConfig:
 
     @property
     def p_total_watts(self) -> float:
-        if self.power_units == "dBm":
-            return dbm_to_watts(self.power)
-        return db_to_linear(self.power)
+        return _total_watts(self.power, self.power_units)
 
     @property
     def sigma_b2_watts(self) -> float:
@@ -135,7 +137,7 @@ class ScenarioConfig:
         """Copy of the config at a new total power, preserving the split ratio."""
         total_old = self.p_total_watts
         frac_r = self.p_r_watts / total_old if total_old > 0 else 0.5
-        total_new = dbm_to_watts(power) if self.power_units == "dBm" else db_to_linear(power)
+        total_new = _total_watts(power, self.power_units)
         return replace(
             self,
             power=power,

@@ -466,8 +466,10 @@ def _overall_error_vs_p(cfg, plan, book, add):
     for p_idx, cfg_p, add_p in _power_points(cfg, plan, add):
         schedule, _ = resolve_schedule(cfg_p, plan, book)
         outcomes = run_localization_trials(cfg_p, book, schedule, plan, p_idx)
-        n = len(outcomes)
-        wrong = sum(1 for o in outcomes if not o[1])
+        correct = np.array([o[2] for o in outcomes], dtype=bool)  # (N, stages)
+        # alive[s]: trials right at every stage up to s; alive[0] is every trial
+        alive = [len(outcomes), *np.logical_and.accumulate(correct, axis=1).sum(axis=0).tolist()]
+        n, wrong = alive[0], alive[0] - alive[-1]
         add_p(
             metric="overall_error",
             detail=f"schedule={'/'.join(str(t) for t in schedule.t_s)}",
@@ -475,14 +477,13 @@ def _overall_error_vs_p(cfg, plan, book, add):
             ci_halfwidth=wilson_halfwidth(wrong, n),
         )
         for s, t_s in enumerate(schedule.t_s, start=1):
-            eligible = [o for o in outcomes if all(o[2][: s - 1])]
-            errs = sum(1 for o in eligible if not o[2][s - 1])
+            eligible, errs = alive[s - 1], alive[s - 1] - alive[s]
             if eligible:
                 add_p(
                     metric="stage_error_conditional",
-                    detail=f"stage={s};T={t_s};n={len(eligible)}",
-                    value=errs / len(eligible),
-                    ci_halfwidth=wilson_halfwidth(errs, len(eligible)),
+                    detail=f"stage={s};T={t_s};n={eligible}",
+                    value=errs / eligible,
+                    ci_halfwidth=wilson_halfwidth(errs, eligible),
                 )
         add_p(metric="transmissions_hierarchical", value=float(hierarchical_transmissions(schedule)))
 

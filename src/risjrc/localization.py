@@ -12,12 +12,14 @@ chi the transmit-side beam cross-correlation, u_bar the average of the
 de-rotated user-stream symbols, and n_bar the averaged beamformed noise
 (variance N_b sigma_b^2 / T).  The engines simulate z_bar directly from
 that law, which is algebraically exact; the full matrix pipeline in
-:mod:`risjrc.channels` is the test-suite's oracle for it.  One law for the
-snapshot sums (:func:`qpsk_product_sum`, :func:`noise_sum`) feeds every
-engine, and one stage decision (:func:`stage_decision`) serves both the
-calibrator's :class:`StageEnsemble` and :func:`descend`, the search over a
-block of trials that reads each trial's draws from one row of raw words;
-:func:`hierarchical_localize` is its one-trial view.
+:mod:`risjrc.channels` is the test-suite's oracle for it.  :func:`descend`,
+the search over a block of trials, and the calibrator's
+:class:`StageEnsemble` read their draws from raw words by one layout: normals
+through :func:`normals_from_words`, then 64-snapshot chunks of symbol words.
+Both take the snapshot means through :func:`_snapshot_means` and decide
+through :func:`stage_decision`; :func:`hierarchical_localize` is the
+search's one-trial view.  The exhaustive baseline draws the same symbol law
+through :func:`qpsk_product_sum`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .channels import (
     PathGains,
     ScenarioConfig,
     complex_from_parts,
-    complex_normal,
     draw_fading,
     fading_from_normals,
     normals_from_words,
@@ -132,14 +133,12 @@ def qpsk_product_sum(rng: np.random.Generator, t, size=()) -> np.ndarray:
 
     Rotated by 45 degrees, a QPSK symbol has independent random real and imaginary signs, so the
     sum is ((A + B) + j(B - A))/2 with A and B each 2 popcount(t random bits) - t: an exact
-    Gaussian integer.  The bits are raw 64-bit words of ``rng``'s bit generator, drawn one word
-    per sum and component at a time (word 0 of every sum, then word 1, ...), so memory does not
-    grow with t.  The cost is ceil(t/64) words per sum and component, growing with t where a
-    multinomial draw's did not.  ``t`` broadcasts against ``size``.
+    Gaussian integer.  The bits are one (ceil(max t/64), *size, 2) block of raw 64-bit words of
+    ``rng``'s bit generator (word 0 of every sum, then word 1, ...), as :func:`_symbol_sums`
+    reads them.  ``t`` broadcasts against ``size``.
     """
     size, t = tuple(size), np.asarray(t)
-    chunks = (rng.bit_generator.random_raw((1, *size, 2)) for _ in range(-(-int(t.max(initial=0)) // 64)))
-    return sum((_symbol_sums(w, np.clip(t - 64 * k, 0, 64)) for k, w in enumerate(chunks)), np.zeros(size, complex))
+    return _symbol_sums(rng.bit_generator.random_raw((-(-int(t.max(initial=0)) // 64), *size, 2)), t)
 
 
 def qpsk_product_mean(rng: np.random.Generator, t_s, size=()) -> np.ndarray:
@@ -147,12 +146,12 @@ def qpsk_product_mean(rng: np.random.Generator, t_s, size=()) -> np.ndarray:
     return qpsk_product_sum(rng, t_s, size) / t_s
 
 
-def noise_sum(rng: np.random.Generator, t, size=()) -> np.ndarray:
-    """Sum of t unit-variance complex Gaussian samples: one draw scaled by sqrt(t).
-
-    Drawn as :func:`complex_normal` draws (all real parts, then all imaginary parts).
-    """
-    return complex_from_parts(rng.standard_normal(size), rng.standard_normal(size), np.sqrt(np.divide(t, 2.0)))
+def _snapshot_means(scene: Scene, noise_re, noise_im, words, t) -> tuple:
+    """Means ``(u_bar, n_bar)`` over t snapshots per beam: the symbol sums of ``words`` (laid out as
+    :func:`_symbol_sums` reads them) and the unit noise pair ``noise_re + j noise_im`` scaled to the
+    sum of t beamformed noise samples, each divided by t."""
+    n_sum = scene.noise_scale * complex_from_parts(noise_re, noise_im, np.sqrt(t / 2.0))
+    return _symbol_sums(words, t) / t, n_sum / t
 
 
 def stage_decision(scene: Scene, book: StageBook, parents, coh, cross, u_bar, n_bar) -> tuple:
@@ -280,19 +279,15 @@ def descend(scene: Scene, cb: Codebook, schedule: SnapshotSchedule, words) -> li
     ends = 8 * np.cumsum(chunks)
 
     noise_re, noise_im = np.moveaxis(normals[:, 8:].reshape(-1, 2, n_s, 4), 1, 0)
-    n_bar = scene.noise_scale * complex_from_parts(noise_re, noise_im, np.sqrt(t / 2.0)[:, None]) / t[:, None]
     coh, cross = trial_coefficients(scene, fading_from_normals(normals))
-    u_sum = [
-        _symbol_sums(np.moveaxis(raw[:, end - 8 * k : end].reshape(-1, k, 4, 2), 1, 0), t_s)
-        for t_s, k, end in zip(t, chunks, ends)
-    ]
-    u_bar = np.stack(u_sum, axis=1) / t[:, None]
 
     cell = true_cell(cfg)
     parents = np.ones((len(coh), 2), dtype=int)  # the root, whose children are the stage-1 quadrants
     stages = []
-    for s, book in enumerate(cb.stages, start=1):
-        decision = stage_decision(scene, book, parents, coh, cross, u_bar[:, s - 1], n_bar[:, s - 1])
+    for s, (book, t_s, k, end) in enumerate(zip(cb.stages, t, chunks, ends), start=1):
+        symbols = np.moveaxis(raw[:, end - 8 * k : end].reshape(-1, k, 4, 2), 1, 0)
+        u_bar, n_bar = _snapshot_means(scene, noise_re[:, s - 1], noise_im[:, s - 1], symbols, t_s)
+        decision = stage_decision(scene, book, parents, coh, cross, u_bar, n_bar)
         parents = decision[3]
         stages.append((*decision, np.all(parents == true_stage_pair(cell, s, cfg.grid_size), axis=1)))
     return stages
@@ -332,7 +327,9 @@ def exhaustive_localize(scene: Scene, rng: np.random.Generator, t_per_beam: int 
 
     c = (np.outer(scene.corr_x, scene.corr_y)) ** 2  # D x D squared responses
     u_bar = qpsk_product_mean(rng, t_per_beam, (d, d))
-    n_bar = scene.noise_scale * noise_sum(rng, t_per_beam, (d, d)) / t_per_beam
+    # the sum of t_per_beam unit complex Gaussian samples is one draw scaled by sqrt(t_per_beam)
+    n_sum = complex_from_parts(rng.standard_normal((d, d)), rng.standard_normal((d, d)), math.sqrt(t_per_beam / 2))
+    n_bar = scene.noise_scale * n_sum / t_per_beam
     stats = decision_statistic(c, coh, cross, u_bar, n_bar)
     flat = int(np.argmax(stats))
     est = (flat // d + 1, flat % d + 1)
@@ -403,9 +400,14 @@ class StageEnsemble:
 
     Conditions on correct ancestor decisions: the four candidates are the
     children of the true stage-(s-1) partition, decided by
-    :func:`stage_decision`.  Snapshot sums are maintained incrementally
-    through the one draw law, so the error rate can be evaluated at an
-    increasing sequence of snapshot counts on common random draws.
+    :func:`stage_decision`.  Each trial reads raw words as :func:`descend`
+    does: one (trials, 16) block of normals (the fading, then one unit noise
+    pair per candidate, 4 real parts then 4 imaginary parts), then symbol
+    words in 64-snapshot chunks of shape (trials, 4, 2), chunk k being the
+    k-th drawn after the block.  A chunk is drawn when a count first needs
+    it, so the ensemble holds trials x 64 B per 64 snapshots of the largest
+    count probed, and ``error_rate(t_s)`` reads chunks 0..ceil(t_s/64) - 1
+    whatever counts were probed before.
     """
 
     def __init__(self, scene: Scene, cb: Codebook, stage: int, trials: int, rng: np.random.Generator):
@@ -413,35 +415,24 @@ class StageEnsemble:
             raise ValueError("trials must be >= 1")
         self.book = cb.stage(stage)
         self.scene = scene
-        self.rng = rng
-        self.trials = trials
         cell, d = true_cell(scene.cfg), scene.cfg.grid_size
         self.parent = np.array([(1, 1) if stage == 1 else true_stage_pair(cell, stage - 1, d)])  # shared by all trials
         a, b = true_stage_pair(cell, stage, d)
         self.truth = _CHILDREN.index(((a - 1) % 2, (b - 1) % 2))  # the true child's probe position
-        self.coh, self.cross = trial_coefficients(scene, FadingDraw(*complex_normal(rng, (trials, 4)).T))
-
-        zeros = np.zeros((trials, 4), dtype=complex)
-        self._checkpoints = {0: (zeros, zeros.copy())}
-
-    def _sums_at(self, t_s: int) -> tuple:
-        if t_s not in self._checkpoints:
-            t0 = max(t for t in self._checkpoints if t < t_s)
-            u_sum, n_sum = self._checkpoints[t0]
-            dt = t_s - t0
-            u_sum = u_sum + qpsk_product_sum(self.rng, dt, (self.trials, 4))
-            n_sum = n_sum + noise_sum(self.rng, dt, (self.trials, 4))
-            self._checkpoints[t_s] = (u_sum, n_sum)
-        return self._checkpoints[t_s]
+        self.bits = rng.bit_generator
+        normals = normals_from_words(self.bits.random_raw((trials, 16)))
+        self.coh, self.cross = trial_coefficients(scene, fading_from_normals(normals))
+        self.noise_re, self.noise_im = normals[:, 8:12], normals[:, 12:]
+        self.words = np.empty((0, trials, 4, 2), np.uint64)  # symbol chunks drawn so far
 
     def error_rate(self, t_s: int) -> float:
         """Empirical stage error probability at t_s snapshots per beam."""
         if not _is_integer(t_s) or t_s < 1:
             raise ValueError(f"snapshot count must be an integer >= 1, got {t_s!r}")
-        u_sum, n_sum = self._sums_at(t_s)
-        inv = 1.0 / t_s  # the same bits as dividing by t_s, without numpy's complex division
-        u_bar = u_sum * inv
-        n_bar = self.scene.noise_scale * n_sum * inv
+        k = -(-t_s // 64)  # the symbol chunks t_s snapshots read
+        if (missing := k - len(self.words)) > 0:
+            self.words = np.concatenate([self.words, self.bits.random_raw((missing, *self.words.shape[1:]))])
+        u_bar, n_bar = _snapshot_means(self.scene, self.noise_re, self.noise_im, self.words[:k], t_s)
         _, _, chosen, _ = stage_decision(self.scene, self.book, self.parent, self.coh, self.cross, u_bar, n_bar)
         return float(np.mean(chosen != self.truth))
 

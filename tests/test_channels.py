@@ -128,6 +128,13 @@ class TestScenarioConfig:
         assert cfg.p_r_watts == pytest.approx(cfg.p_u_watts)
         assert cfg.p_r_watts + cfg.p_u_watts == pytest.approx(cfg.p_total_watts)
 
+    def test_with_power_in_db_keeps_an_uneven_split(self):
+        # 10 dB re 1 W is 10 W, split 3:1; at 13 dB the radar keeps three quarters of 10^1.3 W
+        cfg = ScenarioConfig(power=10.0, power_units="dB", p_r_watts=7.5, p_u_watts=2.5).with_power(13.0)
+        assert cfg.p_total_watts == 10.0**1.3
+        assert cfg.p_r_watts == pytest.approx(0.75 * cfg.p_total_watts, rel=1e-12)
+        assert cfg.p_u_watts == pytest.approx(0.25 * cfg.p_total_watts, rel=1e-12)
+
 
 class TestBuildChannels:
     def test_unit_fading_entry_magnitudes(self):

@@ -195,6 +195,18 @@ class TestExperiments:
         stage1 = next(r for r in table.rows if r["detail"].startswith("stage=1"))
         assert stage1["value"] > 3 * 0.05
 
+    def test_calibrated_point_does_not_depend_on_the_sweep(self, desk_codebook):
+        # every power point calibrates on the same per-stage streams, so 42 dBm alone gives the rows
+        # of the 42 dBm point of a sweep (the config hash covers the power list, so it is left out)
+        def rows(powers):
+            plan = small_plan(kind="snapshots-vs-P", power_list=powers, schedule_source="calibrated", calib_trials=1000)
+            table = run_experiment(plan, desk_cfg(), desk_codebook)
+            return [{**r, "config_hash": None} for r in table.rows if r["power"] == 42.0]
+
+        alone = rows((42.0,))
+        assert [r["metric"] for r in alone].count("calibrated_snapshots") == 4
+        assert rows((39.0, 42.0, 45.0)) == alone
+
     def test_transmission_count_rows(self, oracle_codebook_16):
         cfg = desk_cfg(n_ris=256, grid_size=16)
         plan = small_plan(kind="transmission-count", power_list=(42.0,), snapshots=(36, 1, 1, 1))

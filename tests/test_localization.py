@@ -16,6 +16,7 @@ from risjrc.channels import (
     path_gains,
     radar_receive,
 )
+from risjrc import localization
 from risjrc.codebook import build_matched_codebook
 from risjrc.geometry import DirectionCosine, direction_grid, ula_steering
 from risjrc.localization import (
@@ -35,11 +36,13 @@ from risjrc.localization import (
     qpsk_product_sum,
     snapshot_rule_literal,
     stage_candidates,
+    stage_decision,
     stage_error,
     trial_coefficients,
     trial_width,
     true_axis_partition,
     true_cell,
+    true_stage_pair,
 )
 
 from conftest import desk_cfg, tiny_cfg
@@ -105,6 +108,11 @@ def reference_localize(scene, cb, schedule, row):
 @functools.cache
 def matched_desk_codebook():
     return build_matched_codebook(desk_cfg())
+
+
+@functools.cache
+def desk_scene(power_dbm):
+    return make_scene(desk_cfg(power_dbm))
 
 
 class TestDescent:
@@ -433,13 +441,13 @@ class TestCalibration:
         [
             (desk_cfg(sigma_b2_dbm=-math.inf), 1, 8, [1]),  # feasible at T = 1
             (desk_cfg(20.0), 1, 6, [1, 2, 4, 6]),  # infeasible, doubling capped at t_max
-            (desk_cfg(33.0), 2, 64, [1, 2, 4, 8, 16, 12, 10, 11]),  # feasible after a bisection that moves both ends
+            (desk_cfg(33.0), 2, 64, [1, 2, 4, 8, 16, 32, 24, 20, 18, 17]),  # a bisection that moves both ends
         ],
         ids=["t1", "infeasible", "bisection"],
     )
     def test_evaluation_order(self, desk_codebook, monkeypatch, cfg, stage, t_max, expected):
-        # the ensemble draws its snapshot increments in call order, so the
-        # sequence of evaluated counts fixes every calibrated schedule
+        # the search order only: doubling until the target is met (or t_max), then bisection;
+        # error rates do not depend on it (test_error_rate_does_not_depend_on_probe_order)
         seen = []
         error_rate = StageEnsemble.error_rate
 
@@ -451,6 +459,55 @@ class TestCalibration:
         scene = make_scene(cfg)
         calibrate_snapshots(scene, desk_codebook, stage, 0.05, np.random.default_rng(3), trials=500, t_max=t_max)
         assert seen == expected
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        counts=st.lists(st.integers(1, 200), min_size=1, max_size=5),
+        stage=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_error_rate_does_not_depend_on_probe_order(self, desk_codebook, counts, stage, seed):
+        scene = desk_scene(33.0)
+        shared = StageEnsemble(scene, desk_codebook, stage, 300, np.random.default_rng(seed))
+        for t in counts:
+            alone = StageEnsemble(scene, desk_codebook, stage, 300, np.random.default_rng(seed))
+            assert shared.error_rate(t) == alone.error_rate(t)
+
+    def test_ensemble_layout_rebuilt_from_raw_words(self, desk_codebook, monkeypatch):
+        # per trial 16 words of normals (fading, then 4 real and 4 imaginary noise parts), then
+        # 64-snapshot chunks of (trials, 4 candidates, 2 sign components) words in draw order
+        trials, stage, t = 5, 2, 130
+        scene = desk_scene(33.0)
+        decisions = []
+
+        def recording(*args):
+            decisions.append(stage_decision(*args))
+            return decisions[-1]
+
+        monkeypatch.setattr(localization, "stage_decision", recording)
+        ens = StageEnsemble(scene, desk_codebook, stage, trials, np.random.default_rng(4))
+        ens.error_rate(1)  # draws chunk 0; chunks 1 and 2 follow when t needs them
+        err = ens.error_rate(t)
+        _, stats, chosen, _ = decisions[-1]
+
+        words = np.random.default_rng(4).bit_generator.random_raw(16 * trials + 3 * 8 * trials)
+        normal_words, chunks = words[: 16 * trials].reshape(trials, 16), words[16 * trials :].reshape(3, trials, 4, 2)
+        cell, d = true_cell(scene.cfg), scene.cfg.grid_size
+        pairs = stage_candidates(stage, true_stage_pair(cell, stage - 1, d))
+        book = desk_codebook.stage(stage)
+        for i in range(trials):
+            z = _scalar_normals(normal_words[i])
+            fading = FadingDraw(*(complex(z[j], z[4 + j]) / math.sqrt(2.0) for j in range(4)))
+            coh, cross = trial_coefficients(scene, fading)
+            expected = []
+            for k, (a, b) in enumerate(pairs):
+                c = ((scene.q_x @ book.w_x[:, a - 1]) * (scene.q_y @ book.w_y[:, b - 1])) ** 2
+                u = _scalar_symbol_sum(chunks[:, i, k], t) / t
+                n = scene.noise_scale * complex(z[8 + k], z[12 + k]) * math.sqrt(t / 2.0) / t
+                expected.append(float(decision_statistic(c, coh, cross, u, n)))
+            np.testing.assert_allclose(stats[i], expected, rtol=1e-12, atol=0)
+            assert chosen[i] == np.argmax(expected)
+        assert err == np.mean(chosen != pairs.index(true_stage_pair(cell, stage, d)))
 
     def test_error_decreases_with_power(self, desk_codebook):
         errs = []
