@@ -232,8 +232,9 @@ def fading_from_normals(normals: np.ndarray) -> FadingDraw:
     return FadingDraw(*np.moveaxis(complex_from_parts(normals[..., :4], normals[..., 4:8]), -1, 0))
 
 
-def draw_fading(rng: np.random.Generator) -> FadingDraw:
-    return fading_from_normals(rng.standard_normal(8))
+def draw_fading(rng: np.random.Generator, size: tuple = ()) -> FadingDraw:
+    """``size`` fading draws, each from the next 8 standard normals of ``rng``."""
+    return fading_from_normals(rng.standard_normal((*size, 8)))
 
 
 @dataclass

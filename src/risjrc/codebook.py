@@ -8,17 +8,20 @@ steer a closed-form pencil beam at the user.  Two-dimensional stage beams
 are Kronecker products of the two axis books.
 
 The sensing fits of a stage run as one batched projected-gradient solve,
-one row per (partition, axis, start), on the canonical rows
-A(0) = response_rows(l_s, 0, grid).  response_rows(v_b) = A(0) diag(r(v_b))
-and the unit-modulus projection, the free-phase target and the matched
-start all commute with that diagonal, so the fit for incidence v_b is
-conj(r(v_b)) times the canonical fit started from r(v_b) times the start.
+``design_sensing_phases``, one row per (partition, axis, start): the
+matched start plus n_starts - 1 perturbed starts per beam, on the
+canonical rows A(0) = response_rows(l_s, 0, grid).  response_rows(v_b) =
+A(0) diag(r(v_b)), and the unit-modulus projection, the free-phase target
+and the matched start all commute with that diagonal, so the fit for
+incidence v_b is conj(r(v_b)) times the canonical fit started from r(v_b)
+times the start.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +79,24 @@ class SolverParams:
     init_perturbation: float = 0.3
     residual_ceiling_factor: float = 1.0  # warn when residual > factor * L * sqrt(D)
 
+    def __post_init__(self):
+        for name, rule, ok in _SOLVER_RULES:
+            if not ok(getattr(self, name)):
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+
+
+# (field, rule, check); chained comparisons with math.inf also reject nan
+_SOLVER_RULES = (
+    ("target_phase", "'free' or 'fixed'", lambda x: x in ("free", "fixed")),
+    ("n_starts", ">= 1", lambda x: x >= 1),
+    ("max_iters", ">= 0", lambda x: x >= 0),
+    ("tol", "finite and >= 0", lambda x: 0 <= x < math.inf),
+    ("mu", "auto or finite and > 0", lambda x: x is None or 0 < x < math.inf),
+    ("on_weight", "auto or finite and > 0", lambda x: x is None or 0 < x < math.inf),
+    ("init_perturbation", "finite and >= 0", lambda x: 0 <= x < math.inf),
+    ("residual_ceiling_factor", "> 0", lambda x: x > 0),
+)
+
 
 def response_rows(l_s: int, v_b_axis: float, grid: np.ndarray, spacing: float) -> np.ndarray:
     """Matrix A with A[j] @ g = r^H(v_j) diag(g) r(v_b) on the sensing sub-array.
@@ -104,51 +125,31 @@ def auto_on_weight(s: int) -> float:
 
 def design_sensing_phases(
     s: int,
-    i: int,
     l_s: int,
-    v_b_axis: float,
+    parts: Sequence[int],
+    v_b: Sequence[float],
     grid: np.ndarray,
-    params: SolverParams | None = None,
-    init: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
-    spacing: float = 0.25,
-) -> tuple[np.ndarray, float]:
-    """Fit the unit-modulus sensing part of axis beam (s, i).
+    params: SolverParams,
+    spacing: float,
+    rngs: Sequence[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sensing profiles (one row per beam) and residuals of axis beams (s, parts[k]) at incidence v_b[k].
 
-    Minimizes || W (A g - t) ||  subject to |g_m| = 1 with the projected
-    update g <- exp(j angle(g + mu A_w^H (t_w - A_w g))).  With
-    ``target_phase="free"`` (default) the target is L_s in magnitude on the
-    partition with its phases refit to the current response each
-    iteration; ``"fixed"`` pins the real-valued target L_s * mask, which
-    additionally forces the on-partition response phases to zero and
-    yields visibly weaker illumination.  Returns the best iterate by
-    residual and that residual.
+    Minimizes || W (A g - t) || subject to |g_m| = 1 with the projected update
+    g <- exp(j angle(g + mu A_w^H (t_w - A_w g))).  With ``target_phase="free"`` the target is L_s in
+    magnitude on the partition, its phases refit to the current response each iteration; ``"fixed"``
+    pins the real target L_s * mask, which also forces the on-partition response phases to zero and
+    gives visibly weaker illumination.
 
-    This is a one-beam call of the stage solver behind ``build_codebook``:
-    the fit runs on the canonical rows A(0) = ``response_rows(l_s, 0, grid)``
-    and is mapped back to ``v_b_axis`` by the phase ramp conj(r(v_b)).
-
-    Parameters
-    ----------
-    init : optional warm start; replaces the default multi-start set
-        (matched beam toward the partition midpoint plus perturbed
-        copies).
-    rng : used only for the perturbed starts; omit for a single cold
-        deterministic start.
+    Beam k starts from the matched beam toward its partition midpoint plus ``n_starts - 1`` copies
+    perturbed by ``rngs[k]``.  All starts of all beams are rows of one batched solve on the canonical
+    rows A(0), each stopped by its own rule; the best iterate per row, then per beam, wins (earliest on
+    ties).  ``s`` stays the first positional argument: perfbench's tracer reads each span's stage from it.
     """
     if l_s < 1:
         raise ValueError("sensing element count must be >= 1")
-    rngs = None if rng is None else [rng]
-    g, res = _fit_sensing(s, l_s, [i], [v_b_axis], grid, params or SolverParams(), spacing, rngs, init)
-    return g[0], float(res[0])
-
-
-def _fit_sensing(s, l_s, parts, v_b, grid, params, spacing, rngs=None, init=None):
-    """Sensing profiles (one row per beam) and residuals of beams (s, parts[k]) at incidence v_b[k].
-
-    One canonical row per start, each stopped by its own rule; the best iterate per row, then per beam,
-    wins (earliest on ties).  ``rngs[k]`` draws beam k's perturbed starts; without ``rngs``, or with
-    ``init``, each beam has one start."""
+    if not len(parts) == len(v_b) == len(rngs):
+        raise ValueError(f"need one incidence and one generator per beam: {len(parts)}, {len(v_b)}, {len(rngs)}")
     d = len(grid)
     a0 = response_rows(l_s, 0.0, grid, spacing)
     ramps = ris_axis_steering(v_b, l_s, spacing)
@@ -159,20 +160,11 @@ def _fit_sensing(s, l_s, parts, v_b, grid, params, spacing, rngs=None, init=None
     sigma_max = np.linalg.svd(wts[:, :, None] * a0, compute_uv=False)[:, 0]
     mu = 0.5 / sigma_max**2 if params.mu is None else np.full(len(specs), params.mu)
 
-    if init is not None:
-        if not np.allclose(np.abs(init), 1.0, atol=1e-9):
-            raise ValueError("init must be unit modulus")
-        h = ramps[:, None, :] * init
-    else:
-        # the matched start toward the midpoint, times r(v_b), is r(v_mid)
-        phase0 = np.angle(ris_axis_steering([p.midpoint(grid) for p in specs], l_s, spacing))
-        pert = np.zeros((len(specs), 1, l_s))
-        if rngs is not None:
-            draws = [rng.standard_normal((max(0, params.n_starts - 1), l_s)) for rng in rngs]
-            pert = np.concatenate([pert, np.stack(draws)], axis=1)
-        h = np.exp(1j * (phase0[:, None, :] + params.init_perturbation * pert))
-    n_starts = h.shape[1]
-    h = h.reshape(-1, l_s)
+    # the matched start toward the midpoint, times r(v_b), is r(v_mid)
+    phase0 = np.angle(ris_axis_steering([p.midpoint(grid) for p in specs], l_s, spacing))
+    n_starts = params.n_starts
+    pert = np.stack([np.vstack([np.zeros(l_s), rng.standard_normal((n_starts - 1, l_s))]) for rng in rngs])
+    h = np.exp(1j * (phase0[:, None, :] + params.init_perturbation * pert)).reshape(-1, l_s)
     w, on, mu = (np.repeat(x, n_starts, axis=0) for x in (wts, masks, mu[:, None]))
     a0_t, a0_c = np.ascontiguousarray(a0.T), a0.conj()
     t_on = math.sqrt(w_on) * l_s  # weighted target magnitude on the partition; zero off it
@@ -303,7 +295,9 @@ def build_codebook(
         n_beams = 2**s
         rngs = [np.random.default_rng(child) for child in ss.spawn(2 * n_beams)]  # per beam, x axis before y
         parts = np.repeat(np.arange(1, n_beams + 1), 2)
-        g, res = _fit_sensing(s, l_s, parts, [v for v, _ in axes] * n_beams, grid, solver, cfg.ris_spacing, rngs)
+        g, res = design_sensing_phases(
+            s, l_s, parts, [v for v, _ in axes] * n_beams, grid, solver, cfg.ris_spacing, rngs
+        )
         comm = [design_comm_phases(n_axis - l_s, v_b, v_u, cfg.ris_spacing, offset=l_s) for v_b, v_u in axes]
         w_x, w_y = (np.vstack([g[k::2].T, np.tile(h[:, None], n_beams)]) for k, h in enumerate(comm))
         return w_x, w_y, res[0::2], res[1::2]
@@ -342,18 +336,7 @@ def _assemble_codebook(cfg: ScenarioConfig, schedule: tuple, stage, ceiling_fact
             for axis, r in zip("xy", pair)
             if r > ceiling
         ]
-        stages.append(
-            StageBook(
-                stage=s,
-                l_s=l_s,
-                c_s=cfg.n_axis - l_s,
-                w_x=w_x,
-                w_y=w_y,
-                residuals_x=res_x,
-                residuals_y=res_y,
-                quality_warnings=warnings,
-            )
-        )
+        stages.append(StageBook(s, l_s, cfg.n_axis - l_s, w_x, w_y, res_x, res_y, warnings))
     return Codebook(d=cfg.grid_size, n_ris=cfg.n_ris, spacing=cfg.ris_spacing, schedule=schedule, stages=stages)
 
 
@@ -478,26 +461,10 @@ def load_codebook(path: str) -> Codebook:
             if len(raw) != n_bytes:
                 raise ValueError(f"{path}: stage {k} payload has {len(raw)} of {n_bytes} bytes")
             w_x, w_y = np.frombuffer(raw, dtype="<c16").reshape(2, 2**k, n_axis).transpose(0, 2, 1).astype(complex)
-            stages.append(
-                StageBook(
-                    stage=meta["stage"],
-                    l_s=meta["l_s"],
-                    c_s=meta["c_s"],
-                    w_x=w_x,
-                    w_y=w_y,
-                    residuals_x=np.array(meta["residuals_x"]),
-                    residuals_y=np.array(meta["residuals_y"]),
-                    quality_warnings=list(meta["quality_warnings"]),
-                )
-            )
+            res_x, res_y = (np.array(meta[f"residuals_{axis}"]) for axis in "xy")
+            stages.append(StageBook(k, l_s, n_axis - l_s, w_x, w_y, res_x, res_y, list(meta["quality_warnings"])))
         if not stages or header["d"] != 2 ** len(stages):
             raise ValueError(f"{path}: codebook header key 'd' is {header['d']}, not 2**n for n = {len(stages)} >= 1 stages")
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after the last stage")
-    return Codebook(
-        d=header["d"],
-        n_ris=header["n_ris"],
-        spacing=header["spacing"],
-        schedule=tuple(header["schedule"]),
-        stages=stages,
-    )
+    return Codebook(d=header["d"], n_ris=n_ris, spacing=header["spacing"], schedule=tuple(schedule), stages=stages)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelSet, PhaseProfile, ScenarioConfig, fading_from_normals, path_gains
+from .channels import ChannelSet, PhaseProfile, ScenarioConfig, draw_fading, path_gains
 from .codebook import Codebook, matched_axis_beam
 from .geometry import ris_axis_steering, ula_steering
 
@@ -120,7 +120,7 @@ def _se_samples(
     u_b = ula_steering(cfg.zeta_b_deg, cfg.n_u)
     u_r = ula_steering(cfg.zeta_r_deg, cfg.n_u)
     m_direct = np.outer(link.c.conj().T @ u_b, b_u.conj() @ link.f) @ link.p
-    beta = fading_from_normals(rng.standard_normal((trials, 8)))  # trial t is the t-th draw_fading draw
+    beta = draw_fading(rng, (trials,))
     a = beta.beta_bu * eta.eta_bu
     if omega is None:
         m_cascade = np.zeros((2, 2), dtype=complex)
@@ -148,7 +148,7 @@ def average_se(
 
     Only the three link fading coefficients are redrawn; the target
     cross-section plays no role in the user link.  All trials are drawn
-    in one call, on the same stream as successive ``draw_fading`` calls,
+    in one ``draw_fading`` call, the same stream as one call per trial,
     and evaluated by the rank-1 closed form of ``_se_samples``;
     ``spectral_efficiency`` of ``effective_channel`` is its oracle.
     """

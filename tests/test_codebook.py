@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,16 @@ from risjrc.channels import draw_fading
 from conftest import desk_cfg, tiny_cfg
 
 
-def reference_sensing_fit(s, i, l_s, v_b_axis, grid, params=None, init=None, rng=None, spacing=0.25):
+def fit_one_beam(s, i, l_s, v_b_axis, grid, params=None, rng=None, spacing=0.25):
+    """Axis beam (s, i) through the stage solver alone; without ``rng``, from its matched start only."""
+    params = params or SolverParams()
+    if rng is None:
+        params, rng = replace(params, n_starts=1), np.random.default_rng(0)  # one start draws nothing
+    g, res = design_sensing_phases(s, l_s, [i], [v_b_axis], grid, params, spacing, [rng])
+    return g[0], float(res[0])
+
+
+def reference_sensing_fit(s, i, l_s, v_b_axis, grid, params=None, rng=None, spacing=0.25):
     """Per-start projected-gradient fit against ``response_rows(v_b)`` itself: no ramp, no batching."""
     params = params or SolverParams()
     part = partition_indices(s, i, len(grid))
@@ -39,7 +49,7 @@ def reference_sensing_fit(s, i, l_s, v_b_axis, grid, params=None, init=None, rng
     phase0 = np.angle(matched_axis_beam(v_b_axis, part.midpoint(grid), l_s, spacing))
     n_perturbed = params.n_starts - 1 if rng is not None else 0
     starts = [np.exp(1j * (phase0 + params.init_perturbation * rng.standard_normal(l_s))) for _ in range(n_perturbed)]
-    starts = [init.astype(complex)] if init is not None else [np.exp(1j * phase0)] + starts
+    starts = [np.exp(1j * phase0)] + starts
 
     def target(g):
         phases = np.exp(1j * np.angle(a @ g)) if params.target_phase == "free" else 1.0
@@ -122,12 +132,12 @@ class TestResponseRows:
 class TestSensingDesign:
     def test_output_unit_modulus(self):
         grid = direction_grid(16)
-        g, _ = design_sensing_phases(1, 2, 4, 0.133, grid, rng=np.random.default_rng(1))
+        g, _ = fit_one_beam(1, 2, 4, 0.133, grid, rng=np.random.default_rng(1))
         np.testing.assert_allclose(np.abs(g), 1.0, atol=1e-12)
 
     def test_projection_idempotent(self):
         grid = direction_grid(16)
-        g, _ = design_sensing_phases(2, 1, 8, 0.133, grid, rng=np.random.default_rng(2))
+        g, _ = fit_one_beam(2, 1, 8, 0.133, grid, rng=np.random.default_rng(2))
         np.testing.assert_array_equal(unit_modulus_projection(g), g)
 
     def test_final_stage_keeps_matched_gain(self):
@@ -136,19 +146,19 @@ class TestSensingDesign:
         grid = direction_grid(d)
         l_s = 16
         idx = 11
-        g, _ = design_sensing_phases(4, idx, l_s, 0.133, grid, rng=np.random.default_rng(3))
+        g, _ = fit_one_beam(4, idx, l_s, 0.133, grid, rng=np.random.default_rng(3))
         a = response_rows(l_s, 0.133, grid, 0.25)
         assert np.abs(a[idx - 1] @ g) >= 0.9 * l_s
 
-    def test_non_unit_init_rejected(self):
+    def test_one_generator_per_beam_required(self):
         grid = direction_grid(16)
-        with pytest.raises(ValueError):
-            design_sensing_phases(1, 1, 4, 0.1, grid, init=np.full(4, 0.5 + 0j))
+        with pytest.raises(ValueError, match="one generator per beam"):
+            design_sensing_phases(1, 4, [1, 2], [0.1, 0.1], grid, SolverParams(), 0.25, [np.random.default_rng(0)])
 
     def test_deterministic_given_seed(self):
         grid = direction_grid(16)
-        g1, r1 = design_sensing_phases(2, 3, 8, 0.133, grid, rng=np.random.default_rng(9))
-        g2, r2 = design_sensing_phases(2, 3, 8, 0.133, grid, rng=np.random.default_rng(9))
+        g1, r1 = fit_one_beam(2, 3, 8, 0.133, grid, rng=np.random.default_rng(9))
+        g2, r2 = fit_one_beam(2, 3, 8, 0.133, grid, rng=np.random.default_rng(9))
         np.testing.assert_array_equal(g1, g2)
         assert r1 == r2
 
@@ -160,12 +170,11 @@ class TestSensingDesign:
         v_b=st.floats(-1.0, 1.0),
         seed=st.none() | st.integers(0, 2**32 - 1),
         target_phase=st.sampled_from(["free", "fixed"]),
-        warm=st.booleans(),
         mu=st.sampled_from([None, 1e-3]),
         max_iters=st.integers(0, 4),
         tol=st.sampled_from([1e-8, 1e-3, 3e-2]),
     )
-    def test_matches_reference(self, data, s, l_s, v_b, seed, target_phase, warm, mu, max_iters, tol):
+    def test_matches_reference(self, data, s, l_s, v_b, seed, target_phase, mu, max_iters, tol):
         """Ramp identity: the canonical (v_b = 0) solve, ramped back to v_b, equals the direct fit.
 
         A few iterations isolate the identity from the solver's own conditioning: a matched
@@ -176,19 +185,44 @@ class TestSensingDesign:
         grid = direction_grid(16)
         i = data.draw(st.integers(1, 2**s))
         params = SolverParams(target_phase=target_phase, mu=mu, max_iters=max_iters, tol=tol)
-        init = np.exp(2j * np.pi * np.random.default_rng(seed).random(l_s)) if warm else None
         rng = (lambda: None) if seed is None else (lambda: np.random.default_rng(seed))
-        g, res = design_sensing_phases(s, i, l_s, v_b, grid, params, init=init, rng=rng())
-        g_ref, res_ref = reference_sensing_fit(s, i, l_s, v_b, grid, params, init=init, rng=rng())
+        g, res = fit_one_beam(s, i, l_s, v_b, grid, params, rng=rng())
+        g_ref, res_ref = reference_sensing_fit(s, i, l_s, v_b, grid, params, rng=rng())
         np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-10)
         assert res == pytest.approx(res_ref, rel=0, abs=1e-10)
 
     def test_fixed_phase_variant_runs(self):
         grid = direction_grid(16)
         params = SolverParams(target_phase="fixed")
-        g, res = design_sensing_phases(1, 1, 4, 0.133, grid, params, rng=np.random.default_rng(4))
+        g, res = fit_one_beam(1, 1, 4, 0.133, grid, params, rng=np.random.default_rng(4))
         np.testing.assert_allclose(np.abs(g), 1.0, atol=1e-12)
         assert res > 0
+
+
+class TestSolverParams:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("target_phase", "Free"),
+            ("n_starts", 0),
+            ("max_iters", -5),
+            ("tol", -1.0),
+            ("tol", float("nan")),
+            ("mu", 0.0),
+            ("mu", float("inf")),
+            ("on_weight", -1.0),
+            ("init_perturbation", -0.1),
+            ("init_perturbation", float("nan")),
+            ("residual_ceiling_factor", 0.0),
+        ],
+    )
+    def test_out_of_range_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SolverParams(**{name: value})
+
+    def test_edge_values_accepted(self):
+        SolverParams(target_phase="fixed", n_starts=1, max_iters=0, tol=0.0, mu=1e-3, on_weight=1.0)
+        SolverParams(init_perturbation=0.0, residual_ceiling_factor=float("inf"))
 
 
 class TestCommDesign:

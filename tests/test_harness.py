@@ -95,6 +95,23 @@ class TestConfigIO:
             load_config(str(path))
 
     @pytest.mark.parametrize(
+        "key, text",
+        [
+            ("target_phase", "Free"),
+            ("n_starts", "0"),
+            ("max_iters", "-5"),
+            ("tol", "-1"),
+            ("mu", "0"),
+            ("on_weight", "nan"),
+        ],
+    )
+    def test_out_of_range_solver_rejected(self, tmp_path, key, text):
+        path = tmp_path / "bad7.cfg"
+        path.write_text(f"[codebook]\n{key} = {text}\n")
+        with pytest.raises(ValueError, match=key):
+            load_config(str(path))
+
+    @pytest.mark.parametrize(
         "section, key, text, field",
         [
             ("noise_dbm", "sigma_u2", "nan", "sigma_u2_dbm"),
