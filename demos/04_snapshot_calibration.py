@@ -12,7 +12,7 @@ import numpy as np
 
 from risjrc import ScenarioConfig, build_codebook
 from risjrc.channels import path_gains
-from risjrc.localization import calibrate_snapshots, make_scene, snapshot_rule_literal, stage_error
+from risjrc.localization import StageEnsemble, calibrate_snapshots, make_scene, snapshot_rule_literal, stage_error
 
 DELTA = 0.05
 
@@ -35,7 +35,7 @@ for p in (36.0, 39.0, 42.0, 45.0):
     scene = make_scene(cfg_at(p))
     for s in (1, 2, 3, 4):
         err1 = stage_error(scene, cb, s, 1, 4000, np.random.default_rng((7, s)))
-        cal = calibrate_snapshots(scene, cb, s, DELTA, np.random.default_rng((8, s)), trials=20_000)
+        cal = calibrate_snapshots(StageEnsemble(scene, cb, s, 20_000, np.random.default_rng((8, s))), DELTA)
         t_star = cal.t_s if cal.feasible else f">{cal.t_max}"
         print(f"  {p:5.1f} |   {s}   |    {err1:.3f}     |  {t_star}")
     print()

@@ -69,6 +69,7 @@ from .localization import (
     CalibrationResult,
     SnapshotSchedule,
     StageDecision,
+    StageEnsemble,
     TrialRecord,
     beam_statistic,
     calibrate_snapshots,

@@ -105,7 +105,7 @@ class ScenarioConfig:
         if self.power_units not in ("dBm", "dB"):
             raise ValueError("power_units must be 'dBm' or 'dB'")
         if self.p_r_watts < 0 or self.p_u_watts < 0:
-            raise ValueError("power split entries must be >= 0")
+            raise ValueError(f"p_r_watts and p_u_watts must be >= 0, got {self.p_r_watts!r} and {self.p_u_watts!r}")
         total = self.p_total_watts
         if not math.isclose(self.p_r_watts + self.p_u_watts, total, rel_tol=1e-9, abs_tol=1e-30):
             raise ValueError(

@@ -5,8 +5,10 @@ experiment id and the power-point index.  The localization trials of a
 sweep point read one counter-based Philox stream in which trial t owns a
 fixed range of words, so a block of trials is one draw and any trial
 reproduces alone (:func:`trial_rng`).  Calibration, stage-error and SE draws
-come from tagged :func:`aux_rng` streams.  Results are bit-reproducible and
-independent of the parallelism degree.
+come from tagged :func:`aux_rng` streams; calibration's are keyed by stage
+only, so the power points of a sweep search one ensemble per stage
+(:func:`resolve_schedules`).  Results are bit-reproducible and independent of
+the parallelism degree.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import csv
 import functools
 import hashlib
 import math
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
@@ -23,7 +26,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import comms
-from .channels import ScenarioConfig, path_gains
+from .channels import ScenarioConfig
 from .codebook import (
     Codebook,
     SolverParams,
@@ -35,7 +38,9 @@ from .codebook import (
 )
 from .geometry import DirectionCosine, direction_grid
 from .localization import (
+    Scene,
     SnapshotSchedule,
+    StageEnsemble,
     calibrate_snapshots,
     descend,
     exhaustive_transmissions,
@@ -237,15 +242,26 @@ def load_config(path: str) -> tuple[ScenarioConfig, ExperimentPlan]:
                 values[owner][attr] = value
 
     scenario, base = values[ScenarioConfig], ScenarioConfig()
-    for name in ("v_b", "v_u", "v_t"):
-        default = getattr(base, name)
-        scenario[name] = DirectionCosine(
-            scenario.pop(f"{name}.vx", default.vx), scenario.pop(f"{name}.vy", default.vy)
-        )
-    cfg = ScenarioConfig(**scenario)
-    plan = ExperimentPlan(**values[ExperimentPlan], solver=SolverParams(**values[SolverParams]))
-    plan.validate()
+    try:
+        for name in ("v_b", "v_u", "v_t"):
+            default = getattr(base, name)
+            scenario[name] = DirectionCosine(
+                scenario.pop(f"{name}.vx", default.vx), scenario.pop(f"{name}.vy", default.vy)
+            )
+        cfg = ScenarioConfig(**scenario)
+        plan = ExperimentPlan(**values[ExperimentPlan], solver=SolverParams(**values[SolverParams]))
+        plan.validate()
+    except ValueError as e:
+        raise ValueError(f"{path}: {_keys_named(str(e))}{e}") from None
     return cfg, plan
+
+
+def _keys_named(message: str) -> str:
+    """``[section] key: `` for each config key whose attribute a range error names as its subject
+    (the text before " must " or " = "), or "" when it names none."""
+    subject = re.split(" must | = ", message, maxsplit=1)[0]
+    keys = [f"[{sec}] {key}" for sec, key, _, attr, _ in CONFIG_FIELDS if re.search(rf"\b{re.escape(attr)}\b", subject)]
+    return f"{', '.join(keys)}: " if keys else ""
 
 
 def write_default_config(path: str):
@@ -359,49 +375,66 @@ def get_codebook(cfg: ScenarioConfig, plan: ExperimentPlan, cb: Codebook | None 
     return cb
 
 
-def resolve_schedule(cfg: ScenarioConfig, plan: ExperimentPlan, cb: Codebook) -> tuple[SnapshotSchedule, list]:
-    """Per-stage snapshot counts for one power point, per the plan's source.
+def resolve_schedules(scenes: list[Scene], plan: ExperimentPlan, cb: Codebook) -> list[tuple[SnapshotSchedule, list]]:
+    """Per-stage snapshot counts for each power point of a sweep, per the plan's source.
 
-    Returns the schedule and the list of CalibrationResults (empty unless
-    calibrated).  The literal-rule source uses the magnitude reading of
-    the closed-form rule, since the signed form is non-physical.
+    Returns one ``(schedule, calibs)`` per scene, ``calibs`` being the list of
+    CalibrationResults (empty unless calibrated).  The literal-rule source uses
+    the magnitude reading of the closed-form rule, since the signed form is
+    non-physical.  Calibration goes stage by stage: one :class:`StageEnsemble`
+    per stage on ``aux_rng(seed, kind, 0, stage)``, which every power point
+    searches through its own view and which is dropped before the next stage
+    is drawn, so one ensemble is held at a time.
     """
-    n_stages = cfg.n_stages
-    calibs = []
+    n_stages = scenes[0].cfg.n_stages
     if plan.schedule_source == "manual":
         t_s = plan.snapshots if plan.snapshots is not None else (1,) * n_stages
         if len(t_s) != n_stages:
             raise ValueError(f"snapshots must have {n_stages} entries, got {len(t_s)}")
-        return SnapshotSchedule(tuple(t_s), "manual"), calibs
+        return [(SnapshotSchedule(tuple(t_s), "manual"), []) for _ in scenes]
     if plan.schedule_source == "literal-rule":
-        eta = path_gains(cfg)
-        t_s = []
-        for s in range(1, n_stages + 1):
-            l_s = cb.schedule[s - 1]
-            rule = snapshot_rule_literal(
-                plan.delta, cfg.p_r_watts, l_s, cfg.n_b, eta.eta_br, eta.eta_rt, cfg.sigma_b2_watts
-            )
-            t_s.append(rule.t_magnitude)
-        return SnapshotSchedule(tuple(t_s), "literal-rule"), calibs
+        schedules = []
+        for scene in scenes:
+            cfg, eta = scene.cfg, scene.gains
+            t_s = []
+            for s in range(1, n_stages + 1):
+                l_s = cb.schedule[s - 1]
+                rule = snapshot_rule_literal(
+                    plan.delta, cfg.p_r_watts, l_s, cfg.n_b, eta.eta_br, eta.eta_rt, cfg.sigma_b2_watts
+                )
+                t_s.append(rule.t_magnitude)
+            schedules.append((SnapshotSchedule(tuple(t_s), "literal-rule"), []))
+        return schedules
     # calibrated; streams keyed by stage only so power points share draws,
     # which keeps the calibrated counts smoothly monotone across the sweep
-    scene = make_scene(cfg)
-    t_s = []
+    calibs = [[] for _ in scenes]
     for s in range(1, n_stages + 1):
-        rng = aux_rng(plan.master_seed, plan.kind, 0, s)
-        res = calibrate_snapshots(scene, cb, s, plan.delta, rng, plan.calib_trials, plan.t_max)
-        calibs.append(res)
-        t_s.append(res.t_s if res.feasible else plan.t_max)
-    return SnapshotSchedule(tuple(t_s), "calibrated"), calibs
+        ens = StageEnsemble(scenes[0], cb, s, plan.calib_trials, aux_rng(plan.master_seed, plan.kind, 0, s))
+        for scene, point in zip(scenes, calibs):
+            point.append(calibrate_snapshots(ens.at(scene), plan.delta, plan.t_max))
+        del ens  # drawn stage by stage: the next stage's ensemble replaces this one rather than joining it
+    return [
+        (SnapshotSchedule(tuple(r.t_s if r.feasible else plan.t_max for r in point), "calibrated"), point)
+        for point in calibs
+    ]
+
+
+def resolve_schedule(cfg: ScenarioConfig, plan: ExperimentPlan, cb: Codebook) -> tuple[SnapshotSchedule, list]:
+    """Schedule and CalibrationResults of one power point: :func:`resolve_schedules` on a one-point sweep.
+
+    A point resolves alone as it does inside any sweep, because every point
+    reads the same per-stage draws.
+    """
+    return resolve_schedules([make_scene(cfg)], plan, cb)[0]
 
 
 def _run_trial_block(args) -> list:
     """Worker: run a contiguous range of localization trials from one draw, return compact outcomes."""
-    cfg, cb, schedule, master_seed, kind, point_index, trials = args
+    scene, cb, schedule, master_seed, kind, point_index, trials = args
     width = trial_width(schedule)
     rng = trial_rng(master_seed, kind, point_index, trials.start, width)
     words = rng.bit_generator.random_raw((len(trials), width))
-    stages = descend(make_scene(cfg), cb, schedule, words)
+    stages = descend(scene, cb, schedule, words)
     correct = np.stack([stage[-1] for stage in stages], axis=1).tolist()
     transmissions = hierarchical_transmissions(schedule)
     # the last stage's pair is the estimated cell, so its correctness is the trial's success
@@ -409,7 +442,7 @@ def _run_trial_block(args) -> list:
 
 
 def run_localization_trials(
-    cfg: ScenarioConfig,
+    scene: Scene,
     cb: Codebook,
     schedule: SnapshotSchedule,
     plan: ExperimentPlan,
@@ -417,7 +450,7 @@ def run_localization_trials(
 ) -> list:
     """All trials of one power point; order-stable under any parallel degree."""
     bounds = sorted({plan.trials * k // plan.parallel for k in range(plan.parallel + 1)})  # no empty block
-    args = [(cfg, cb, schedule, plan.master_seed, plan.kind, point_index, range(*b)) for b in zip(bounds, bounds[1:])]
+    args = [(scene, cb, schedule, plan.master_seed, plan.kind, point_index, range(*b)) for b in zip(bounds, bounds[1:])]
     if plan.parallel <= 1:
         blocks = map(_run_trial_block, args)
     else:
@@ -432,10 +465,18 @@ def _power_points(cfg: ScenarioConfig, plan: ExperimentPlan, add):
         yield p_idx, cfg.with_power(power), functools.partial(add, power=power)
 
 
+def _scheduled_points(cfg: ScenarioConfig, plan: ExperimentPlan, cb: Codebook, add):
+    """Per sweep point: its index, its scene, its schedule and CalibrationResults, and ``add`` bound
+    to its power.  One scene per point serves the calibrator and the point's trials alike, and the
+    whole sweep's schedules are resolved in one call."""
+    points = list(_power_points(cfg, plan, add))
+    scenes = [make_scene(cfg_p) for _, cfg_p, _ in points]
+    for (p_idx, _, add_p), scene, (schedule, calibs) in zip(points, scenes, resolve_schedules(scenes, plan, cb)):
+        yield p_idx, scene, schedule, calibs, add_p
+
+
 def _stage_error_vs_p(cfg, plan, book, add):
-    for p_idx, cfg_p, add_p in _power_points(cfg, plan, add):
-        schedule, _ = resolve_schedule(cfg_p, plan, book)
-        scene = make_scene(cfg_p)
+    for p_idx, scene, schedule, _, add_p in _scheduled_points(cfg, plan, book, add):
         for s, t_s in enumerate(schedule.t_s, start=1):
             rng = aux_rng(plan.master_seed, plan.kind, p_idx, 100 + s)
             err = stage_error(scene, book, s, t_s, plan.trials, rng)
@@ -444,8 +485,7 @@ def _stage_error_vs_p(cfg, plan, book, add):
 
 
 def _snapshots_vs_p(cfg, plan, book, add):
-    for _, cfg_p, add_p in _power_points(cfg, plan, add):
-        _, calibs = resolve_schedule(cfg_p, plan, book)
+    for _, _, _, calibs, add_p in _scheduled_points(cfg, plan, book, add):
         for res in calibs:
             add_p(
                 metric="calibrated_snapshots",
@@ -463,9 +503,8 @@ def _snapshots_vs_p(cfg, plan, book, add):
 
 
 def _overall_error_vs_p(cfg, plan, book, add):
-    for p_idx, cfg_p, add_p in _power_points(cfg, plan, add):
-        schedule, _ = resolve_schedule(cfg_p, plan, book)
-        outcomes = run_localization_trials(cfg_p, book, schedule, plan, p_idx)
+    for p_idx, scene, schedule, _, add_p in _scheduled_points(cfg, plan, book, add):
+        outcomes = run_localization_trials(scene, book, schedule, plan, p_idx)
         correct = np.array([o[2] for o in outcomes], dtype=bool)  # (N, stages)
         # alive[s]: trials right at every stage up to s; alive[0] is every trial
         alive = [len(outcomes), *np.logical_and.accumulate(correct, axis=1).sum(axis=0).tolist()]
@@ -503,8 +542,7 @@ def _se_vs_p(cfg, plan, book, add):
 
 
 def _transmission_count(cfg, plan, book, add):
-    for _, cfg_p, add_p in _power_points(cfg, plan, add):
-        schedule, _ = resolve_schedule(cfg_p, plan, book)
+    for _, scene, schedule, _, add_p in _scheduled_points(cfg, plan, book, add):
         add_p(
             metric="transmissions_hierarchical",
             detail=f"schedule={'/'.join(str(t) for t in schedule.t_s)}",
@@ -513,7 +551,7 @@ def _transmission_count(cfg, plan, book, add):
         add_p(
             metric="transmissions_exhaustive",
             detail=f"t_per_beam={plan.t_per_beam}",
-            value=float(exhaustive_transmissions(cfg_p.grid_size, plan.t_per_beam)),
+            value=float(exhaustive_transmissions(scene.cfg.grid_size, plan.t_per_beam)),
         )
 
 

@@ -24,6 +24,7 @@ through :func:`qpsk_product_sum`.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -395,6 +396,21 @@ def overall_error_bound(delta: float, n_s: int) -> float:
     return n_s * delta
 
 
+class _ChunkStore:
+    """Symbol words of one ensemble in 64-snapshot chunks of shape (trials, 4, 2), chunk k the k-th
+    drawn from ``bits``; every view of a :class:`StageEnsemble` reads this one store."""
+
+    def __init__(self, bits, trials: int):
+        self.bits = bits
+        self.words = np.empty((0, trials, 4, 2), np.uint64)
+
+    def first(self, k: int) -> np.ndarray:
+        """Chunks 0..k-1, drawing the ones not drawn yet."""
+        if (missing := k - len(self.words)) > 0:
+            self.words = np.concatenate([self.words, self.bits.random_raw((missing, *self.words.shape[1:]))])
+        return self.words[:k]
+
+
 class StageEnsemble:
     """Vectorized isolated-stage simulator over a Monte Carlo trial batch.
 
@@ -408,31 +424,47 @@ class StageEnsemble:
     it, so the ensemble holds trials x 64 B per 64 snapshots of the largest
     count probed, and ``error_rate(t_s)`` reads chunks 0..ceil(t_s/64) - 1
     whatever counts were probed before.
+
+    None of these draws depends on the transmit power; only the trial
+    coefficients ``coh`` and ``cross`` do.  :meth:`at` gives a view of the
+    same draws at another scene, such as another power point of a sweep:
+    views share the noise pairs and one chunk store, so a chunk drawn
+    through any view is the chunk every view reads.
     """
 
     def __init__(self, scene: Scene, cb: Codebook, stage: int, trials: int, rng: np.random.Generator):
         if trials < 1:
             raise ValueError("trials must be >= 1")
         self.book = cb.stage(stage)
+        self.stage, self.trials = stage, trials
+        bits = rng.bit_generator
+        normals = normals_from_words(bits.random_raw((trials, 16)))
+        self.fading = fading_from_normals(normals)
+        self.noise_re, self.noise_im = normals[:, 8:12], normals[:, 12:]
+        self.chunks = _ChunkStore(bits, trials)
+        self._set_scene(scene)
+
+    def _set_scene(self, scene: Scene):
+        """Set what depends on the scene: the candidates, the true child and the trial coefficients."""
         self.scene = scene
-        cell, d = true_cell(scene.cfg), scene.cfg.grid_size
+        cell, d, stage = true_cell(scene.cfg), scene.cfg.grid_size, self.stage
         self.parent = np.array([(1, 1) if stage == 1 else true_stage_pair(cell, stage - 1, d)])  # shared by all trials
         a, b = true_stage_pair(cell, stage, d)
         self.truth = _CHILDREN.index(((a - 1) % 2, (b - 1) % 2))  # the true child's probe position
-        self.bits = rng.bit_generator
-        normals = normals_from_words(self.bits.random_raw((trials, 16)))
-        self.coh, self.cross = trial_coefficients(scene, fading_from_normals(normals))
-        self.noise_re, self.noise_im = normals[:, 8:12], normals[:, 12:]
-        self.words = np.empty((0, trials, 4, 2), np.uint64)  # symbol chunks drawn so far
+        self.coh, self.cross = trial_coefficients(scene, self.fading)
+
+    def at(self, scene: Scene) -> StageEnsemble:
+        """A view of these draws at ``scene``, with its own trial coefficients."""
+        view = copy.copy(self)
+        view._set_scene(scene)
+        return view
 
     def error_rate(self, t_s: int) -> float:
         """Empirical stage error probability at t_s snapshots per beam."""
         if not _is_integer(t_s) or t_s < 1:
             raise ValueError(f"snapshot count must be an integer >= 1, got {t_s!r}")
-        k = -(-t_s // 64)  # the symbol chunks t_s snapshots read
-        if (missing := k - len(self.words)) > 0:
-            self.words = np.concatenate([self.words, self.bits.random_raw((missing, *self.words.shape[1:]))])
-        u_bar, n_bar = _snapshot_means(self.scene, self.noise_re, self.noise_im, self.words[:k], t_s)
+        words = self.chunks.first(-(-t_s // 64))  # the symbol chunks t_s snapshots read
+        u_bar, n_bar = _snapshot_means(self.scene, self.noise_re, self.noise_im, words, t_s)
         _, _, chosen, _ = stage_decision(self.scene, self.book, self.parent, self.coh, self.cross, u_bar, n_bar)
         return float(np.mean(chosen != self.truth))
 
@@ -455,33 +487,22 @@ class CalibrationResult:
     error_at_t: float | None
 
 
-def calibrate_snapshots(
-    scene: Scene,
-    cb: Codebook,
-    stage: int,
-    delta: float,
-    rng: np.random.Generator,
-    trials: int = 4000,
-    t_max: int = 512,
-) -> CalibrationResult:
-    """Smallest snapshot count whose empirical stage error is <= delta.
+def calibrate_snapshots(ens: StageEnsemble, delta: float, t_max: int = 512) -> CalibrationResult:
+    """Smallest snapshot count at which the ensemble's stage error is <= delta.
 
-    Doubles the snapshot count until the target is met (sharing random
-    draws across counts), then bisects.  Reports infeasibility at t_max
-    instead of raising.
+    Doubles the snapshot count until the target is met (every count reads
+    the ensemble's one set of draws), then bisects.  Reports infeasibility
+    at t_max instead of raising.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    ens = StageEnsemble(scene, cb, stage, trials, rng)
 
     t_lo, t = 0, 1  # t_lo: highest failing count
     while (err := ens.error_rate(t)) > delta:
         if t >= t_max:
-            return CalibrationResult(stage, delta, trials, t_max, False, None, err)
+            return CalibrationResult(ens.stage, delta, ens.trials, t_max, False, None, err)
         t_lo, t = t, min(2 * t, t_max)
     t_hi, err_hi = t, err
     while t_hi - t_lo > 1:
@@ -491,4 +512,4 @@ def calibrate_snapshots(
             t_hi, err_hi = mid, err
         else:
             t_lo = mid
-    return CalibrationResult(stage, delta, trials, t_max, True, t_hi, err_hi)
+    return CalibrationResult(ens.stage, delta, ens.trials, t_max, True, t_hi, err_hi)

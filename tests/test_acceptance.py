@@ -289,8 +289,8 @@ class TestCriterion9Determinism:
         plan1 = overall_error_plan(trials=2000, parallel=1)
         plan2 = overall_error_plan(trials=2000, parallel=4)
         sched = SnapshotSchedule((63, 3, 1, 1))
-        r1 = run_localization_trials(cfg, desk_codebook, sched, plan1, 0)
-        r2 = run_localization_trials(cfg, desk_codebook, sched, plan2, 0)
+        r1 = run_localization_trials(make_scene(cfg), desk_codebook, sched, plan1, 0)
+        r2 = run_localization_trials(make_scene(cfg), desk_codebook, sched, plan2, 0)
 
         p1 = tmp_path / "par1.csv"
         p2 = tmp_path / "par4.csv"

@@ -15,6 +15,7 @@ from risjrc.harness import (
     get_codebook,
     load_config,
     resolve_schedule,
+    resolve_schedules,
     run_experiment,
     run_localization_trials,
     trial_rng,
@@ -22,7 +23,14 @@ from risjrc.harness import (
     wilson_halfwidth,
     write_default_config,
 )
-from risjrc.localization import SnapshotSchedule, beam_2d_index, descend, hierarchical_localize, make_scene
+from risjrc.localization import (
+    SnapshotSchedule,
+    StageEnsemble,
+    beam_2d_index,
+    descend,
+    hierarchical_localize,
+    make_scene,
+)
 
 from conftest import desk_cfg
 from test_cli import TINY_CONFIG
@@ -66,8 +74,9 @@ class TestConfigIO:
     def test_inconsistent_power_split_rejected(self, tmp_path):
         path = tmp_path / "bad3.cfg"
         path.write_text("[power]\ntotal = 30\nunits = dBm\np_r_watts = 0.9\np_u_watts = 0.9\n")
-        with pytest.raises(ValueError, match="p_r_watts"):
+        with pytest.raises(ValueError, match="p_r_watts") as e:
             load_config(str(path))
+        assert str(e.value).startswith(f"{path}: [power] p_r_watts, [power] p_u_watts: p_r_watts + p_u_watts = ")
 
     def test_bad_value_reports_location(self, tmp_path):
         path = tmp_path / "bad4.cfg"
@@ -91,8 +100,9 @@ class TestConfigIO:
     def test_out_of_range_plan_rejected(self, tmp_path, key, text):
         path = tmp_path / "bad5.cfg"
         path.write_text(f"[experiment]\n{key} = {text}\n")
-        with pytest.raises(ValueError, match=key):
+        with pytest.raises(ValueError, match=key) as e:
             load_config(str(path))
+        assert str(e.value).startswith(f"{path}: [experiment] {key}: {key} must be ")
 
     @pytest.mark.parametrize(
         "key, text",
@@ -108,8 +118,9 @@ class TestConfigIO:
     def test_out_of_range_solver_rejected(self, tmp_path, key, text):
         path = tmp_path / "bad7.cfg"
         path.write_text(f"[codebook]\n{key} = {text}\n")
-        with pytest.raises(ValueError, match=key):
+        with pytest.raises(ValueError, match=key) as e:
             load_config(str(path))
+        assert str(e.value).startswith(f"{path}: [codebook] {key}: {key} must be ")
 
     @pytest.mark.parametrize(
         "section, key, text, field",
@@ -122,8 +133,10 @@ class TestConfigIO:
     def test_non_finite_scenario_value_rejected(self, tmp_path, section, key, text, field):
         path = tmp_path / "bad6.cfg"
         path.write_text(f"[{section}]\n{key} = {text}\n")
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValueError, match=field) as e:
             load_config(str(path))
+        # the file's [section] key, then the message of the field it sets
+        assert str(e.value).startswith(f"{path}: [{section}] {key}: {field} must be ")
 
 
 class TestWilson:
@@ -192,8 +205,9 @@ class TestExperiments:
     def test_parallel_degree_independence(self, oracle_codebook_16):
         cfg = desk_cfg(n_ris=256, grid_size=16)
         sched = SnapshotSchedule((2, 1, 1, 1))
-        serial = run_localization_trials(cfg, oracle_codebook_16, sched, small_plan(parallel=1), 0)
-        parallel = run_localization_trials(cfg, oracle_codebook_16, sched, small_plan(parallel=2), 0)
+        scene = make_scene(cfg)
+        serial = run_localization_trials(scene, oracle_codebook_16, sched, small_plan(parallel=1), 0)
+        parallel = run_localization_trials(scene, oracle_codebook_16, sched, small_plan(parallel=2), 0)
         assert serial == parallel
 
     def test_row_count_stage_error(self, oracle_codebook_16):
@@ -223,6 +237,55 @@ class TestExperiments:
         alone = rows((42.0,))
         assert [r["metric"] for r in alone].count("calibrated_snapshots") == 4
         assert rows((39.0, 42.0, 45.0)) == alone
+
+    @pytest.mark.parametrize(
+        "kind, source",
+        [
+            ("overall-error-vs-P", "calibrated"),
+            ("snapshots-vs-P", "calibrated"),
+            ("stage-error-vs-P", "calibrated"),
+            ("transmission-count", "calibrated"),
+            ("overall-error-vs-P", "literal-rule"),
+            ("overall-error-vs-P", "manual"),
+        ],
+    )
+    def test_one_power_alone_matches_the_sweep(self, desk_codebook, kind, source):
+        powers = (39.0, 42.0, 45.0)
+        plan = small_plan(kind=kind, power_list=powers, schedule_source=source, calib_trials=1000)
+        cfgs = [desk_cfg().with_power(p) for p in powers]
+        swept = resolve_schedules([make_scene(c) for c in cfgs], plan, desk_codebook)
+        alone = [resolve_schedule(c, plan, desk_codebook) for c in cfgs]
+        assert swept == alone
+        if source == "calibrated":
+            assert all(len(calibs) == 4 for _, calibs in swept)
+            assert len({schedule for schedule, _ in swept}) > 1  # the powers calibrate to different counts
+
+    @pytest.mark.parametrize(
+        "kind, ensembles_per_stage",
+        [
+            ("overall-error-vs-P", 1),
+            ("snapshots-vs-P", 1),
+            ("transmission-count", 1),
+            ("stage-error-vs-P", 1 + 2),  # plus one stage_error ensemble per power point
+        ],
+    )
+    def test_calibrated_sweep_draws_once_per_stage(self, desk_codebook, monkeypatch, kind, ensembles_per_stage):
+        built = {"ensembles": 0, "scenes": 0}
+        init, make = StageEnsemble.__init__, harness.make_scene
+
+        def counting_init(self, *args):
+            built["ensembles"] += 1
+            init(self, *args)
+
+        def counting_make(cfg):
+            built["scenes"] += 1
+            return make(cfg)
+
+        monkeypatch.setattr(StageEnsemble, "__init__", counting_init)
+        monkeypatch.setattr(harness, "make_scene", counting_make)
+        plan = small_plan(kind=kind, power_list=(39.0, 45.0), trials=50, schedule_source="calibrated", calib_trials=200)
+        run_experiment(plan, desk_cfg(), desk_codebook)
+        assert built == {"ensembles": 4 * ensembles_per_stage, "scenes": 2}
 
     def test_transmission_count_rows(self, oracle_codebook_16):
         cfg = desk_cfg(n_ris=256, grid_size=16)
@@ -324,7 +387,7 @@ class TestTrialReproducibility:
             return swept[-1]
 
         monkeypatch.setattr(harness, "descend", recording)
-        outcomes = run_localization_trials(cfg_p, cb, schedule, plan, 0)
+        outcomes = run_localization_trials(make_scene(cfg_p), cb, schedule, plan, 0)
         (stages,) = swept
         assert len(rows) == len(stages) == cfg.n_stages
         for s, (row, (pairs, stats, chosen, _, correct)) in enumerate(zip(rows, stages), start=1):
@@ -336,9 +399,9 @@ class TestTrialReproducibility:
 
     def test_uneven_blocks_match_serial(self, desk_codebook):
         # 1001 trials split 333/334/334 over three workers: every block must start at its own counter
-        cfg = desk_cfg(39.0)
+        scene = make_scene(desk_cfg(39.0))
         sched = SnapshotSchedule((5, 2, 1, 1))
-        serial = run_localization_trials(cfg, desk_codebook, sched, small_plan(trials=1001, parallel=1), 0)
-        split = run_localization_trials(cfg, desk_codebook, sched, small_plan(trials=1001, parallel=3), 0)
+        serial = run_localization_trials(scene, desk_codebook, sched, small_plan(trials=1001, parallel=1), 0)
+        split = run_localization_trials(scene, desk_codebook, sched, small_plan(trials=1001, parallel=3), 0)
         assert serial == split
         assert 0 < sum(o[1] for o in serial) < 1001  # outcomes vary, so a repeated block would show

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from risjrc.channels import (
@@ -417,7 +417,8 @@ class TestCalibration:
         cfg = desk_cfg(sigma_b2_dbm=-math.inf)
         scene = make_scene(cfg)
         for s in range(1, cfg.n_stages + 1):
-            res = calibrate_snapshots(scene, desk_codebook, s, 0.05, np.random.default_rng(s), trials=1000, t_max=8)
+            ens = StageEnsemble(scene, desk_codebook, s, 1000, np.random.default_rng(s))
+            res = calibrate_snapshots(ens, 0.05, t_max=8)
             assert res.feasible and res.t_s == 1
 
     def test_error_monotone_in_snapshots(self, desk_codebook):
@@ -432,7 +433,7 @@ class TestCalibration:
     def test_infeasible_reported(self, desk_codebook):
         cfg = desk_cfg(20.0)  # far too little power for one-snapshot accuracy
         scene = make_scene(cfg)
-        res = calibrate_snapshots(scene, desk_codebook, 1, 0.05, np.random.default_rng(1), trials=500, t_max=2)
+        res = calibrate_snapshots(StageEnsemble(scene, desk_codebook, 1, 500, np.random.default_rng(1)), 0.05, t_max=2)
         assert not res.feasible
         assert res.t_s is None
 
@@ -456,8 +457,8 @@ class TestCalibration:
             return error_rate(self, t_s)
 
         monkeypatch.setattr(StageEnsemble, "error_rate", recording)
-        scene = make_scene(cfg)
-        calibrate_snapshots(scene, desk_codebook, stage, 0.05, np.random.default_rng(3), trials=500, t_max=t_max)
+        ens = StageEnsemble(make_scene(cfg), desk_codebook, stage, 500, np.random.default_rng(3))
+        calibrate_snapshots(ens, 0.05, t_max=t_max)
         assert seen == expected
 
     @settings(max_examples=20, deadline=None)
@@ -472,6 +473,23 @@ class TestCalibration:
         for t in counts:
             alone = StageEnsemble(scene, desk_codebook, stage, 300, np.random.default_rng(seed))
             assert shared.error_rate(t) == alone.error_rate(t)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        probes=st.lists(st.tuples(st.sampled_from((39.0, 42.0, 45.0)), st.integers(1, 200)), min_size=1, max_size=5),
+        stage=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(probes=[(39.0, 200), (45.0, 10)], stage=1, seed=5)
+    def test_power_views_read_the_draws_of_a_fresh_ensemble(self, desk_codebook, probes, stage, seed):
+        # views at other powers share one chunk store: a count probed through any view reads what a
+        # fresh ensemble at that view's power reads, whichever view drew the chunks first
+        ens = StageEnsemble(desk_scene(36.0), desk_codebook, stage, 300, np.random.default_rng(seed))
+        views = {p: ens.at(desk_scene(p)) for p in (39.0, 42.0, 45.0)}
+        for p, t in probes:
+            fresh = StageEnsemble(desk_scene(p), desk_codebook, stage, 300, np.random.default_rng(seed))
+            assert views[p].error_rate(t) == fresh.error_rate(t)
+        assert len(ens.chunks.words) == -(-max(t for _, t in probes) // 64)
 
     def test_ensemble_layout_rebuilt_from_raw_words(self, desk_codebook, monkeypatch):
         # per trial 16 words of normals (fading, then 4 real and 4 imaginary noise parts), then
@@ -543,13 +561,14 @@ class TestInputRanges:
         with pytest.raises(ValueError, match=r"stage must be in 1\.\.3"):
             stage_error(make_scene(cfg), cb, stage, 1, 10, np.random.default_rng(0))
         with pytest.raises(ValueError, match=r"stage must be in 1\.\.3"):
-            calibrate_snapshots(make_scene(cfg), cb, stage, 0.05, np.random.default_rng(0), trials=10)
+            calibrate_snapshots(StageEnsemble(make_scene(cfg), cb, stage, 10, np.random.default_rng(0)), 0.05)
 
     @pytest.mark.parametrize("delta", [math.nan, 0.0, 1.0, 1.5])
     def test_calibration_rejects_delta_out_of_range(self, delta):
         cfg = tiny_cfg()
+        ens = StageEnsemble(make_scene(cfg), build_matched_codebook(cfg), 1, 10, np.random.default_rng(0))
         with pytest.raises(ValueError, match=r"delta must be in \(0, 1\)"):
-            calibrate_snapshots(make_scene(cfg), build_matched_codebook(cfg), 1, delta, np.random.default_rng(0), trials=10)
+            calibrate_snapshots(ens, delta)
 
     @pytest.mark.parametrize("t_s", [(1.5, 2, 3), (2.0, 2, 3), (np.float64(2), 2, 3), (True, 2, 3), ("2", 2, 3)])
     def test_schedule_rejects_non_integer_counts(self, t_s):
