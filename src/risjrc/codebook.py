@@ -15,6 +15,17 @@ A(0) diag(r(v_b)), and the unit-modulus projection, the free-phase target
 and the matched start all commute with that diagonal, so the fit for
 incidence v_b is conj(r(v_b)) times the canonical fit started from r(v_b)
 times the start.
+
+Each iteration runs in Gram form, with no D-wide product.  With the
+weights W^2 = 1 + (w_on - 1) diag(on) and y = A(0) h, the gradient
+W^2 y - W t, taken back through conj(A(0)), is h G + c conj(A_I): G =
+A(0)^T conj(A(0)) is one l_s x l_s matrix per stage, A_I holds the b =
+D / 2**s rows of the row's partition, and c = (w_on - 1) y_I - w_on l_s u_I
+with u_I the target phases.  The squared residual is
+Re sum conj(h) (h G) - sum |y_I|^2 + w_on sum |y_I - l_s u_I|^2.  Inside the
+loop the iterate is projected as g / |g|; the stage's ramped output goes
+through ``unit_modulus_projection``, exp(j angle(g)), which is
+bit-idempotent where g / |g| is not.
 """
 
 from __future__ import annotations
@@ -112,6 +123,16 @@ def unit_modulus_projection(g: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.angle(g))
 
 
+def _unit_phase(g: np.ndarray) -> np.ndarray:
+    """g / |g| with exact zeros mapped to 1, as exp(j angle(0)) gives: the solver's in-loop projection.
+
+    About three times cheaper than ``unit_modulus_projection``, but not bit-idempotent (a second pass
+    moves some entries by one ulp), so stage outputs still go through ``unit_modulus_projection``.
+    """
+    mag = np.abs(g)
+    return np.divide(g, mag, out=np.ones_like(g), where=mag > 0)
+
+
 def matched_axis_beam(v_incident: float, v_out: float, n: int, spacing: float) -> np.ndarray:
     """Closed-form profile steering an incident plane wave toward ``v_out``."""
     return ris_axis_steering(v_incident, n, spacing).conj() * ris_axis_steering(v_out, n, spacing)
@@ -145,6 +166,11 @@ def design_sensing_phases(
     perturbed by ``rngs[k]``.  All starts of all beams are rows of one batched solve on the canonical
     rows A(0), each stopped by its own rule; the best iterate per row, then per beam, wins (earliest on
     ties).  ``s`` stays the first positional argument: perfbench's tracer reads each span's stage from it.
+
+    Each iteration costs one (rows x l_s) @ (l_s x l_s) product with the stage's Gram matrix plus
+    products with each row's b on-partition rows of A(0), gathered once and compacted with the rows
+    (see the module docstring for the algebra).  Iterates are projected as g / |g|, exact zeros to 1;
+    the ramped-back output uses ``unit_modulus_projection``.
     """
     if l_s < 1:
         raise ValueError("sensing element count must be >= 1")
@@ -165,27 +191,33 @@ def design_sensing_phases(
     n_starts = params.n_starts
     pert = np.stack([np.vstack([np.zeros(l_s), rng.standard_normal((n_starts - 1, l_s))]) for rng in rngs])
     h = np.exp(1j * (phase0[:, None, :] + params.init_perturbation * pert)).reshape(-1, l_s)
-    w, on, mu = (np.repeat(x, n_starts, axis=0) for x in (wts, masks, mu[:, None]))
-    a0_t, a0_c = np.ascontiguousarray(a0.T), a0.conj()
-    t_on = math.sqrt(w_on) * l_s  # weighted target magnitude on the partition; zero off it
+    mu = np.repeat(mu, n_starts)[:, None]
+    gram = a0.T @ a0.conj()
+    a_on = a0[np.repeat([p.indices - 1 for p in specs], n_starts, axis=0)]  # each row's partition rows A_I, n x b x l_s
+    a_on_c = a_on.conj()
+    fixed = params.target_phase == "fixed"
 
-    def weighted_residual(h, w, on):
-        y = h @ a0_t
-        r = w * y
-        r[on] -= t_on * np.exp(1j * np.angle(y[on])) if params.target_phase == "free" else t_on
-        return r, np.linalg.norm(r, axis=1)
+    def gram_terms(h, a_on):
+        """h G, the on-partition gradient weights c and the residual of rows h, with no n x D product."""
+        hg = h @ gram
+        y = np.einsum("nbl,nl->nb", a_on, h)  # on-partition responses A_I h
+        mag = np.abs(y)
+        c = (w_on - 1.0) * y - w_on * l_s * (1.0 if fixed else _unit_phase(y))
+        dev = np.abs(y - l_s) if fixed else mag - l_s
+        res2 = np.vecdot(h, hg).real + (w_on * dev**2 - mag**2).sum(axis=1)  # vecdot conjugates h
+        return hg, c, np.sqrt(np.maximum(res2, 0.0))
 
-    r, res = weighted_residual(h, w, on)
+    hg, c, res = gram_terms(h, a_on)
     best_h, best_res, prev = h.copy(), res.copy(), res
     ids = np.arange(len(h))  # rows still iterating
     for _ in range(params.max_iters):
-        h = unit_modulus_projection(h - mu * ((w * r) @ a0_c))
-        r, res = weighted_residual(h, w, on)
+        h = _unit_phase(h - mu * (hg + (c[:, None, :] @ a_on_c)[:, 0]))
+        hg, c, res = gram_terms(h, a_on)
         better = res < best_res[ids]  # strict: earliest iterate wins ties
         best_res[ids[better]], best_h[ids[better]] = res[better], h[better]
         going = ~(np.abs(prev - res) < params.tol * np.maximum(prev, 1e-300))
         if not going.all():
-            ids, h, r, w, on, mu, res = (x[going] for x in (ids, h, r, w, on, mu, res))
+            ids, h, hg, c, a_on, a_on_c, mu, res = (x[going] for x in (ids, h, hg, c, a_on, a_on_c, mu, res))
             if not ids.size:
                 break
         prev = res

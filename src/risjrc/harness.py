@@ -19,7 +19,6 @@ import functools
 import hashlib
 import math
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 
@@ -36,7 +35,7 @@ from .codebook import (
     mask_fidelity,
     sensing_response,
 )
-from .geometry import DirectionCosine, direction_grid
+from .geometry import DirectionCosine, axis_size, direction_grid
 from .localization import (
     Scene,
     SnapshotSchedule,
@@ -242,12 +241,19 @@ def load_config(path: str) -> tuple[ScenarioConfig, ExperimentPlan]:
                 values[owner][attr] = value
 
     scenario, base = values[ScenarioConfig], ScenarioConfig()
+    # these two range errors name no config field, so their keys are named here
+    for name in ("v_b", "v_u", "v_t"):
+        vx, vy = (scenario.pop(f"{name}.{c}", getattr(getattr(base, name), c)) for c in ("vx", "vy"))
+        try:
+            scenario[name] = DirectionCosine(vx, vy)
+        except ValueError as e:
+            bad = [f"{name}.{c}" for c, v in (("vx", vx), ("vy", vy)) if not abs(v) <= 1.0]
+            raise ValueError(f"{path}: {_key_prefix(bad)}{e}") from None
     try:
-        for name in ("v_b", "v_u", "v_t"):
-            default = getattr(base, name)
-            scenario[name] = DirectionCosine(
-                scenario.pop(f"{name}.vx", default.vx), scenario.pop(f"{name}.vy", default.vy)
-            )
+        axis_size(scenario.get("n_ris", base.n_ris))
+    except ValueError as e:
+        raise ValueError(f"{path}: {_key_prefix(['n_ris'])}{e}") from None
+    try:
         cfg = ScenarioConfig(**scenario)
         plan = ExperimentPlan(**values[ExperimentPlan], solver=SolverParams(**values[SolverParams]))
         plan.validate()
@@ -260,7 +266,12 @@ def _keys_named(message: str) -> str:
     """``[section] key: `` for each config key whose attribute a range error names as its subject
     (the text before " must " or " = "), or "" when it names none."""
     subject = re.split(" must | = ", message, maxsplit=1)[0]
-    keys = [f"[{sec}] {key}" for sec, key, _, attr, _ in CONFIG_FIELDS if re.search(rf"\b{re.escape(attr)}\b", subject)]
+    return _key_prefix([attr for *_, attr, _ in CONFIG_FIELDS if re.search(rf"\b{re.escape(attr)}\b", subject)])
+
+
+def _key_prefix(attrs: list) -> str:
+    """``[section] key, ...: `` for the config keys that set ``attrs``, or "" for none."""
+    keys = [f"[{sec}] {key}" for sec, key, _, attr, _ in CONFIG_FIELDS if attr in attrs]
     return f"{', '.join(keys)}: " if keys else ""
 
 
@@ -454,6 +465,8 @@ def run_localization_trials(
     if plan.parallel <= 1:
         blocks = map(_run_trial_block, args)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # lazy: keeps multiprocessing out of `import risjrc`
+
         with ProcessPoolExecutor(max_workers=plan.parallel) as pool:
             blocks = list(pool.map(_run_trial_block, args))
     return [r for block in blocks for r in block]  # contiguous blocks, in trial order

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from risjrc.codebook import (
     SolverParams,
+    _unit_phase,
     assemble_stage,
     auto_on_weight,
     build_codebook,
@@ -140,6 +142,14 @@ class TestSensingDesign:
         g, _ = fit_one_beam(2, 1, 8, 0.133, grid, rng=np.random.default_rng(2))
         np.testing.assert_array_equal(unit_modulus_projection(g), g)
 
+    def test_in_loop_projection_maps_zero_to_one(self):
+        g = np.array([0j, 3 - 4j, -2 + 0j, 1e-300j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = _unit_phase(g)
+        assert u[0] == 1
+        np.testing.assert_allclose(u, unit_modulus_projection(g), rtol=0, atol=1e-15)
+
     def test_final_stage_keeps_matched_gain(self):
         # single-cell partition designed with the full aperture
         d = 16
@@ -165,7 +175,7 @@ class TestSensingDesign:
     @settings(max_examples=40, deadline=None)
     @given(
         data=st.data(),
-        s=st.integers(1, 3),
+        s=st.integers(1, 4),
         l_s=st.integers(2, 12),
         v_b=st.floats(-1.0, 1.0),
         seed=st.none() | st.integers(0, 2**32 - 1),

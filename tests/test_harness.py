@@ -1,10 +1,14 @@
 import csv
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import risjrc
 from risjrc import cli, harness
 from risjrc.channels import ScenarioConfig
 from risjrc.harness import (
@@ -137,6 +141,21 @@ class TestConfigIO:
             load_config(str(path))
         # the file's [section] key, then the message of the field it sets
         assert str(e.value).startswith(f"{path}: [{section}] {key}: {field} must be ")
+
+    @pytest.mark.parametrize(
+        "section, key, text, message",
+        [
+            ("directions", "v_bx", "3", "direction cosines must lie in [-1, 1], got (3.0, -0.112)"),
+            ("directions", "v_ty", "nan", "direction cosines must be finite"),
+            ("arrays", "n_ris", "10", "RIS element count must be a perfect square, got 10"),
+        ],
+    )
+    def test_range_error_naming_no_field_names_its_key(self, tmp_path, section, key, text, message):
+        path = tmp_path / "bad8.cfg"
+        path.write_text(f"[{section}]\n{key} = {text}\n")
+        with pytest.raises(ValueError) as e:
+            load_config(str(path))
+        assert str(e.value) == f"{path}: [{section}] {key}: {message}"
 
 
 class TestWilson:
@@ -405,3 +424,12 @@ class TestTrialReproducibility:
         split = run_localization_trials(scene, desk_codebook, sched, small_plan(trials=1001, parallel=3), 0)
         assert serial == split
         assert 0 < sum(o[1] for o in serial) < 1001  # outcomes vary, so a repeated block would show
+
+
+def test_import_does_not_load_multiprocessing():
+    """The process pool is imported only by a parallel sweep, so a fresh ``import risjrc`` stays light."""
+    src = os.path.dirname(os.path.dirname(risjrc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, risjrc; print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
