@@ -51,6 +51,7 @@ from .comms import (
 )
 from .geometry import (
     DirectionCosine,
+    FieldError,
     direction_cosines,
     direction_grid,
     ris_axis_steering,

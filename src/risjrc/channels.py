@@ -14,7 +14,9 @@ import numpy as np
 
 from .geometry import (
     DirectionCosine,
+    FieldError,
     axis_size,
+    check_fields,
     direction_grid,
     ris_axis_steering,
     ris_full_steering,
@@ -86,31 +88,19 @@ class ScenarioConfig:
         for name in ("p_r_watts", "p_u_watts"):
             if getattr(self, name) is None:
                 setattr(self, name, self.p_total_watts / 2)
-        self.validate()
-
-    def validate(self):
         for f in fields(self):
             value = getattr(self, f.name)
             # -inf dBm is a noiseless receiver (0 W), not a malformed value
             noiseless = value == -math.inf and f.name in ("sigma_b2_dbm", "sigma_u2_dbm")
             if isinstance(value, float) and not math.isfinite(value) and not noiseless:
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-        if self.ris_spacing <= 0:
-            raise ValueError(f"ris_spacing must be > 0, got {self.ris_spacing!r}")
-        if self.grid_size < 2 or self.grid_size & (self.grid_size - 1):
-            raise ValueError(f"grid_size must be a power of two >= 2, got {self.grid_size}")
+                raise FieldError((f.name,), f"{f.name} must be finite, got {value!r}")
+        check_fields(self, _SCENARIO_RULES)
         axis_size(self.n_ris)
-        if self.pathloss_model not in PATHLOSS_MODELS:
-            raise ValueError(f"pathloss_model must be one of {PATHLOSS_MODELS}")
-        if self.power_units not in ("dBm", "dB"):
-            raise ValueError("power_units must be 'dBm' or 'dB'")
-        if self.p_r_watts < 0 or self.p_u_watts < 0:
-            raise ValueError(f"p_r_watts and p_u_watts must be >= 0, got {self.p_r_watts!r} and {self.p_u_watts!r}")
         total = self.p_total_watts
         if not math.isclose(self.p_r_watts + self.p_u_watts, total, rel_tol=1e-9, abs_tol=1e-30):
-            raise ValueError(
-                f"p_r_watts + p_u_watts = {self.p_r_watts + self.p_u_watts!r} "
-                f"does not match total power {total!r} W"
+            raise FieldError(
+                ("p_r_watts", "p_u_watts"),
+                f"p_r_watts + p_u_watts = {self.p_r_watts + self.p_u_watts!r} does not match total power {total!r} W",
             )
 
     @property
@@ -148,6 +138,18 @@ class ScenarioConfig:
     @property
     def grid(self) -> np.ndarray:
         return direction_grid(self.grid_size)
+
+
+# (field, rule, check) rows for ScenarioConfig's single-field ranges; the finiteness loop runs first
+_SCENARIO_RULES = (
+    *((name, ">= 1", lambda x: x >= 1) for name in ("n_b", "n_u")),
+    ("grid_size", "a power of two >= 2", lambda x: x >= 2 and not x & (x - 1)),
+    *((name, "> 0", lambda x: x > 0) for name in ("d_bu", "d_br", "d_ru", "d_rt")),
+    ("pathloss_model", f"one of {PATHLOSS_MODELS}", lambda x: x in PATHLOSS_MODELS),
+    ("power_units", "'dBm' or 'dB'", lambda x: x in ("dBm", "dB")),
+    ("ris_spacing", "in (0, 0.5] wavelengths", lambda x: 0 < x <= 0.5),
+    *((name, ">= 0", lambda x: x >= 0) for name in ("p_r_watts", "p_u_watts")),
+)
 
 
 def pathloss(d: float, alpha: float, eta0_db: float, model: str = "literal") -> float:

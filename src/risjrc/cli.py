@@ -29,7 +29,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--trials", type=int, help="trials-per-point override")
     p.add_argument("--out", help="output file path")
     p.add_argument("--codebook", help="load a previously designed codebook file")
-    p.add_argument("--parallel", type=int, help="worker process count")
+    p.add_argument("--parallel", type=int, help="worker thread count")
 
 
 def _load(args, kind: str):

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ScenarioConfig
-from .geometry import direction_grid, ris_axis_steering
+from .geometry import check_fields, direction_grid, ris_axis_steering
 
 CODEBOOK_MAGIC = b"RISCB1\n"
 _JSON_KINDS = {"an integer": int, "a number": (int, float), "a list": list}
@@ -91,9 +91,7 @@ class SolverParams:
     residual_ceiling_factor: float = 1.0  # warn when residual > factor * L * sqrt(D)
 
     def __post_init__(self):
-        for name, rule, ok in _SOLVER_RULES:
-            if not ok(getattr(self, name)):
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        check_fields(self, _SOLVER_RULES)
 
 
 # (field, rule, check); chained comparisons with math.inf also reject nan

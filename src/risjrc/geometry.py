@@ -18,6 +18,22 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class FieldError(ValueError):
+    """A value that a config type rejects; ``fields`` names the attributes at fault."""
+
+    def __init__(self, fields, message: str):
+        super().__init__(message)
+        self.fields = tuple(fields)
+
+
+def check_fields(obj, rules):
+    """Raise a FieldError for the first ``(field, rule, check)`` row whose check ``obj`` fails."""
+    for name, rule, ok in rules:
+        value = getattr(obj, name)
+        if not ok(value):
+            raise FieldError((name,), f"{name} must be {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DirectionCosine:
     """Point (vx, vy) on the unit disk of direction cosines."""
@@ -26,10 +42,10 @@ class DirectionCosine:
     vy: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.vx) and math.isfinite(self.vy)):
-            raise ValueError("direction cosines must be finite")
-        if abs(self.vx) > 1.0 or abs(self.vy) > 1.0:
-            raise ValueError(f"direction cosines must lie in [-1, 1], got ({self.vx}, {self.vy})")
+        if bad := [c for c in ("vx", "vy") if not math.isfinite(getattr(self, c))]:
+            raise FieldError(bad, "direction cosines must be finite")
+        if bad := [c for c in ("vx", "vy") if abs(getattr(self, c)) > 1.0]:
+            raise FieldError(bad, f"direction cosines must lie in [-1, 1], got ({self.vx}, {self.vy})")
 
 
 def ula_steering(theta_deg: float, n_elems: int) -> np.ndarray:
@@ -82,10 +98,12 @@ def ris_full_steering(v: DirectionCosine, n_ris: int, spacing_wavelengths: float
 
 
 def axis_size(n_ris: int) -> int:
-    """Side length of the square RIS; rejects non-square element counts."""
+    """Side length of the square RIS; rejects empty and non-square element counts."""
+    if n_ris < 1:
+        raise FieldError(("n_ris",), f"RIS element count must be >= 1, got {n_ris}")
     n_axis = math.isqrt(n_ris)
     if n_axis * n_axis != n_ris:
-        raise ValueError(f"RIS element count must be a perfect square, got {n_ris}")
+        raise FieldError(("n_ris",), f"RIS element count must be a perfect square, got {n_ris}")
     return n_axis
 
 

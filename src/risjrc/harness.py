@@ -18,7 +18,6 @@ import csv
 import functools
 import hashlib
 import math
-import re
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 
@@ -35,7 +34,7 @@ from .codebook import (
     mask_fidelity,
     sensing_response,
 )
-from .geometry import DirectionCosine, axis_size, direction_grid
+from .geometry import DirectionCosine, check_fields, direction_grid
 from .localization import (
     Scene,
     SnapshotSchedule,
@@ -99,17 +98,7 @@ class ExperimentPlan:
     solver: SolverParams = field(default_factory=SolverParams)
 
     def validate(self):
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if not self.power_list:
-            raise ValueError("power_list must be non-empty")
-        for name in ("trials", "parallel", "t_max", "calib_trials", "t_per_beam"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must be in (0, 1)")
-        if self.schedule_source not in SCHEDULE_SOURCES:
-            raise ValueError(f"schedule_source must be one of {SCHEDULE_SOURCES}")
+        check_fields(self, _PLAN_RULES)
 
 
 def trial_rng(master_seed: int, experiment: str, point_index: int, trial: int, width: int) -> np.random.Generator:
@@ -217,8 +206,9 @@ CONFIG_FIELDS = (
 def load_config(path: str) -> tuple[ScenarioConfig, ExperimentPlan]:
     """Parse and validate a scenario + experiment config file.
 
-    Unknown sections or keys are rejected with their location; invariant
-    violations surface as named-field errors from the dataclasses.
+    Unknown sections or keys are rejected with their location; a value out of
+    range fails as ``<path>: [section] key: <message>``, the keys being those
+    that set the fields its :class:`FieldError` names.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     with open(path) as f:
@@ -241,38 +231,18 @@ def load_config(path: str) -> tuple[ScenarioConfig, ExperimentPlan]:
                 values[owner][attr] = value
 
     scenario, base = values[ScenarioConfig], ScenarioConfig()
-    # these two range errors name no config field, so their keys are named here
-    for name in ("v_b", "v_u", "v_t"):
-        vx, vy = (scenario.pop(f"{name}.{c}", getattr(getattr(base, name), c)) for c in ("vx", "vy"))
-        try:
+    try:
+        for name in ("v_b", "v_u", "v_t"):
+            vx, vy = (scenario.pop(f"{name}.{c}", getattr(getattr(base, name), c)) for c in ("vx", "vy"))
             scenario[name] = DirectionCosine(vx, vy)
-        except ValueError as e:
-            bad = [f"{name}.{c}" for c, v in (("vx", vx), ("vy", vy)) if not abs(v) <= 1.0]
-            raise ValueError(f"{path}: {_key_prefix(bad)}{e}") from None
-    try:
-        axis_size(scenario.get("n_ris", base.n_ris))
-    except ValueError as e:
-        raise ValueError(f"{path}: {_key_prefix(['n_ris'])}{e}") from None
-    try:
         cfg = ScenarioConfig(**scenario)
         plan = ExperimentPlan(**values[ExperimentPlan], solver=SolverParams(**values[SolverParams]))
         plan.validate()
-    except ValueError as e:
-        raise ValueError(f"{path}: {_keys_named(str(e))}{e}") from None
+    except ValueError as e:  # a FieldError names the attributes at fault; "vx", "vy" those of direction `name`
+        attrs = [f"{name}.{f}" if f in ("vx", "vy") else f for f in getattr(e, "fields", ())]
+        keys = ", ".join(f"[{sec}] {key}" for sec, key, _, attr, _ in CONFIG_FIELDS if attr in attrs)
+        raise ValueError(f"{path}: {keys + ': ' if keys else ''}{e}") from None
     return cfg, plan
-
-
-def _keys_named(message: str) -> str:
-    """``[section] key: `` for each config key whose attribute a range error names as its subject
-    (the text before " must " or " = "), or "" when it names none."""
-    subject = re.split(" must | = ", message, maxsplit=1)[0]
-    return _key_prefix([attr for *_, attr, _ in CONFIG_FIELDS if re.search(rf"\b{re.escape(attr)}\b", subject)])
-
-
-def _key_prefix(attrs: list) -> str:
-    """``[section] key, ...: `` for the config keys that set ``attrs``, or "" for none."""
-    keys = [f"[{sec}] {key}" for sec, key, _, attr, _ in CONFIG_FIELDS if attr in attrs]
-    return f"{', '.join(keys)}: " if keys else ""
 
 
 def write_default_config(path: str):
@@ -439,19 +409,6 @@ def resolve_schedule(cfg: ScenarioConfig, plan: ExperimentPlan, cb: Codebook) ->
     return resolve_schedules([make_scene(cfg)], plan, cb)[0]
 
 
-def _run_trial_block(args) -> list:
-    """Worker: run a contiguous range of localization trials from one draw, return compact outcomes."""
-    scene, cb, schedule, master_seed, kind, point_index, trials = args
-    width = trial_width(schedule)
-    rng = trial_rng(master_seed, kind, point_index, trials.start, width)
-    words = rng.bit_generator.random_raw((len(trials), width))
-    stages = descend(scene, cb, schedule, words)
-    correct = np.stack([stage[-1] for stage in stages], axis=1).tolist()
-    transmissions = hierarchical_transmissions(schedule)
-    # the last stage's pair is the estimated cell, so its correctness is the trial's success
-    return [(t, ok[-1], tuple(ok), transmissions) for t, ok in zip(trials, correct)]
-
-
 def run_localization_trials(
     scene: Scene,
     cb: Codebook,
@@ -459,17 +416,29 @@ def run_localization_trials(
     plan: ExperimentPlan,
     point_index: int,
 ) -> list:
-    """All trials of one power point; order-stable under any parallel degree."""
-    bounds = sorted({plan.trials * k // plan.parallel for k in range(plan.parallel + 1)})  # no empty block
-    args = [(scene, cb, schedule, plan.master_seed, plan.kind, point_index, range(*b)) for b in zip(bounds, bounds[1:])]
-    if plan.parallel <= 1:
-        blocks = map(_run_trial_block, args)
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # lazy: keeps multiprocessing out of `import risjrc`
+    """All trials of one power point, in trial order under any parallel degree: ``plan.parallel`` contiguous
+    blocks, each one draw and one batched descent, run on threads (numpy releases the GIL in most of each)."""
+    width = trial_width(schedule)
+    transmissions = hierarchical_transmissions(schedule)
 
-        with ProcessPoolExecutor(max_workers=plan.parallel) as pool:
-            blocks = list(pool.map(_run_trial_block, args))
-    return [r for block in blocks for r in block]  # contiguous blocks, in trial order
+    def run_block(trials: range) -> list:
+        rng = trial_rng(plan.master_seed, plan.kind, point_index, trials.start, width)
+        words = rng.bit_generator.random_raw((len(trials), width))
+        stages = descend(scene, cb, schedule, words)
+        correct = np.stack([stage[-1] for stage in stages], axis=1).tolist()
+        # the last stage's pair is the estimated cell, so its correctness is the trial's success
+        return [(t, ok[-1], tuple(ok), transmissions) for t, ok in zip(trials, correct)]
+
+    bounds = sorted({plan.trials * k // plan.parallel for k in range(plan.parallel + 1)})  # no empty block
+    blocks = [range(*b) for b in zip(bounds, bounds[1:])]
+    if plan.parallel <= 1:
+        outcomes = map(run_block, blocks)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # lazy: keeps concurrent.futures out of `import risjrc`
+
+        with ThreadPoolExecutor(max_workers=plan.parallel) as pool:
+            outcomes = list(pool.map(run_block, blocks))
+    return [r for block in outcomes for r in block]  # contiguous blocks, in trial order
 
 
 def _power_points(cfg: ScenarioConfig, plan: ExperimentPlan, add):
@@ -592,6 +561,17 @@ _EXPERIMENTS = {
 }
 EXPERIMENT_KINDS = tuple(_EXPERIMENTS)
 _EXPERIMENT_IDS = {kind: n for n, kind in enumerate(EXPERIMENT_KINDS, start=1)}
+
+# (field, rule, check) rows for ExperimentPlan.validate; chained comparisons also reject nan
+_PLAN_RULES = (
+    ("kind", f"one of {EXPERIMENT_KINDS}", lambda x: x in EXPERIMENT_KINDS),
+    ("power_list", "non-empty and finite", lambda x: len(x) > 0 and all(map(math.isfinite, x))),
+    *((name, ">= 1", lambda x: x >= 1) for name in ("trials", "parallel", "t_max", "calib_trials", "t_per_beam")),
+    *((name, ">= 0", lambda x: x >= 0) for name in ("master_seed", "design_seed")),
+    ("delta", "in (0, 1)", lambda x: 0 < x < 1),
+    ("schedule_source", f"one of {SCHEDULE_SOURCES}", lambda x: x in SCHEDULE_SOURCES),
+    *((name, "unset or entries >= 1", lambda x: not x or min(x) >= 1) for name in ("snapshots", "schedule_ls")),
+)
 
 
 def run_experiment(plan: ExperimentPlan, cfg: ScenarioConfig, cb: Codebook | None = None) -> ResultTable:

@@ -5,6 +5,7 @@ import pytest
 
 from risjrc.geometry import (
     DirectionCosine,
+    FieldError,
     axis_size,
     direction_cosines,
     direction_grid,
@@ -106,6 +107,23 @@ class TestRisSteering:
         with pytest.raises(ValueError):
             ris_full_steering(DirectionCosine(0, 0), 15)
         assert axis_size(64) == 8
+
+    @pytest.mark.parametrize("n_ris", [0, -1, 15])
+    def test_bad_count_names_its_field(self, n_ris):
+        with pytest.raises(FieldError) as e:
+            axis_size(n_ris)
+        assert e.value.fields == ("n_ris",)
+
+
+class TestFieldErrors:
+    @pytest.mark.parametrize(
+        "vx, vy, fields",
+        [(math.nan, 0.0, ("vx",)), (0.0, math.inf, ("vy",)), (1.5, -2.0, ("vx", "vy")), (0.5, -1.01, ("vy",))],
+    )
+    def test_direction_cosine_names_the_components_at_fault(self, vx, vy, fields):
+        with pytest.raises(FieldError) as e:
+            DirectionCosine(vx, vy)
+        assert e.value.fields == fields
 
 
 class TestInvariants:

@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 import risjrc
 from risjrc import cli, harness
 from risjrc.channels import ScenarioConfig
+from risjrc.codebook import SolverParams
+from risjrc.geometry import FieldError
 from risjrc.harness import (
     ExperimentPlan,
     ResultTable,
@@ -38,6 +41,15 @@ from risjrc.localization import (
 
 from conftest import desk_cfg
 from test_cli import TINY_CONFIG
+
+
+# an out-of-range text per parser, and explicit cases for the list keys
+_BAD_TEXT = {int: "-1", float: "nan", harness._auto_float: "nan", str: "bogus"}
+_BAD_LISTS = [
+    ("codebook", "schedule", "4, 0, 16, 16, 16"),
+    ("experiment", "power_list", "39, nan"),
+    ("experiment", "snapshots", "2, 0, 1, 1, 1"),
+]
 
 
 class TestConfigIO:
@@ -156,6 +168,48 @@ class TestConfigIO:
         with pytest.raises(ValueError) as e:
             load_config(str(path))
         assert str(e.value) == f"{path}: [{section}] {key}: {message}"
+
+    @pytest.mark.parametrize(
+        "section, key, text",
+        [
+            *((sec, key, _BAD_TEXT[parse]) for sec, key, *_, parse in harness.CONFIG_FIELDS if parse in _BAD_TEXT),
+            *_BAD_LISTS,
+            ("experiment", "kind", "power_list"),  # another key's name is no reason to name that key
+            ("arrays", "n_ris", "0"),
+            ("distances_m", "d_br", "0"),
+            ("ris", "spacing_wavelengths", "0.75"),
+        ],
+    )
+    def test_every_key_rejects_out_of_range_at_load(self, tmp_path, section, key, text):
+        path = tmp_path / "bad9.cfg"
+        path.write_text(f"[{section}]\n{key} = {text}\n")
+        with pytest.raises(ValueError) as e:
+            load_config(str(path))
+        assert str(e.value).startswith(f"{path}: [{section}] {key}: ")
+
+    def test_out_of_range_cases_cover_every_key(self):
+        scalar = {(sec, key) for sec, key, *_, parse in harness.CONFIG_FIELDS if parse in _BAD_TEXT}
+        lists = {(sec, key) for sec, key, _ in _BAD_LISTS}
+        assert scalar | lists == {(sec, key) for sec, key, *_ in harness.CONFIG_FIELDS}
+
+
+
+class TestFieldErrors:
+    @pytest.mark.parametrize(
+        "make, fields",
+        [
+            (lambda: ScenarioConfig(n_u=0), ("n_u",)),
+            (lambda: ScenarioConfig(d_rt=-5.0), ("d_rt",)),
+            (lambda: ScenarioConfig(p_r_watts=1.0, p_u_watts=1.0), ("p_r_watts", "p_u_watts")),
+            (lambda: SolverParams(n_starts=0), ("n_starts",)),
+            (lambda: ExperimentPlan(power_list=(39.0, math.inf)).validate(), ("power_list",)),
+            (lambda: ExperimentPlan(master_seed=-1).validate(), ("master_seed",)),
+        ],
+    )
+    def test_config_types_name_the_fields_at_fault(self, make, fields):
+        with pytest.raises(FieldError) as e:
+            make()
+        assert e.value.fields == fields
 
 
 class TestWilson:
@@ -425,11 +479,24 @@ class TestTrialReproducibility:
         assert serial == split
         assert 0 < sum(o[1] for o in serial) < 1001  # outcomes vary, so a repeated block would show
 
+    def test_many_threads_switching_often_match_serial(self, desk_codebook):
+        # more worker threads than cores, switching every microsecond; they share the scene and codebook
+        scene = make_scene(desk_cfg(39.0))
+        sched = SnapshotSchedule((5, 2, 1, 1))
+        serial = run_localization_trials(scene, desk_codebook, sched, small_plan(trials=800, parallel=1), 0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_localization_trials(scene, desk_codebook, sched, small_plan(trials=800, parallel=16), 0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert serial == threaded
+
 
 def test_import_does_not_load_multiprocessing():
-    """The process pool is imported only by a parallel sweep, so a fresh ``import risjrc`` stays light."""
+    """The thread pool is imported only by a parallel sweep, so a fresh ``import risjrc`` stays light."""
     src = os.path.dirname(os.path.dirname(risjrc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, risjrc; print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"
+    code = "import sys, risjrc; print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
