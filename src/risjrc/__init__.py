@@ -69,9 +69,7 @@ from .harness import (
 from .localization import (
     CalibrationResult,
     SnapshotSchedule,
-    StageDecision,
     StageEnsemble,
-    TrialRecord,
     beam_statistic,
     calibrate_snapshots,
     exhaustive_localize,

@@ -16,11 +16,12 @@ from .harness import (
     load_config,
     resolve_schedule,
     run_experiment,
+    trace_rows,
     trial_rng,
     trial_trace_csv,
     write_default_config,
 )
-from .localization import hierarchical_localize, make_scene, trial_width
+from .localization import hierarchical_localize, hierarchical_transmissions, make_scene, trial_width, true_cell
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -44,6 +45,7 @@ def _load(args, kind: str):
         plan.trials = args.trials
     if args.parallel is not None:
         plan.parallel = args.parallel
+    plan.validate()
     cb = load_codebook(args.codebook) if args.codebook else None
     return cfg, plan, cb
 
@@ -65,18 +67,16 @@ def _localize(args, kind):
     schedule, _ = resolve_schedule(cfg_p, plan, book)
     scene = make_scene(cfg_p)
     rng = trial_rng(plan.master_seed, plan.kind, 0, 0, trial_width(schedule))
-    rec = hierarchical_localize(scene, book, schedule, rng)
-    for dec in rec.stages:
-        print(
-            f"stage {dec.stage}: beams {dec.beam_indices} "
-            f"stats {[f'{v:.3e}' for v in dec.statistics]} -> chose {dec.chosen} (T={dec.t_s})"
-        )
+    stages = hierarchical_localize(scene, book, schedule, rng)
+    for _, _, _, s, beams, stats, chosen, t_s, _ in trace_rows(stages, schedule, power, plan.master_seed):
+        print(f"stage {s}: beams {beams} stats {[f'{v:.3e}' for v in stats]} -> chose {chosen} (T={t_s})")
+    _, _, _, pair, correct = stages[-1]
     print(
-        f"true cell {rec.true_cell}, estimated {rec.est_cell}, "
-        f"success={rec.success}, transmissions={rec.total_transmissions}"
+        f"true cell {true_cell(cfg_p)}, estimated {tuple(pair[0].tolist())}, "
+        f"success={bool(correct[0])}, transmissions={hierarchical_transmissions(schedule)}"
     )
     if args.out:
-        trial_trace_csv([rec], args.out, power, plan.master_seed)
+        trial_trace_csv(stages, schedule, args.out, power, plan.master_seed)
         print(f"wrote {args.out}")
 
 

@@ -303,6 +303,8 @@ class ResultTable:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, list):
+        return ";".join(map(_fmt, value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
@@ -320,24 +322,24 @@ def emit_csv(table: ResultTable, path: str):
     _write_csv(path, CSV_COLUMNS, ([row[c] for c in CSV_COLUMNS] for row in table.sorted_rows()))
 
 
-def trial_trace_csv(records: list, path: str, power: float, master_seed: int):
-    """Per-stage trace rows of localization trials."""
-    rows = (
-        [
-            t,
-            master_seed,
-            power,
-            dec.stage,
-            ";".join(str(b) for b in dec.beam_indices),
-            ";".join(repr(v) for v in dec.statistics),
-            dec.chosen,
-            dec.t_s,
-            int(rec.success),
-        ]
-        for t, rec in enumerate(records)
-        for dec in rec.stages
-    )
-    _write_csv(path, TRACE_COLUMNS, rows)
+def trace_rows(stages: list, schedule: SnapshotSchedule, power: float, master_seed: int):
+    """``TRACE_COLUMNS`` rows, trial after trial and stage after stage, of the search result
+    ``stages`` (:func:`descend`'s arrays, trial t being row t).  The four candidates are listed by
+    2-D beam index (a - 1) 2^s + b of their stage-s axis pair (a, b), the chosen one by its 1-based
+    position among them."""
+    columns = [
+        (((pairs[..., 0] - 1) * 2**s + pairs[..., 1]).tolist(), stats.tolist(), (chosen + 1).tolist())
+        for s, (pairs, stats, chosen, _, _) in enumerate(stages, start=1)
+    ]
+    for t, success in enumerate(stages[-1][4].tolist()):
+        for s, (t_s, (beams, stats, chosen)) in enumerate(zip(schedule.t_s, columns), start=1):
+            yield [t, master_seed, power, s, beams[t], stats[t], chosen[t], t_s, int(success)]
+
+
+def trial_trace_csv(stages: list, schedule: SnapshotSchedule, path: str, power: float, master_seed: int):
+    """Write the trace of every trial in the search result ``stages``: :func:`trace_rows`, one line per
+    trial and stage, lists ``;``-joined."""
+    _write_csv(path, TRACE_COLUMNS, trace_rows(stages, schedule, power, master_seed))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +374,7 @@ def resolve_schedules(scenes: list[Scene], plan: ExperimentPlan, cb: Codebook) -
         t_s = plan.snapshots if plan.snapshots is not None else (1,) * n_stages
         if len(t_s) != n_stages:
             raise ValueError(f"snapshots must have {n_stages} entries, got {len(t_s)}")
-        return [(SnapshotSchedule(tuple(t_s), "manual"), []) for _ in scenes]
+        return [(SnapshotSchedule(tuple(t_s)), []) for _ in scenes]
     if plan.schedule_source == "literal-rule":
         schedules = []
         for scene in scenes:
@@ -384,7 +386,7 @@ def resolve_schedules(scenes: list[Scene], plan: ExperimentPlan, cb: Codebook) -
                     plan.delta, cfg.p_r_watts, l_s, cfg.n_b, eta.eta_br, eta.eta_rt, cfg.sigma_b2_watts
                 )
                 t_s.append(rule.t_magnitude)
-            schedules.append((SnapshotSchedule(tuple(t_s), "literal-rule"), []))
+            schedules.append((SnapshotSchedule(tuple(t_s)), []))
         return schedules
     # calibrated; streams keyed by stage only so power points share draws,
     # which keeps the calibrated counts smoothly monotone across the sweep
@@ -395,7 +397,7 @@ def resolve_schedules(scenes: list[Scene], plan: ExperimentPlan, cb: Codebook) -
             point.append(calibrate_snapshots(ens.at(scene), plan.delta, plan.t_max))
         del ens  # drawn stage by stage: the next stage's ensemble replaces this one rather than joining it
     return [
-        (SnapshotSchedule(tuple(r.t_s if r.feasible else plan.t_max for r in point), "calibrated"), point)
+        (SnapshotSchedule(tuple(r.t_s if r.feasible else plan.t_max for r in point)), point)
         for point in calibs
     ]
 
@@ -415,30 +417,28 @@ def run_localization_trials(
     schedule: SnapshotSchedule,
     plan: ExperimentPlan,
     point_index: int,
-) -> list:
-    """All trials of one power point, in trial order under any parallel degree: ``plan.parallel`` contiguous
-    blocks, each one draw and one batched descent, run on threads (numpy releases the GIL in most of each)."""
+) -> np.ndarray:
+    """Per-stage correctness of one power point's trials, a (trials, stages) bool array: row t is trial t under
+    any parallel degree, and the last column is each trial's success.  ``plan.parallel`` contiguous blocks, each
+    one draw and one batched :func:`descend` whose ``correct`` columns it stacks, run on threads (numpy releases
+    the GIL in most of each)."""
     width = trial_width(schedule)
-    transmissions = hierarchical_transmissions(schedule)
 
-    def run_block(trials: range) -> list:
+    def run_block(trials: range) -> np.ndarray:
         rng = trial_rng(plan.master_seed, plan.kind, point_index, trials.start, width)
-        words = rng.bit_generator.random_raw((len(trials), width))
-        stages = descend(scene, cb, schedule, words)
-        correct = np.stack([stage[-1] for stage in stages], axis=1).tolist()
-        # the last stage's pair is the estimated cell, so its correctness is the trial's success
-        return [(t, ok[-1], tuple(ok), transmissions) for t, ok in zip(trials, correct)]
+        stages = descend(scene, cb, schedule, rng.bit_generator.random_raw((len(trials), width)))
+        return np.stack([correct for *_, correct in stages], axis=1)
 
     bounds = sorted({plan.trials * k // plan.parallel for k in range(plan.parallel + 1)})  # no empty block
     blocks = [range(*b) for b in zip(bounds, bounds[1:])]
     if plan.parallel <= 1:
-        outcomes = map(run_block, blocks)
+        outcomes = [run_block(b) for b in blocks]
     else:
         from concurrent.futures import ThreadPoolExecutor  # lazy: keeps concurrent.futures out of `import risjrc`
 
         with ThreadPoolExecutor(max_workers=plan.parallel) as pool:
             outcomes = list(pool.map(run_block, blocks))
-    return [r for block in outcomes for r in block]  # contiguous blocks, in trial order
+    return np.concatenate(outcomes)  # contiguous blocks, in trial order
 
 
 def _power_points(cfg: ScenarioConfig, plan: ExperimentPlan, add):
@@ -486,10 +486,9 @@ def _snapshots_vs_p(cfg, plan, book, add):
 
 def _overall_error_vs_p(cfg, plan, book, add):
     for p_idx, scene, schedule, _, add_p in _scheduled_points(cfg, plan, book, add):
-        outcomes = run_localization_trials(scene, book, schedule, plan, p_idx)
-        correct = np.array([o[2] for o in outcomes], dtype=bool)  # (N, stages)
+        correct = run_localization_trials(scene, book, schedule, plan, p_idx)  # (N, stages)
         # alive[s]: trials right at every stage up to s; alive[0] is every trial
-        alive = [len(outcomes), *np.logical_and.accumulate(correct, axis=1).sum(axis=0).tolist()]
+        alive = [len(correct), *np.logical_and.accumulate(correct, axis=1).sum(axis=0).tolist()]
         n, wrong = alive[0], alive[0] - alive[-1]
         add_p(
             metric="overall_error",

@@ -17,16 +17,17 @@ the search over a block of trials, and the calibrator's
 :class:`StageEnsemble` read their draws from raw words by one layout: normals
 through :func:`normals_from_words`, then 64-snapshot chunks of symbol words.
 Both take the snapshot means through :func:`_snapshot_means` and decide
-through :func:`stage_decision`; :func:`hierarchical_localize` is the
-search's one-trial view.  The exhaustive baseline draws the same symbol law
-through :func:`qpsk_product_sum`.
+through :func:`stage_decision`.  The search result is :func:`descend`'s
+per-stage arrays, one row per trial; :func:`hierarchical_localize` returns
+them for one row drawn from a generator.  The exhaustive baseline draws the
+same symbol law through :func:`qpsk_product_sum` and returns its estimated cell.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,24 +173,6 @@ def stage_decision(scene: Scene, book: StageBook, parents, coh, cross, u_bar, n_
     return pairs, stats, chosen, np.take_along_axis(pairs, chosen[:, None, None], axis=1)[:, 0]
 
 
-@dataclass
-class StageDecision:
-    stage: int
-    beam_indices: list  # 2-D beam indices of the four candidates
-    statistics: list
-    chosen: int  # position in the candidate list, 1..4
-    t_s: int
-
-
-@dataclass
-class TrialRecord:
-    true_cell: tuple
-    est_cell: tuple
-    stages: list = field(default_factory=list)
-    total_transmissions: int = 0
-    success: bool = False
-
-
 def _is_integer(t) -> bool:
     return isinstance(t, (int, np.integer)) and not isinstance(t, bool)
 
@@ -197,7 +180,6 @@ def _is_integer(t) -> bool:
 @dataclass(frozen=True)
 class SnapshotSchedule:
     t_s: tuple
-    provenance: str = "manual"  # manual | literal-rule | calibrated
 
     def __post_init__(self):
         if not all(_is_integer(t) for t in self.t_s):
@@ -212,21 +194,6 @@ def hierarchical_transmissions(schedule: SnapshotSchedule) -> int:
 
 def exhaustive_transmissions(d: int, t_per_beam: int = 1) -> int:
     return d * d * t_per_beam
-
-
-def stage_candidates(s: int, parent_ab: tuple | None) -> list:
-    """Axis-index pairs of the four beams probed at stage s (all 1-based).
-
-    Stage 1 probes all four quadrant beams; later stages probe the four
-    children of the previously chosen axis pair.
-    """
-    a, b = (1, 1) if s == 1 else parent_ab
-    return [(2 * a - 1 + i, 2 * b - 1 + j) for i, j in _CHILDREN]
-
-
-def beam_2d_index(s: int, ab: tuple) -> int:
-    a, b = ab
-    return (a - 1) * 2**s + b
 
 
 def true_cell(cfg: ScenarioConfig) -> tuple:
@@ -263,7 +230,8 @@ def descend(scene: Scene, cb: Codebook, schedule: SnapshotSchedule, words) -> li
     and the imaginary parts of the (stages, 4) noise sums.  The rest holds, stage after stage, the
     words that :func:`qpsk_product_sum` would draw for that stage's four symbol sums.  A (0, W)
     block gives empty arrays.
-    Returns per stage ``stage_decision``'s four arrays and whether the chosen beam holds the true cell.
+    Returns the search result: per stage ``stage_decision``'s four arrays ``(pairs, stats, chosen, pair)``
+    and ``correct``, whether each trial's chosen pair holds the true cell.
     """
     cfg = scene.cfg
     if cb.n_stages != cfg.n_stages:
@@ -294,38 +262,19 @@ def descend(scene: Scene, cb: Codebook, schedule: SnapshotSchedule, words) -> li
     return stages
 
 
-def hierarchical_localize(
-    scene: Scene, cb: Codebook, schedule: SnapshotSchedule, rng: np.random.Generator
-) -> TrialRecord:
-    """Run one multi-stage search trial and return its full trace: :func:`descend` on the next
-    ``trial_width(schedule)`` raw words of ``rng``'s bit generator."""
-    record = TrialRecord(true_cell=true_cell(scene.cfg), est_cell=(0, 0))
-    words = rng.bit_generator.random_raw((1, trial_width(schedule)))
-    for s, (pairs, stats, chosen, pair, _) in enumerate(descend(scene, cb, schedule, words), start=1):
-        record.stages.append(
-            StageDecision(
-                stage=s,
-                beam_indices=[beam_2d_index(s, p) for p in pairs[0].tolist()],
-                statistics=stats[0].tolist(),
-                chosen=int(chosen[0]) + 1,
-                t_s=schedule.t_s[s - 1],
-            )
-        )
-        record.est_cell = tuple(pair[0].tolist())
-    record.total_transmissions = hierarchical_transmissions(schedule)
-    record.success = record.est_cell == record.true_cell
-    return record
+def hierarchical_localize(scene: Scene, cb: Codebook, schedule: SnapshotSchedule, rng: np.random.Generator) -> list:
+    """One search trial: :func:`descend`'s per-stage arrays for one row, the next
+    ``trial_width(schedule)`` raw words of ``rng``'s bit generator.  Row 0 of the last stage's
+    chosen pair is the estimated cell, and of its correctness column the trial's success."""
+    return descend(scene, cb, schedule, rng.bit_generator.random_raw((1, trial_width(schedule))))
 
 
-def exhaustive_localize(scene: Scene, rng: np.random.Generator, t_per_beam: int = 1) -> TrialRecord:
-    """Scan all D x D matched pencil beams and pick the argmax statistic."""
+def exhaustive_localize(scene: Scene, rng: np.random.Generator, t_per_beam: int = 1) -> tuple:
+    """Scan all D x D matched pencil beams and return the 1-based cell (i, j) of the argmax statistic."""
     if not _is_integer(t_per_beam) or t_per_beam < 1:
         raise ValueError(f"t_per_beam must be an integer >= 1, got {t_per_beam!r}")
-    cfg = scene.cfg
-    d = cfg.grid_size
-    fading = draw_fading(rng)
-    coh, cross = trial_coefficients(scene, fading)
-
+    d = scene.cfg.grid_size
+    coh, cross = trial_coefficients(scene, draw_fading(rng))
     c = (np.outer(scene.corr_x, scene.corr_y)) ** 2  # D x D squared responses
     u_bar = qpsk_product_mean(rng, t_per_beam, (d, d))
     # the sum of t_per_beam unit complex Gaussian samples is one draw scaled by sqrt(t_per_beam)
@@ -333,11 +282,7 @@ def exhaustive_localize(scene: Scene, rng: np.random.Generator, t_per_beam: int 
     n_bar = scene.noise_scale * n_sum / t_per_beam
     stats = decision_statistic(c, coh, cross, u_bar, n_bar)
     flat = int(np.argmax(stats))
-    est = (flat // d + 1, flat % d + 1)
-    rec = TrialRecord(true_cell=true_cell(cfg), est_cell=est)
-    rec.total_transmissions = exhaustive_transmissions(d, t_per_beam)
-    rec.success = est == rec.true_cell
-    return rec
+    return flat // d + 1, flat % d + 1
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import pytest
 
 from risjrc import cli
+from risjrc.geometry import FieldError
 
 TINY_CONFIG = """[arrays]
 n_ris = 16
@@ -37,3 +38,15 @@ def test_subcommand_writes_output(tmp_path, command):
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
     assert out.stat().st_size > 0
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--seed", "-1", "master_seed"), ("--trials", "0", "trials"), ("--parallel", "0", "parallel")],
+)
+def test_bad_override_names_its_field(tmp_path, flag, value, field):
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY_CONFIG)
+    with pytest.raises(FieldError) as raised:
+        cli.main(["localize", "--config", str(config), flag, value])
+    assert raised.value.fields == (field,)

@@ -33,10 +33,10 @@ from risjrc.harness import (
 from risjrc.localization import (
     SnapshotSchedule,
     StageEnsemble,
-    beam_2d_index,
     descend,
     hierarchical_localize,
     make_scene,
+    trial_width,
 )
 
 from conftest import desk_cfg
@@ -281,7 +281,7 @@ class TestExperiments:
         scene = make_scene(cfg)
         serial = run_localization_trials(scene, oracle_codebook_16, sched, small_plan(parallel=1), 0)
         parallel = run_localization_trials(scene, oracle_codebook_16, sched, small_plan(parallel=2), 0)
-        assert serial == parallel
+        assert np.array_equal(serial, parallel)
 
     def test_row_count_stage_error(self, oracle_codebook_16):
         cfg = desk_cfg(n_ris=256, grid_size=16)
@@ -386,11 +386,10 @@ class TestExperiments:
     def test_trace_csv(self, tmp_path, oracle_codebook_16):
         cfg = desk_cfg(n_ris=256, grid_size=16)
         scene = make_scene(cfg)
-        rec = hierarchical_localize(
-            scene, oracle_codebook_16, SnapshotSchedule((2, 1, 1, 1)), trial_rng(1, "overall-error-vs-P", 0, 0, 72)
-        )
+        sched = SnapshotSchedule((2, 1, 1, 1))
+        stages = hierarchical_localize(scene, oracle_codebook_16, sched, trial_rng(1, "overall-error-vs-P", 0, 0, 72))
         path = tmp_path / "trace.csv"
-        trial_trace_csv([rec], str(path), 42.0, 1)
+        trial_trace_csv(stages, sched, str(path), 42.0, 1)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("trial,seed,power,stage")
         assert len(lines) == 1 + cfg.n_stages
@@ -466,9 +465,31 @@ class TestTrialReproducibility:
         for s, (row, (pairs, stats, chosen, _, correct)) in enumerate(zip(rows, stages), start=1):
             assert [float(v) for v in row["statistics"].split(";")] == stats[0].tolist()
             assert int(row["chosen"]) == chosen[0] + 1
-            assert row["beam_indices"] == ";".join(str(beam_2d_index(s, p)) for p in pairs[0].tolist())
-            assert bool(correct[0]) == outcomes[0][2][s - 1]
-            assert int(row["success"]) == outcomes[0][1]
+            assert row["beam_indices"] == ";".join(str((a - 1) * 2**s + b) for a, b in pairs[0].tolist())
+            assert bool(correct[0]) == outcomes[0, s - 1]
+            assert int(row["success"]) == outcomes[0, -1]
+
+    def test_block_trace_is_each_trial_traced_alone(self, tmp_path, desk_codebook):
+        # an N-trial trace has N x stages rows; trial k's equal, bar the trial column, trial k drawn alone
+        scene = make_scene(desk_cfg(39.0))
+        sched = SnapshotSchedule((5, 2, 70, 1))
+        width, n, n_stages = trial_width(sched), 6, len(sched.t_s)
+
+        def trace(stages, name) -> list:
+            trial_trace_csv(stages, sched, str(tmp_path / name), 39.0, 3)
+            with open(tmp_path / name, newline="") as f:
+                return list(csv.reader(f))[1:]
+
+        block = trial_rng(3, "overall-error-vs-P", 0, 0, width).bit_generator.random_raw((n, width))
+        rows = trace(descend(scene, desk_codebook, sched, block), "block.csv")
+        assert len(rows) == n * n_stages
+        for k in range(n):
+            rng = trial_rng(3, "overall-error-vs-P", 0, k, width)
+            alone = trace(hierarchical_localize(scene, desk_codebook, sched, rng), f"{k}.csv")
+            ours = rows[k * n_stages : (k + 1) * n_stages]
+            assert [row[0] for row in ours] == [str(k)] * n_stages
+            assert [row[1:] for row in ours] == [row[1:] for row in alone]
+        assert len({row[-1] for row in rows}) == 2  # trials both succeed and fail, so a shifted row would show
 
     def test_uneven_blocks_match_serial(self, desk_codebook):
         # 1001 trials split 333/334/334 over three workers: every block must start at its own counter
@@ -476,8 +497,8 @@ class TestTrialReproducibility:
         sched = SnapshotSchedule((5, 2, 1, 1))
         serial = run_localization_trials(scene, desk_codebook, sched, small_plan(trials=1001, parallel=1), 0)
         split = run_localization_trials(scene, desk_codebook, sched, small_plan(trials=1001, parallel=3), 0)
-        assert serial == split
-        assert 0 < sum(o[1] for o in serial) < 1001  # outcomes vary, so a repeated block would show
+        assert np.array_equal(serial, split)
+        assert 0 < serial[:, -1].sum() < 1001  # outcomes vary, so a repeated block would show
 
     def test_many_threads_switching_often_match_serial(self, desk_codebook):
         # more worker threads than cores, switching every microsecond; they share the scene and codebook
@@ -490,7 +511,7 @@ class TestTrialReproducibility:
             threaded = run_localization_trials(scene, desk_codebook, sched, small_plan(trials=800, parallel=16), 0)
         finally:
             sys.setswitchinterval(interval)
-        assert serial == threaded
+        assert np.array_equal(serial, threaded)
 
 
 def test_import_does_not_load_multiprocessing():

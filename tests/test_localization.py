@@ -1,3 +1,4 @@
+import csv
 import functools
 import math
 
@@ -19,10 +20,10 @@ from risjrc.channels import (
 from risjrc import localization
 from risjrc.codebook import build_matched_codebook
 from risjrc.geometry import DirectionCosine, direction_grid, ula_steering
+from risjrc.harness import trial_trace_csv
 from risjrc.localization import (
     SnapshotSchedule,
     StageEnsemble,
-    beam_2d_index,
     beam_statistic,
     calibrate_snapshots,
     decision_statistic,
@@ -35,7 +36,6 @@ from risjrc.localization import (
     overall_error_bound,
     qpsk_product_sum,
     snapshot_rule_literal,
-    stage_candidates,
     stage_decision,
     stage_error,
     trial_coefficients,
@@ -69,6 +69,12 @@ def _scalar_symbol_sum(words, t) -> complex:
     return complex(a + b, b - a) / 2
 
 
+def _children(parent) -> list:
+    """The four axis pairs probed under ``parent`` ((1, 1), the root, at stage 1), in probe order."""
+    a, b = parent
+    return [(2 * a - 1 + i, 2 * b - 1 + j) for i in (0, 1) for j in (0, 1)]
+
+
 def reference_localize(scene, cb, schedule, row):
     """The per-candidate scalar search loop that the batched descent replaced, kept as its oracle.
 
@@ -84,14 +90,14 @@ def reference_localize(scene, cb, schedule, row):
     noise_re, noise_im = z[8 : 8 + 4 * n_s], z[8 + 4 * n_s :]
     coh, cross = trial_coefficients(scene, fading)
     start = 8 + 8 * n_s
-    parent, chosen, statistics = None, [], []
+    parent, chosen, statistics = (1, 1), [], []
     for s in range(1, n_s + 1):
         t = schedule.t_s[s - 1]
         chunks = -(-t // 64)
         stage_words = row[start : start + 8 * chunks]
         start += 8 * chunks
         book = cb.stage(s)
-        pairs = stage_candidates(s, parent)
+        pairs = _children(parent)
         stats = []
         for k, (a, b) in enumerate(pairs):
             c = ((scene.q_x @ book.w_x[:, a - 1]) * (scene.q_y @ book.w_y[:, b - 1])) ** 2
@@ -142,15 +148,15 @@ class TestDescent:
         width = trial_width(sched)
         batch = descend(scene, desk_codebook, sched, np.random.Philox(key=7).random_raw((12, width)))
         for k in (0, 5, 11):
-            philox = np.random.Philox(key=7, counter=[k * width // 4, 0, 0, 0])
-            alone = descend(scene, desk_codebook, sched, philox.random_raw((1, width)))
-            for in_batch, by_itself in zip(batch, alone, strict=True):
-                for x, y in zip(in_batch, by_itself, strict=True):
-                    np.testing.assert_array_equal(x[k], y[0])
-            philox = np.random.Philox(key=7, counter=[k * width // 4, 0, 0, 0])
-            rec = hierarchical_localize(scene, desk_codebook, sched, np.random.Generator(philox))
-            assert [dec.statistics for dec in rec.stages] == [stage[1][k].tolist() for stage in batch]
-            assert rec.est_cell == tuple(batch[-1][3][k].tolist())
+            counter = [k * width // 4, 0, 0, 0]
+            words = np.random.Philox(key=7, counter=counter).random_raw((1, width))
+            alone = descend(scene, desk_codebook, sched, words)
+            rng = np.random.Generator(np.random.Philox(key=7, counter=counter))
+            drawn = hierarchical_localize(scene, desk_codebook, sched, rng)
+            for one in (alone, drawn):
+                for in_batch, by_itself in zip(batch, one, strict=True):
+                    for x, y in zip(in_batch, by_itself, strict=True):
+                        np.testing.assert_array_equal(x[k], y[0])
 
     def test_zero_trials_give_empty_stages(self, desk_codebook):
         sched = SnapshotSchedule((3, 1, 1, 1))
@@ -308,12 +314,22 @@ class TestCoefficientLaw:
 
 
 class TestDescentIndexing:
-    def test_child_set_of_third_quadrant(self):
-        pairs = stage_candidates(2, (2, 1))
-        assert [beam_2d_index(2, p) for p in pairs] == [9, 10, 13, 14]
+    @staticmethod
+    def trace_beams(tmp_path) -> list:
+        """The trace's ``beam_indices`` column for a hand-built two-stage trial that picks (2, 1) at stage 1."""
+        stages = []
+        for parent, chosen in (((1, 1), 2), ((2, 1), 0)):
+            pairs = np.array([_children(parent)])
+            stages.append((pairs, np.zeros((1, 4)), np.array([chosen]), pairs[:, chosen], np.array([True])))
+        trial_trace_csv(stages, SnapshotSchedule((1, 1)), str(tmp_path / "trace.csv"), 42.0, 1)
+        with open(tmp_path / "trace.csv", newline="") as f:
+            return [row["beam_indices"] for row in csv.DictReader(f)]
 
-    def test_stage_one_candidates(self):
-        assert [beam_2d_index(1, p) for p in stage_candidates(1, None)] == [1, 2, 3, 4]
+    def test_child_set_of_third_quadrant(self, tmp_path):
+        assert self.trace_beams(tmp_path)[1] == "9;10;13;14"
+
+    def test_stage_one_candidates(self, tmp_path):
+        assert self.trace_beams(tmp_path)[0] == "1;2;3;4"
 
     def test_axis_partition_of_cell(self):
         assert true_axis_partition(7, 1, 16) == 1
@@ -338,11 +354,10 @@ class TestNoiselessOracle:
                     v_t=DirectionCosine(grid[i - 1], grid[j - 1]),
                 )
                 scene = make_scene(cfg)
-                rec = hierarchical_localize(scene, cb, sched, np.random.default_rng(1))
-                assert rec.est_cell == (i, j)
-                assert rec.success
-                rec_ex = exhaustive_localize(scene, np.random.default_rng(2))
-                assert rec_ex.est_cell == (i, j)
+                *_, pair, correct = hierarchical_localize(scene, cb, sched, np.random.default_rng(1))[-1]
+                assert tuple(pair[0].tolist()) == (i, j)
+                assert correct[0]
+                assert exhaustive_localize(scene, np.random.default_rng(2)) == (i, j)
 
     def test_descent_consistency(self):
         cfg = desk_cfg()
@@ -350,15 +365,11 @@ class TestNoiselessOracle:
         sched = SnapshotSchedule((2,) * cfg.n_stages)
         scene = make_scene(cfg)
         for seed in range(20):
-            rec = hierarchical_localize(scene, cb, sched, np.random.default_rng(seed))
-            prev = None
-            for dec in rec.stages:
-                s = dec.stage
-                idx = dec.beam_indices[dec.chosen - 1] - 1
-                a, b = idx // 2**s + 1, idx % 2**s + 1
-                if prev is not None:
-                    pa, pb = prev
-                    assert (a + 1) // 2 == pa and (b + 1) // 2 == pb
+            prev = (1, 1)  # the root, parent of the stage-1 quadrants
+            for pairs, _, chosen, pair, _ in hierarchical_localize(scene, cb, sched, np.random.default_rng(seed)):
+                a, b = pairs[0, chosen[0]].tolist()
+                assert pair[0].tolist() == [a, b]
+                assert ((a + 1) // 2, (b + 1) // 2) == prev
                 prev = (a, b)
 
 
@@ -370,14 +381,6 @@ class TestTransmissionAccounting:
     def test_exhaustive_totals(self):
         assert exhaustive_transmissions(32, 1) == 1024
         assert exhaustive_transmissions(16, 1) == 256
-
-    def test_trial_record_totals(self):
-        cfg = desk_cfg()
-        cb = build_matched_codebook(cfg)
-        sched = SnapshotSchedule((8, 2, 1, 1))
-        scene = make_scene(cfg)
-        rec = hierarchical_localize(scene, cb, sched, np.random.default_rng(3))
-        assert rec.total_transmissions == 4 * (8 + 2 + 1 + 1)
 
 
 class TestSnapshotRule:
@@ -511,7 +514,7 @@ class TestCalibration:
         words = np.random.default_rng(4).bit_generator.random_raw(16 * trials + 3 * 8 * trials)
         normal_words, chunks = words[: 16 * trials].reshape(trials, 16), words[16 * trials :].reshape(3, trials, 4, 2)
         cell, d = true_cell(scene.cfg), scene.cfg.grid_size
-        pairs = stage_candidates(stage, true_stage_pair(cell, stage - 1, d))
+        pairs = _children(true_stage_pair(cell, stage - 1, d))
         book = desk_codebook.stage(stage)
         for i in range(trials):
             z = _scalar_normals(normal_words[i])
