@@ -8,13 +8,14 @@ steer a closed-form pencil beam at the user.  Two-dimensional stage beams
 are Kronecker products of the two axis books.
 
 The sensing fits of a stage run as one batched projected-gradient solve,
-``design_sensing_phases``, one row per (partition, axis, start): the
-matched start plus n_starts - 1 perturbed starts per beam, on the
-canonical rows A(0) = response_rows(l_s, 0, grid).  response_rows(v_b) =
-A(0) diag(r(v_b)), and the unit-modulus projection, the free-phase target
-and the matched start all commute with that diagonal, so the fit for
-incidence v_b is conj(r(v_b)) times the canonical fit started from r(v_b)
-times the start.
+``design_sensing_phases``, one row per (partition, start): the matched
+start plus n_starts - 1 perturbed starts per beam, on the canonical rows
+A(0) = response_rows(l_s, 0, grid).  response_rows(v_b) = A(0) diag(r(v_b)),
+and the unit-modulus projection, the free-phase target and the matched
+start all commute with that diagonal, so the fit for incidence v_b is
+conj(r(v_b)) times the canonical fit started from r(v_b) times the start.
+That start, r(v_mid), does not depend on v_b: each partition is solved
+once and ramped per incidence, so both axes share one residual per beam.
 
 Each iteration runs in Gram form, with no D-wide product.  With the
 weights W^2 = 1 + (w_on - 1) diag(on) and y = A(0) h, the gradient
@@ -152,7 +153,8 @@ def design_sensing_phases(
     spacing: float,
     rngs: Sequence[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sensing profiles (one row per beam) and residuals of axis beams (s, parts[k]) at incidence v_b[k].
+    """Profiles (len(v_b), len(parts), l_s) of axis beams (s, parts[k]), [j, k] ramped to incidence v_b[j],
+    and one residual per beam, shaped (len(parts),): the residual does not depend on the incidence.
 
     Minimizes || W (A g - t) || subject to |g_m| = 1 with the projected update
     g <- exp(j angle(g + mu A_w^H (t_w - A_w g))).  With ``target_phase="free"`` the target is L_s in
@@ -163,7 +165,8 @@ def design_sensing_phases(
     Beam k starts from the matched beam toward its partition midpoint plus ``n_starts - 1`` copies
     perturbed by ``rngs[k]``.  All starts of all beams are rows of one batched solve on the canonical
     rows A(0), each stopped by its own rule; the best iterate per row, then per beam, wins (earliest on
-    ties).  ``s`` stays the first positional argument: perfbench's tracer reads each span's stage from it.
+    ties).  Only the ramp-back conj(r(v)) * fit runs once per incidence v.  ``s`` stays the first
+    positional argument: perfbench's tracer reads each span's stage from it.
 
     Each iteration costs one (rows x l_s) @ (l_s x l_s) product with the stage's Gram matrix plus
     products with each row's b on-partition rows of A(0), gathered once and compacted with the rows
@@ -172,8 +175,8 @@ def design_sensing_phases(
     """
     if l_s < 1:
         raise ValueError("sensing element count must be >= 1")
-    if not len(parts) == len(v_b) == len(rngs):
-        raise ValueError(f"need one incidence and one generator per beam: {len(parts)}, {len(v_b)}, {len(rngs)}")
+    if len(parts) != len(rngs):
+        raise ValueError(f"need one generator per beam: {len(parts)} beams, {len(rngs)} generators")
     d = len(grid)
     a0 = response_rows(l_s, 0.0, grid, spacing)
     ramps = ris_axis_steering(v_b, l_s, spacing)
@@ -222,7 +225,7 @@ def design_sensing_phases(
 
     k = np.argmin(best_res.reshape(-1, n_starts), axis=1)  # earliest start wins ties
     best = np.arange(len(specs)) * n_starts + k  # each beam's winning row
-    return unit_modulus_projection(ramps.conj() * best_h[best]), best_res[best]
+    return unit_modulus_projection(ramps.conj()[:, None, :] * best_h[best]), best_res[best]
 
 
 def design_comm_phases(
@@ -303,10 +306,11 @@ def build_codebook(
 ) -> Codebook:
     """Design the full hierarchical codebook for a scenario.
 
-    Sensing parts are fitted per partition on each axis against that
-    axis's incident cosine, a whole stage in one batched solve; comm parts
-    are closed-form and shared by all beams of a stage.  Deterministic for
-    fixed (cfg, schedule, solver, seed).
+    Sensing parts are fitted once per partition, a whole stage in one
+    batched solve, and each fit is ramped to the x and y incident cosines,
+    so both axes share one residual per beam; comm parts are closed-form
+    and shared by all beams of a stage.  Deterministic for fixed (cfg,
+    schedule, solver, seed).
     """
     n_axis = cfg.n_axis
     d = cfg.grid_size
@@ -323,14 +327,14 @@ def build_codebook(
 
     def stage(s, l_s):
         n_beams = 2**s
-        rngs = [np.random.default_rng(child) for child in ss.spawn(2 * n_beams)]  # per beam, x axis before y
-        parts = np.repeat(np.arange(1, n_beams + 1), 2)
+        # two children per beam, the first seeding the beam: x-axis beams match codebooks solved per axis
+        rngs = [np.random.default_rng(child) for child in ss.spawn(2 * n_beams)[0::2]]
         g, res = design_sensing_phases(
-            s, l_s, parts, [v for v, _ in axes] * n_beams, grid, solver, cfg.ris_spacing, rngs
+            s, l_s, range(1, n_beams + 1), [v for v, _ in axes], grid, solver, cfg.ris_spacing, rngs
         )
         comm = [design_comm_phases(n_axis - l_s, v_b, v_u, cfg.ris_spacing, offset=l_s) for v_b, v_u in axes]
-        w_x, w_y = (np.vstack([g[k::2].T, np.tile(h[:, None], n_beams)]) for k, h in enumerate(comm))
-        return w_x, w_y, res[0::2], res[1::2]
+        w_x, w_y = (np.vstack([g_axis.T, np.tile(h[:, None], n_beams)]) for g_axis, h in zip(g, comm))
+        return w_x, w_y, res
 
     return _assemble_codebook(cfg, schedule, stage, solver.residual_ceiling_factor)
 
@@ -348,25 +352,20 @@ def build_matched_codebook(cfg: ScenarioConfig) -> Codebook:
     def stage(s, l_s):
         mids = [partition_indices(s, i, cfg.grid_size).midpoint(grid) for i in range(1, 2**s + 1)]
         w_x, w_y = (matched_axis_beam(v_b, mids, l_s, cfg.ris_spacing).T.copy() for v_b in (cfg.v_b.vx, cfg.v_b.vy))
-        return w_x, w_y, np.zeros(2**s), np.zeros(2**s)
+        return w_x, w_y, np.zeros(2**s)
 
     return _assemble_codebook(cfg, (cfg.n_axis,) * cfg.n_stages, stage, math.inf)
 
 
 def _assemble_codebook(cfg: ScenarioConfig, schedule: tuple, stage, ceiling_factor: float) -> Codebook:
-    """Stage books from ``stage(s, l_s) -> (w_x, w_y, residuals_x, residuals_y)``, one n_axis x 2**s
-    column per beam; a residual above ceiling_factor * l_s * sqrt(D) warns, per beam, x axis before y."""
+    """Stage books from ``stage(s, l_s) -> (w_x, w_y, residuals)``: one n_axis x 2**s column and one residual
+    per beam, shared by both axes; a residual above ceiling_factor * l_s * sqrt(D) warns once per beam."""
     stages = []
     for s, l_s in enumerate(schedule, start=1):
-        w_x, w_y, res_x, res_y = stage(s, l_s)
+        w_x, w_y, res = stage(s, l_s)
         ceiling = ceiling_factor * l_s * math.sqrt(cfg.grid_size)
-        warnings = [
-            f"stage {s} beam {i} axis {axis}: residual {r:.3g} above {ceiling:.3g}"
-            for i, pair in enumerate(zip(res_x, res_y), start=1)
-            for axis, r in zip("xy", pair)
-            if r > ceiling
-        ]
-        stages.append(StageBook(s, l_s, cfg.n_axis - l_s, w_x, w_y, res_x, res_y, warnings))
+        warnings = [f"stage {s} beam {i}: residual {r:.3g} above {ceiling:.3g}" for i, r in enumerate(res, 1) if r > ceiling]
+        stages.append(StageBook(s, l_s, cfg.n_axis - l_s, w_x, w_y, res, res, warnings))
     return Codebook(d=cfg.grid_size, n_ris=cfg.n_ris, spacing=cfg.ris_spacing, schedule=schedule, stages=stages)
 
 
@@ -475,6 +474,8 @@ def load_codebook(path: str) -> Codebook:
             raise ValueError(f"{path}: malformed codebook header: {e}") from None
         _check_keys(path, header, _HEADER_KEYS, "codebook header")
         n_ris, schedule, metas = header["n_ris"], header["schedule"], header["stages"]
+        if not 0 < header["spacing"] <= 0.5:  # also rejects nan
+            raise ValueError(f"{path}: codebook header key 'spacing' is not in (0, 0.5]: {header['spacing']}")
         n_axis = math.isqrt(max(n_ris, 0))
         if n_ris < 1 or n_axis * n_axis != n_ris:
             raise ValueError(f"{path}: codebook header key 'n_ris' is not a positive square: {n_ris}")
@@ -486,12 +487,15 @@ def load_codebook(path: str) -> Codebook:
             for key, want in (("stage", k), ("n_beams_axis", 2**k), ("l_s", l_s), ("c_s", n_axis - l_s)):
                 if meta[key] != want:
                     raise ValueError(f"{path}: header of stage {k} key {key!r} is {meta[key]}, expected {want}")
+            for key in ("residuals_x", "residuals_y"):
+                if len(meta[key]) != 2**k or not all(type(r) in (int, float) and 0 <= r < math.inf for r in meta[key]):
+                    raise ValueError(f"{path}: header of stage {k} key {key!r} is not {2**k} finite numbers >= 0: {meta[key]}")
             n_bytes = 2 * n_axis * 2**k * 16  # w_x, then w_y
             raw = f.read(n_bytes)
             if len(raw) != n_bytes:
                 raise ValueError(f"{path}: stage {k} payload has {len(raw)} of {n_bytes} bytes")
             w_x, w_y = np.frombuffer(raw, dtype="<c16").reshape(2, 2**k, n_axis).transpose(0, 2, 1).astype(complex)
-            res_x, res_y = (np.array(meta[f"residuals_{axis}"]) for axis in "xy")
+            res_x, res_y = (np.array(meta[f"residuals_{axis}"], dtype=float) for axis in "xy")
             stages.append(StageBook(k, l_s, n_axis - l_s, w_x, w_y, res_x, res_y, list(meta["quality_warnings"])))
         if not stages or header["d"] != 2 ** len(stages):
             raise ValueError(f"{path}: codebook header key 'd' is {header['d']}, not 2**n for n = {len(stages)} >= 1 stages")

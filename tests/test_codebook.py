@@ -36,7 +36,7 @@ def fit_one_beam(s, i, l_s, v_b_axis, grid, params=None, rng=None, spacing=0.25)
     if rng is None:
         params, rng = replace(params, n_starts=1), np.random.default_rng(0)  # one start draws nothing
     g, res = design_sensing_phases(s, l_s, [i], [v_b_axis], grid, params, spacing, [rng])
-    return g[0], float(res[0])
+    return g[0][0], float(res[0])
 
 
 def reference_sensing_fit(s, i, l_s, v_b_axis, grid, params=None, rng=None, spacing=0.25):
@@ -78,15 +78,17 @@ def reference_sensing_fit(s, i, l_s, v_b_axis, grid, params=None, rng=None, spac
 
 def reference_stages(cfg, schedule, seed):
     """(w_x, w_y, residuals_x, residuals_y) per stage from per-beam reference fits, drawn in
-    ``build_codebook``'s RNG order: stage, then beam, x axis before y."""
+    ``build_codebook``'s RNG order: stage, then beam, one generator per beam.  Each axis is fitted
+    independently at its own incidence with no ramp, from the beam's one generator."""
     grid = direction_grid(cfg.grid_size)
     ss = np.random.SeedSequence(seed)
     out = []
     for s, l_s in enumerate(schedule, start=1):
         beams = {"x": [], "y": []}
         for i in range(1, 2**s + 1):
+            child = ss.spawn(2)[0]
             for axis, v_b, v_u in (("x", cfg.v_b.vx, cfg.v_u.vx), ("y", cfg.v_b.vy, cfg.v_u.vy)):
-                rng = np.random.default_rng(ss.spawn(1)[0])
+                rng = np.random.default_rng(child)
                 g, r = reference_sensing_fit(s, i, l_s, v_b, grid, rng=rng, spacing=cfg.ris_spacing)
                 h = design_comm_phases(cfg.n_axis - l_s, v_b, v_u, cfg.ris_spacing, offset=l_s)
                 beams[axis].append((np.concatenate([g, h]), r))
@@ -164,6 +166,21 @@ class TestSensingDesign:
         grid = direction_grid(16)
         with pytest.raises(ValueError, match="one generator per beam"):
             design_sensing_phases(1, 4, [1, 2], [0.1, 0.1], grid, SolverParams(), 0.25, [np.random.default_rng(0)])
+
+    def test_two_incidences_equal_two_single_calls(self):
+        # the solve does not depend on the incidence: one call ramped to two equals a call per incidence
+        grid, params, v_b = direction_grid(16), SolverParams(), (0.133, -0.41)
+
+        def solve(v):
+            rngs = [np.random.default_rng(seed) for seed in (11, 12, 13, 14)]
+            return design_sensing_phases(2, 8, [1, 2, 3, 4], v, grid, params, 0.25, rngs)
+
+        g, res = solve(v_b)
+        assert g.shape == (2, 4, 8) and res.shape == (4,)
+        for j, v in enumerate(v_b):
+            g_one, res_one = solve([v])
+            np.testing.assert_array_equal(g[j], g_one[0])
+            np.testing.assert_array_equal(res, res_one)
 
     def test_deterministic_given_seed(self):
         grid = direction_grid(16)
@@ -347,6 +364,20 @@ class TestBuildCodebook:
     def test_desk_matches_reference(self, desk_codebook):
         self.assert_matches_reference(desk_codebook, desk_cfg(), 0)
 
+    @pytest.mark.parametrize("which", ["tiny", "desk"])
+    def test_axes_ramp_one_canonical_fit(self, request, which):
+        # w_y's sensing block is w_x's moved from incidence v_bx to v_by, with one residual per beam
+        if which == "tiny":
+            cfg, cb = tiny_cfg(), build_codebook(tiny_cfg(), seed=3)
+        else:
+            cfg, cb = desk_cfg(), request.getfixturevalue("desk_codebook")
+        for book in cb.stages:
+            np.testing.assert_array_equal(book.residuals_y, book.residuals_x)
+            r_x, r_y = (ris_axis_steering(v, book.l_s, cfg.ris_spacing) for v in (cfg.v_b.vx, cfg.v_b.vy))
+            ramp = r_y.conj() * r_x
+            want = unit_modulus_projection(ramp[:, None] * book.w_x[: book.l_s])
+            np.testing.assert_allclose(book.w_y[: book.l_s], want, rtol=0, atol=1e-12)
+
     def test_schedule_length_checked(self):
         with pytest.raises(ValueError):
             build_codebook(tiny_cfg(), schedule=(4, 8))
@@ -418,6 +449,34 @@ class TestMalformedFiles:
     def test_incomplete_header_rejected(self, tmp_path, header, match):
         path = tmp_path / "header.riscb"
         path.write_bytes(b"RISCB1\n" + json.dumps(header).encode() + b"\n")
+        with pytest.raises(ValueError, match=f"{path.name}: .*{match}"):
+            load_codebook(str(path))
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            ({"stage": 1, "residuals_x": [1.0]}, "stage 1 key 'residuals_x' is not 2 finite numbers >= 0"),
+            ({"stage": 1, "residuals_y": ["a", None]}, "stage 1 key 'residuals_y' is not 2 finite numbers >= 0"),
+            ({"stage": 1, "residuals_y": [float("nan"), -3.0]}, "stage 1 key 'residuals_y' is not 2 finite"),
+            ({"stage": 2, "residuals_x": [0.0, -3.0, 0.0, 0.0]}, "stage 2 key 'residuals_x' is not 4 finite"),
+            ({"stage": 3, "residuals_x": [float("inf")] * 8}, "stage 3 key 'residuals_x' is not 8 finite"),
+            ({"spacing": -1.0}, "codebook header key 'spacing' is not in \\(0, 0.5\\]: -1.0"),
+            ({"spacing": 0}, "codebook header key 'spacing' is not in \\(0, 0.5\\]: 0"),
+            ({"spacing": float("nan")}, "codebook header key 'spacing' is not in \\(0, 0.5\\]: nan"),
+            ({"spacing": 0.75}, "codebook header key 'spacing' is not in \\(0, 0.5\\]: 0.75"),
+        ],
+        ids=["short", "not-numbers", "nan-negative", "negative", "infinite", "spacing-neg", "spacing-0", "spacing-nan",
+             "spacing-0.75"],
+    )
+    def test_bad_header_values_rejected(self, saved_tiny_book, edit, match):
+        # the saved book with one header value replaced; the payload stays whole
+        data, path = saved_tiny_book
+        header_line, payload = data[len(b"RISCB1\n") :].split(b"\n", 1)
+        header = json.loads(header_line)
+        edit = dict(edit)
+        target = header["stages"][edit.pop("stage") - 1] if "stage" in edit else header
+        target.update(edit)
+        path.write_bytes(b"RISCB1\n" + json.dumps(header).encode() + b"\n" + payload)
         with pytest.raises(ValueError, match=f"{path.name}: .*{match}"):
             load_codebook(str(path))
 

@@ -445,7 +445,7 @@ class TestCalibration:
         [
             (desk_cfg(sigma_b2_dbm=-math.inf), 1, 8, [1]),  # feasible at T = 1
             (desk_cfg(20.0), 1, 6, [1, 2, 4, 6]),  # infeasible, doubling capped at t_max
-            (desk_cfg(33.0), 2, 64, [1, 2, 4, 8, 16, 32, 24, 20, 18, 17]),  # a bisection that moves both ends
+            (desk_cfg(33.0), 2, 64, [1, 2, 4, 8, 16, 32, 24, 20, 18, 19]),  # a bisection that moves both ends
         ],
         ids=["t1", "infeasible", "bisection"],
     )
