@@ -14,8 +14,10 @@ A(0) = response_rows(l_s, 0, grid).  response_rows(v_b) = A(0) diag(r(v_b)),
 and the unit-modulus projection, the free-phase target and the matched
 start all commute with that diagonal, so the fit for incidence v_b is
 conj(r(v_b)) times the canonical fit started from r(v_b) times the start.
-That start, r(v_mid), does not depend on v_b: each partition is solved
-once and ramped per incidence, so both axes share one residual per beam.
+That start, r(v_mid), does not depend on v_b.  So each partition is solved
+once, and its canonical fit, with its one residual, is what a stage stores
+(``StageBook.phases``) and what a codebook file holds; ``_stage_book``
+ramps it to the x and y incidences and appends the shared comm block.
 
 Each iteration runs in Gram form, with no D-wide product.  With the
 weights W^2 = 1 + (w_on - 1) diag(on) and y = A(0) h, the gradient
@@ -24,9 +26,10 @@ A(0)^T conj(A(0)) is one l_s x l_s matrix per stage, A_I holds the b =
 D / 2**s rows of the row's partition, and c = (w_on - 1) y_I - w_on l_s u_I
 with u_I the target phases.  The squared residual is
 Re sum conj(h) (h G) - sum |y_I|^2 + w_on sum |y_I - l_s u_I|^2.  Inside the
-loop the iterate is projected as g / |g|; the stage's ramped output goes
-through ``unit_modulus_projection``, exp(j angle(g)), which is
-bit-idempotent where g / |g| is not.
+loop the iterate is projected as g / |g|; the ramped axis beams go through
+``unit_modulus_projection``, exp(j angle(g)).  Neither is bit-idempotent: a
+second pass moves about 2% of exp(j angle(g))'s entries by one ulp, and about
+a third of g / |g|'s.
 """
 
 from __future__ import annotations
@@ -39,13 +42,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ScenarioConfig
-from .geometry import check_fields, direction_grid, ris_axis_steering
+from .geometry import DirectionCosine, check_fields, direction_grid, ris_axis_steering
 
-CODEBOOK_MAGIC = b"RISCB1\n"
+CODEBOOK_MAGIC = b"RISCB2\n"
 _JSON_KINDS = {"an integer": int, "a number": (int, float), "a list": list}
-_HEADER_KEYS = dict(d="an integer", n_ris="an integer", spacing="a number", schedule="a list", stages="a list")
-_STAGE_KEYS = dict(stage="an integer", l_s="an integer", c_s="an integer", n_beams_axis="an integer")
-_STAGE_KEYS.update(residuals_x="a list", residuals_y="a list", quality_warnings="a list")
+_HEADER_KEYS = dict(d="an integer", n_ris="an integer", spacing="a number", schedule="a list")
+_HEADER_KEYS.update(v_b="a list", v_u="a list", residuals="a list", quality_warnings="a list")
 
 
 @dataclass(frozen=True)
@@ -125,8 +127,8 @@ def unit_modulus_projection(g: np.ndarray) -> np.ndarray:
 def _unit_phase(g: np.ndarray) -> np.ndarray:
     """g / |g| with exact zeros mapped to 1, as exp(j angle(0)) gives: the solver's in-loop projection.
 
-    About three times cheaper than ``unit_modulus_projection``, but not bit-idempotent (a second pass
-    moves some entries by one ulp), so stage outputs still go through ``unit_modulus_projection``.
+    About three times cheaper than ``unit_modulus_projection``; the ramped axis beams still go through
+    ``unit_modulus_projection``, whose second pass moves fewer entries (see the module docstring).
     """
     mag = np.abs(g)
     return np.divide(g, mag, out=np.ones_like(g), where=mag > 0)
@@ -147,14 +149,14 @@ def design_sensing_phases(
     s: int,
     l_s: int,
     parts: Sequence[int],
-    v_b: Sequence[float],
     grid: np.ndarray,
     params: SolverParams,
     spacing: float,
     rngs: Sequence[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Profiles (len(v_b), len(parts), l_s) of axis beams (s, parts[k]), [j, k] ramped to incidence v_b[j],
-    and one residual per beam, shaped (len(parts),): the residual does not depend on the incidence.
+    """Canonical (incidence 0) sensing fits of axis beams (s, parts[k]), shaped (len(parts), l_s), and one
+    residual per beam, shaped (len(parts),).  The fit for incidence v_b is
+    ``unit_modulus_projection(conj(r(v_b)) * fit)``, with the same residual (see the module docstring).
 
     Minimizes || W (A g - t) || subject to |g_m| = 1 with the projected update
     g <- exp(j angle(g + mu A_w^H (t_w - A_w g))).  With ``target_phase="free"`` the target is L_s in
@@ -165,13 +167,12 @@ def design_sensing_phases(
     Beam k starts from the matched beam toward its partition midpoint plus ``n_starts - 1`` copies
     perturbed by ``rngs[k]``.  All starts of all beams are rows of one batched solve on the canonical
     rows A(0), each stopped by its own rule; the best iterate per row, then per beam, wins (earliest on
-    ties).  Only the ramp-back conj(r(v)) * fit runs once per incidence v.  ``s`` stays the first
-    positional argument: perfbench's tracer reads each span's stage from it.
+    ties).  ``s`` stays the first positional argument: perfbench's tracer reads each span's stage from it.
 
     Each iteration costs one (rows x l_s) @ (l_s x l_s) product with the stage's Gram matrix plus
     products with each row's b on-partition rows of A(0), gathered once and compacted with the rows
-    (see the module docstring for the algebra).  Iterates are projected as g / |g|, exact zeros to 1;
-    the ramped-back output uses ``unit_modulus_projection``.
+    (see the module docstring for the algebra).  Iterates, and so the returned fits, are projected as
+    g / |g|, exact zeros to 1.
     """
     if l_s < 1:
         raise ValueError("sensing element count must be >= 1")
@@ -179,7 +180,6 @@ def design_sensing_phases(
         raise ValueError(f"need one generator per beam: {len(parts)} beams, {len(rngs)} generators")
     d = len(grid)
     a0 = response_rows(l_s, 0.0, grid, spacing)
-    ramps = ris_axis_steering(v_b, l_s, spacing)
     specs = [partition_indices(s, i, d) for i in parts]
     masks = np.array([p.mask(d) for p in specs])
     w_on = params.on_weight if params.on_weight is not None else auto_on_weight(s)
@@ -225,7 +225,7 @@ def design_sensing_phases(
 
     k = np.argmin(best_res.reshape(-1, n_starts), axis=1)  # earliest start wins ties
     best = np.arange(len(specs)) * n_starts + k  # each beam's winning row
-    return unit_modulus_projection(ramps.conj()[:, None, :] * best_h[best]), best_res[best]
+    return best_h[best], best_res[best]
 
 
 def design_comm_phases(
@@ -248,15 +248,16 @@ def design_comm_phases(
 
 @dataclass
 class StageBook:
-    """Per-stage axis beams for both RIS axes; column i - 1 serves ``partition_indices(stage, i, d)``."""
+    """One stage's canonical sensing fits and the axis beams ``_stage_book`` ramps from them; row i - 1 of
+    ``phases`` and column i - 1 of ``w_x`` and ``w_y`` serve ``partition_indices(stage, i, d)``."""
 
     stage: int
     l_s: int
     c_s: int
+    phases: np.ndarray  # 2**s x l_s canonical (incidence 0) sensing fits
+    residuals: np.ndarray  # one per beam, shared by both axes
     w_x: np.ndarray  # n_axis x 2**s
     w_y: np.ndarray  # n_axis x 2**s
-    residuals_x: np.ndarray
-    residuals_y: np.ndarray
     quality_warnings: list = field(default_factory=list)
 
     @property
@@ -271,6 +272,8 @@ class Codebook:
     d: int
     n_ris: int
     spacing: float
+    v_b: DirectionCosine
+    v_u: DirectionCosine
     schedule: tuple
     stages: list
 
@@ -284,10 +287,8 @@ class Codebook:
         return self.stages[s - 1]
 
 
-def assemble_stage(w_x: np.ndarray, w_y: np.ndarray | None = None) -> np.ndarray:
+def assemble_stage(w_x: np.ndarray, w_y: np.ndarray) -> np.ndarray:
     """Two-dimensional stage beams: column (a-1)*2^s + b is w_x[:,a] kron w_y[:,b]."""
-    if w_y is None:
-        w_y = w_x
     return np.kron(w_x, w_y)
 
 
@@ -323,18 +324,12 @@ def build_codebook(
     solver = solver or SolverParams()
     grid = direction_grid(d)
     ss = np.random.SeedSequence(seed)
-    axes = ((cfg.v_b.vx, cfg.v_u.vx), (cfg.v_b.vy, cfg.v_u.vy))
 
     def stage(s, l_s):
         n_beams = 2**s
         # two children per beam, the first seeding the beam: x-axis beams match codebooks solved per axis
         rngs = [np.random.default_rng(child) for child in ss.spawn(2 * n_beams)[0::2]]
-        g, res = design_sensing_phases(
-            s, l_s, range(1, n_beams + 1), [v for v, _ in axes], grid, solver, cfg.ris_spacing, rngs
-        )
-        comm = [design_comm_phases(n_axis - l_s, v_b, v_u, cfg.ris_spacing, offset=l_s) for v_b, v_u in axes]
-        w_x, w_y = (np.vstack([g_axis.T, np.tile(h[:, None], n_beams)]) for g_axis, h in zip(g, comm))
-        return w_x, w_y, res
+        return design_sensing_phases(s, l_s, range(1, n_beams + 1), grid, solver, cfg.ris_spacing, rngs)
 
     return _assemble_codebook(cfg, schedule, stage, solver.residual_ceiling_factor)
 
@@ -351,22 +346,33 @@ def build_matched_codebook(cfg: ScenarioConfig) -> Codebook:
 
     def stage(s, l_s):
         mids = [partition_indices(s, i, cfg.grid_size).midpoint(grid) for i in range(1, 2**s + 1)]
-        w_x, w_y = (matched_axis_beam(v_b, mids, l_s, cfg.ris_spacing).T.copy() for v_b in (cfg.v_b.vx, cfg.v_b.vy))
-        return w_x, w_y, np.zeros(2**s)
+        return ris_axis_steering(mids, l_s, cfg.ris_spacing), np.zeros(2**s)
 
     return _assemble_codebook(cfg, (cfg.n_axis,) * cfg.n_stages, stage, math.inf)
 
 
 def _assemble_codebook(cfg: ScenarioConfig, schedule: tuple, stage, ceiling_factor: float) -> Codebook:
-    """Stage books from ``stage(s, l_s) -> (w_x, w_y, residuals)``: one n_axis x 2**s column and one residual
-    per beam, shared by both axes; a residual above ceiling_factor * l_s * sqrt(D) warns once per beam."""
+    """Stage books from ``stage(s, l_s) -> (phases, residuals)``: one canonical fit and one residual per
+    beam; a residual above ceiling_factor * l_s * sqrt(D) warns once per beam."""
     stages = []
     for s, l_s in enumerate(schedule, start=1):
-        w_x, w_y, res = stage(s, l_s)
+        phases, res = stage(s, l_s)
         ceiling = ceiling_factor * l_s * math.sqrt(cfg.grid_size)
         warnings = [f"stage {s} beam {i}: residual {r:.3g} above {ceiling:.3g}" for i, r in enumerate(res, 1) if r > ceiling]
-        stages.append(StageBook(s, l_s, cfg.n_axis - l_s, w_x, w_y, res, res, warnings))
-    return Codebook(d=cfg.grid_size, n_ris=cfg.n_ris, spacing=cfg.ris_spacing, schedule=schedule, stages=stages)
+        stages.append(_stage_book(s, cfg.n_axis, phases, res, cfg.v_b, cfg.v_u, cfg.ris_spacing, warnings))
+    return Codebook(cfg.grid_size, cfg.n_ris, cfg.ris_spacing, cfg.v_b, cfg.v_u, schedule, stages)
+
+
+def _stage_book(s, n_axis, phases, residuals, v_b, v_u, spacing, warnings) -> StageBook:
+    """Stage s from its canonical fits: each axis ramps them to its incidence, conj(r(v)) * phases, and
+    stacks the stage's closed-form comm block under every beam."""
+    l_s = phases.shape[1]
+    w_x, w_y = (
+        np.vstack([unit_modulus_projection(ris_axis_steering(b, l_s, spacing).conj() * phases).T,
+                   np.tile(design_comm_phases(n_axis - l_s, b, u, spacing, offset=l_s)[:, None], len(phases))])
+        for b, u in ((v_b.vx, v_u.vx), (v_b.vy, v_u.vy))
+    )
+    return StageBook(s, l_s, n_axis - l_s, phases, residuals, w_x, w_y, warnings)
 
 
 def sensing_response(book: StageBook, v_b_axis: float, grid: np.ndarray, spacing: float, axis: str = "x") -> np.ndarray:
@@ -423,34 +429,20 @@ def half_power_width(w_axis_sensing: np.ndarray, v_b_axis: float, spacing: float
 
 
 def save_codebook(cb: Codebook, path: str):
-    """Write the codebook: JSON header line, then little-endian complex128, i.e. (real, imag) float64 pairs.
+    """Write the codebook: the magic line, a JSON header line, then per stage its 2**s x l_s canonical fits
+    (``StageBook.phases``), row-major, as little-endian complex128, i.e. (real, imag) float64 pairs.
 
-    Per stage, w_x then w_y, each column-major.
+    The axis beams are not stored: ``load_codebook`` ramps them from the fits with the header's v_b, v_u
+    and spacing.
     """
-    header = {
-        "d": cb.d,
-        "n_ris": cb.n_ris,
-        "spacing": cb.spacing,
-        "schedule": list(cb.schedule),
-        "stages": [
-            {
-                "stage": b.stage,
-                "l_s": b.l_s,
-                "c_s": b.c_s,
-                "n_beams_axis": b.n_beams_axis,
-                "residuals_x": b.residuals_x.tolist(),
-                "residuals_y": b.residuals_y.tolist(),
-                "quality_warnings": b.quality_warnings,
-            }
-            for b in cb.stages
-        ],
-    }
+    header = dict(d=cb.d, n_ris=cb.n_ris, spacing=cb.spacing, schedule=list(cb.schedule), v_b=[cb.v_b.vx, cb.v_b.vy],
+                  v_u=[cb.v_u.vx, cb.v_u.vy], residuals=[b.residuals.tolist() for b in cb.stages],
+                  quality_warnings=[b.quality_warnings for b in cb.stages])
     with open(path, "wb") as f:
         f.write(CODEBOOK_MAGIC)
         f.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
         for b in cb.stages:
-            for w in (b.w_x, b.w_y):
-                f.write(w.T.astype("<c16").tobytes())  # column by column
+            f.write(b.phases.astype("<c16").tobytes())
 
 
 def _check_keys(path: str, obj, keys: dict, what: str):
@@ -467,38 +459,44 @@ def load_codebook(path: str) -> Codebook:
     with open(path, "rb") as f:
         magic = f.read(len(CODEBOOK_MAGIC))
         if magic != CODEBOOK_MAGIC:
-            raise ValueError(f"{path}: not a codebook file")
+            raise ValueError(f"{path}: not a {CODEBOOK_MAGIC.decode().strip()} codebook file")
         try:
             header = json.loads(f.readline().decode("utf-8"))
         except ValueError as e:
             raise ValueError(f"{path}: malformed codebook header: {e}") from None
         _check_keys(path, header, _HEADER_KEYS, "codebook header")
-        n_ris, schedule, metas = header["n_ris"], header["schedule"], header["stages"]
-        if not 0 < header["spacing"] <= 0.5:  # also rejects nan
-            raise ValueError(f"{path}: codebook header key 'spacing' is not in (0, 0.5]: {header['spacing']}")
+        n_ris, spacing, schedule = header["n_ris"], header["spacing"], header["schedule"]
+        bad = f"{path}: codebook header key"
+        if not 0 < spacing <= 0.5:  # also rejects nan
+            raise ValueError(f"{bad} 'spacing' is not in (0, 0.5]: {spacing}")
         n_axis = math.isqrt(max(n_ris, 0))
         if n_ris < 1 or n_axis * n_axis != n_ris:
-            raise ValueError(f"{path}: codebook header key 'n_ris' is not a positive square: {n_ris}")
-        if len(schedule) != len(metas) or not all(type(l) is int and 1 <= l <= n_axis for l in schedule):
-            raise ValueError(f"{path}: codebook header key 'schedule' is not {len(metas)} integers in 1..{n_axis}")
+            raise ValueError(f"{bad} 'n_ris' is not a positive square: {n_ris}")
+        if not all(type(l) is int and 1 <= l <= n_axis for l in schedule):
+            raise ValueError(f"{bad} 'schedule' is not integers in 1..{n_axis}: {schedule}")
+        n_stages = len(schedule)
+        if not n_stages or header["d"] != 2**n_stages:
+            raise ValueError(f"{bad} 'd' is {header['d']}, not 2**n for n = {n_stages} >= 1 stages")
+        for key in ("v_b", "v_u"):  # abs(nan) <= 1 is False
+            if len(header[key]) != 2 or not all(type(v) in (int, float) and abs(v) <= 1 for v in header[key]):
+                raise ValueError(f"{bad} {key!r} is not 2 direction cosines in [-1, 1]: {header[key]}")
+        for key in ("residuals", "quality_warnings"):
+            if len(header[key]) != n_stages:
+                raise ValueError(f"{bad} {key!r} has {len(header[key])} entries, not one per stage ({n_stages})")
+        v_b, v_u = DirectionCosine(*header["v_b"]), DirectionCosine(*header["v_u"])
         stages = []
-        for k, (meta, l_s) in enumerate(zip(metas, schedule), start=1):
-            _check_keys(path, meta, _STAGE_KEYS, f"header of stage {k}")
-            for key, want in (("stage", k), ("n_beams_axis", 2**k), ("l_s", l_s), ("c_s", n_axis - l_s)):
-                if meta[key] != want:
-                    raise ValueError(f"{path}: header of stage {k} key {key!r} is {meta[key]}, expected {want}")
-            for key in ("residuals_x", "residuals_y"):
-                if len(meta[key]) != 2**k or not all(type(r) in (int, float) and 0 <= r < math.inf for r in meta[key]):
-                    raise ValueError(f"{path}: header of stage {k} key {key!r} is not {2**k} finite numbers >= 0: {meta[key]}")
-            n_bytes = 2 * n_axis * 2**k * 16  # w_x, then w_y
+        for k, (l_s, res, warnings) in enumerate(zip(schedule, header["residuals"], header["quality_warnings"]), 1):
+            finite = type(res) is list and all(type(r) in (int, float) and 0 <= r < math.inf for r in res)
+            if not finite or len(res) != 2**k:
+                raise ValueError(f"{bad} 'residuals' stage {k} is not {2**k} finite numbers >= 0: {res}")
+            if not isinstance(warnings, list) or not all(isinstance(w, str) for w in warnings):
+                raise ValueError(f"{bad} 'quality_warnings' stage {k} is not a list of strings: {warnings!r}")
+            n_bytes = 2**k * l_s * 16
             raw = f.read(n_bytes)
             if len(raw) != n_bytes:
                 raise ValueError(f"{path}: stage {k} payload has {len(raw)} of {n_bytes} bytes")
-            w_x, w_y = np.frombuffer(raw, dtype="<c16").reshape(2, 2**k, n_axis).transpose(0, 2, 1).astype(complex)
-            res_x, res_y = (np.array(meta[f"residuals_{axis}"], dtype=float) for axis in "xy")
-            stages.append(StageBook(k, l_s, n_axis - l_s, w_x, w_y, res_x, res_y, list(meta["quality_warnings"])))
-        if not stages or header["d"] != 2 ** len(stages):
-            raise ValueError(f"{path}: codebook header key 'd' is {header['d']}, not 2**n for n = {len(stages)} >= 1 stages")
+            phases = np.frombuffer(raw, dtype="<c16").reshape(2**k, l_s).astype(complex)
+            stages.append(_stage_book(k, n_axis, phases, np.array(res, dtype=float), v_b, v_u, spacing, warnings))
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after the last stage")
-    return Codebook(d=header["d"], n_ris=n_ris, spacing=header["spacing"], schedule=tuple(schedule), stages=stages)
+    return Codebook(header["d"], n_ris, spacing, v_b, v_u, tuple(schedule), stages)

@@ -350,6 +350,7 @@ def get_codebook(cfg: ScenarioConfig, plan: ExperimentPlan, cb: Codebook | None 
     if cb is None:
         return build_codebook(cfg, schedule=plan.schedule_ls, solver=plan.solver, seed=plan.design_seed)
     checks = [("D", cb.d, cfg.grid_size), ("N_r", cb.n_ris, cfg.n_ris), ("spacing", cb.spacing, cfg.ris_spacing)]
+    checks += [("v_b", cb.v_b, cfg.v_b), ("v_u", cb.v_u, cfg.v_u)]
     if plan.schedule_ls is not None:
         checks.append(("schedule", tuple(cb.schedule), tuple(plan.schedule_ls)))
     for name, designed, wanted in checks:
@@ -544,7 +545,7 @@ def _codebook_report(cfg, plan, book, add):
     for sb in book.stages:
         hpw = half_power_width(sb.w_x[: sb.l_s, 0], cfg.v_b.vx, book.spacing)
         add(metric="half_power_width", detail=f"stage={sb.stage};beam=1;axis=x", value=hpw)
-        for i, residual in enumerate(sb.residuals_x, start=1):
+        for i, residual in enumerate(sb.residuals, start=1):
             add(metric="design_residual", detail=f"stage={sb.stage};beam={i};axis=x", value=float(residual))
 
 

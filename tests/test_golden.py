@@ -54,7 +54,7 @@ def codebook_entries(name: str, cb) -> dict:
     """``<name>/beams`` and ``<name>/residuals`` CSV lines of one codebook."""
     beams, residuals = [("stage", "axis", "beam", "element", "re", "im")], [("stage", "axis", "beam", "residual")]
     for book in cb.stages:
-        for axis, w, res in (("x", book.w_x, book.residuals_x), ("y", book.w_y, book.residuals_y)):
+        for axis, w, res in (("x", book.w_x, book.residuals), ("y", book.w_y, book.residuals)):
             for i in range(w.shape[1]):
                 residuals.append((book.stage, axis, i + 1, float(res[i])))
                 beams += ((book.stage, axis, i + 1, n, float(e.real), float(e.imag)) for n, e in enumerate(w[:, i]))

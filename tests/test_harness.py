@@ -13,7 +13,7 @@ import risjrc
 from risjrc import cli, harness
 from risjrc.channels import ScenarioConfig
 from risjrc.codebook import SolverParams
-from risjrc.geometry import FieldError
+from risjrc.geometry import DirectionCosine, FieldError
 from risjrc.harness import (
     ExperimentPlan,
     ResultTable,
@@ -375,8 +375,10 @@ class TestExperiments:
             (dict(grid_size=8), {}, "D"),
             (dict(ris_spacing=0.5), {}, "spacing"),
             ({}, dict(schedule_ls=(4, 4, 4, 4)), "schedule"),
+            (dict(v_b=DirectionCosine(-0.6, 0.4)), {}, "v_b"),
+            (dict(v_u=DirectionCosine(-0.6, 0.4)), {}, "v_u"),
         ],
-        ids=["N_r", "D", "spacing", "schedule"],
+        ids=["N_r", "D", "spacing", "schedule", "v_b", "v_u"],
     )
     def test_codebook_mismatch_rejected(self, oracle_codebook_16, scenario, plan_overrides, name):
         cfg = desk_cfg(**{"n_ris": 256, "grid_size": 16, **scenario})
