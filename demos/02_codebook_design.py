@@ -26,12 +26,12 @@ print(f"done; schedule={cb.schedule}, design-quality warnings: {warnings}")
 
 print()
 print("stage | L_s | C_s | beams | worst on-mean/L | worst off-mean/L | half-power width")
-stats = mask_fidelity(cb, cfg)
+stats = mask_fidelity(cb)
 for book in cb.stages:
     sel = [s for s in stats if s.stage == book.stage]
     on = min(s.on_mean for s in sel) / book.l_s
     off = max(s.off_mean for s in sel) / book.l_s
-    hpw = half_power_width(book.w_x[: book.l_s, 0], cfg.v_b.vx, cb.spacing)
+    hpw = half_power_width(book.w_x[: book.l_s, 0], cb.v_b.vx, cb.spacing)
     print(
         f"  {book.stage}   | {book.l_s:3d} | {book.c_s:3d} | {book.n_beams_axis:4d}  |"
         f"      {on:.3f}      |      {off:.3f}      |  {hpw:.3f}"
@@ -46,5 +46,5 @@ match = all(
 print()
 print(f"wrote codebook.riscb; reload matches exactly: {match}")
 
-beampattern_csv(cfg, cb, "beampattern.csv")
+beampattern_csv(cb, "beampattern.csv")
 print("wrote beampattern.csv (per-beam axis response magnitude over the grid)")

@@ -83,7 +83,7 @@ def _localize(args, kind):
 def _beampattern(args, kind):
     cfg, plan, cb = _load(args, kind)
     out = args.out or "beampattern.csv"
-    beampattern_csv(cfg, get_codebook(cfg, plan, cb), out)
+    beampattern_csv(get_codebook(cfg, plan, cb), out)
     print(f"wrote {out}")
 
 

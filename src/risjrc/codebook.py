@@ -375,11 +375,13 @@ def _stage_book(s, n_axis, phases, residuals, v_b, v_u, spacing, warnings) -> St
     return StageBook(s, l_s, n_axis - l_s, phases, residuals, w_x, w_y, warnings)
 
 
-def sensing_response(book: StageBook, v_b_axis: float, grid: np.ndarray, spacing: float, axis: str = "x") -> np.ndarray:
-    """|one-axis sensing response| of every beam of a stage over the grid, D x 2**s."""
-    w = book.w_x if axis == "x" else book.w_y
-    a = response_rows(book.l_s, v_b_axis, grid, spacing)
-    return np.abs(a @ w[: book.l_s, :])
+def sensing_responses(cb: Codebook):
+    """Yield ``(book, axis, |response|)`` per stage and axis: the one-axis sensing response of every
+    beam over the grid, D x 2**s, at the incidence and spacing the codebook was designed for."""
+    grid = direction_grid(cb.d)
+    for book in cb.stages:
+        for axis, v_b_axis, w in (("x", cb.v_b.vx, book.w_x), ("y", cb.v_b.vy, book.w_y)):
+            yield book, axis, np.abs(response_rows(book.l_s, v_b_axis, grid, cb.spacing) @ w[: book.l_s, :])
 
 
 @dataclass(frozen=True)
@@ -391,24 +393,21 @@ class MaskStats:
     off_mean: float
 
 
-def mask_fidelity(cb: Codebook, cfg: ScenarioConfig) -> list:
-    """On/off-partition mean response magnitudes for every designed beam."""
-    grid = direction_grid(cb.d)
+def mask_fidelity(cb: Codebook) -> list:
+    """On/off-partition mean response magnitudes for every designed beam, at the codebook's incidence."""
     out = []
-    for book in cb.stages:
-        for axis, v_b_axis in (("x", cfg.v_b.vx), ("y", cfg.v_b.vy)):
-            resp = sensing_response(book, v_b_axis, grid, cb.spacing, axis)
-            for i in range(1, book.n_beams_axis + 1):
-                m = partition_indices(book.stage, i, cb.d).mask(cb.d)
-                out.append(
-                    MaskStats(
-                        stage=book.stage,
-                        beam=i,
-                        axis=axis,
-                        on_mean=float(resp[m, i - 1].mean()),
-                        off_mean=float(resp[~m, i - 1].mean()),
-                    )
+    for book, axis, resp in sensing_responses(cb):
+        for i in range(1, book.n_beams_axis + 1):
+            m = partition_indices(book.stage, i, cb.d).mask(cb.d)
+            out.append(
+                MaskStats(
+                    stage=book.stage,
+                    beam=i,
+                    axis=axis,
+                    on_mean=float(resp[m, i - 1].mean()),
+                    off_mean=float(resp[~m, i - 1].mean()),
                 )
+            )
     return out
 
 
@@ -496,6 +495,8 @@ def load_codebook(path: str) -> Codebook:
             if len(raw) != n_bytes:
                 raise ValueError(f"{path}: stage {k} payload has {len(raw)} of {n_bytes} bytes")
             phases = np.frombuffer(raw, dtype="<c16").reshape(2**k, l_s).astype(complex)
+            if not np.all(abs(np.abs(phases) - 1) <= 1e-12):  # also rejects nan
+                raise ValueError(f"{path}: stage {k} payload holds a phase that is not unit modulus")
             stages.append(_stage_book(k, n_axis, phases, np.array(res, dtype=float), v_b, v_u, spacing, warnings))
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after the last stage")

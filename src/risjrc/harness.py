@@ -32,7 +32,7 @@ from .codebook import (
     default_schedule,
     half_power_width,
     mask_fidelity,
-    sensing_response,
+    sensing_responses,
 )
 from .geometry import DirectionCosine, check_fields, direction_grid
 from .localization import (
@@ -367,7 +367,7 @@ def resolve_schedules(scenes: list[Scene], plan: ExperimentPlan, cb: Codebook) -
     the magnitude reading of the closed-form rule, since the signed form is
     non-physical.  Calibration goes stage by stage: one :class:`StageEnsemble`
     per stage on ``aux_rng(seed, kind, 0, stage)``, which every power point
-    searches through its own view and which is dropped before the next stage
+    searches with its own scene and which is dropped before the next stage
     is drawn, so one ensemble is held at a time.
     """
     n_stages = scenes[0].cfg.n_stages
@@ -393,9 +393,9 @@ def resolve_schedules(scenes: list[Scene], plan: ExperimentPlan, cb: Codebook) -
     # which keeps the calibrated counts smoothly monotone across the sweep
     calibs = [[] for _ in scenes]
     for s in range(1, n_stages + 1):
-        ens = StageEnsemble(scenes[0], cb, s, plan.calib_trials, aux_rng(plan.master_seed, plan.kind, 0, s))
+        ens = StageEnsemble(cb, s, plan.calib_trials, aux_rng(plan.master_seed, plan.kind, 0, s))
         for scene, point in zip(scenes, calibs):
-            point.append(calibrate_snapshots(ens.at(scene), plan.delta, plan.t_max))
+            point.append(calibrate_snapshots(ens, scene, plan.delta, plan.t_max))
         del ens  # drawn stage by stage: the next stage's ensemble replaces this one rather than joining it
     return [
         (SnapshotSchedule(tuple(r.t_s if r.feasible else plan.t_max for r in point)), point)
@@ -538,12 +538,12 @@ def _transmission_count(cfg, plan, book, add):
 
 
 def _codebook_report(cfg, plan, book, add):
-    for st in mask_fidelity(book, cfg):
+    for st in mask_fidelity(book):
         detail = f"stage={st.stage};beam={st.beam};axis={st.axis}"
         add(metric="mask_on_mean", detail=detail, value=st.on_mean)
         add(metric="mask_off_mean", detail=detail, value=st.off_mean)
     for sb in book.stages:
-        hpw = half_power_width(sb.w_x[: sb.l_s, 0], cfg.v_b.vx, book.spacing)
+        hpw = half_power_width(sb.w_x[: sb.l_s, 0], book.v_b.vx, book.spacing)
         add(metric="half_power_width", detail=f"stage={sb.stage};beam=1;axis=x", value=hpw)
         for i, residual in enumerate(sb.residuals, start=1):
             add(metric="design_residual", detail=f"stage={sb.stage};beam={i};axis=x", value=float(residual))
@@ -589,13 +589,11 @@ def run_experiment(plan: ExperimentPlan, cfg: ScenarioConfig, cb: Codebook | Non
     return table
 
 
-def beampattern_csv(cfg: ScenarioConfig, cb: Codebook, path: str):
-    """Raw per-beam axis response magnitudes over the grid, for plotting."""
+def beampattern_csv(cb: Codebook, path: str):
+    """Raw per-beam axis response magnitudes over the grid, at the codebook's incidence, for plotting."""
     grid = direction_grid(cb.d)
     rows = []
-    for book in cb.stages:
-        for axis, v_b_axis in (("x", cfg.v_b.vx), ("y", cfg.v_b.vy)):
-            resp = sensing_response(book, v_b_axis, grid, cb.spacing, axis)
-            for i in range(book.n_beams_axis):
-                rows += ([book.stage, axis, i + 1, j + 1, float(grid[j]), float(resp[j, i])] for j in range(cb.d))
+    for book, axis, resp in sensing_responses(cb):
+        for i in range(book.n_beams_axis):
+            rows += ([book.stage, axis, i + 1, j + 1, float(grid[j]), float(resp[j, i])] for j in range(cb.d))
     _write_csv(path, BEAMPATTERN_COLUMNS, rows)

@@ -17,15 +17,16 @@ the search over a block of trials, and the calibrator's
 :class:`StageEnsemble` read their draws from raw words by one layout: normals
 through :func:`normals_from_words`, then 64-snapshot chunks of symbol words.
 Both take the snapshot means through :func:`_snapshot_means` and decide
-through :func:`stage_decision`.  The search result is :func:`descend`'s
-per-stage arrays, one row per trial; :func:`hierarchical_localize` returns
-them for one row drawn from a generator.  The exhaustive baseline draws the
-same symbol law through :func:`qpsk_product_sum` and returns its estimated cell.
+through :func:`stage_decision`.  The ensemble holds only draws and takes the
+scene per call, so one ensemble serves every power point.  The search result
+is :func:`descend`'s per-stage arrays, one row per trial;
+:func:`hierarchical_localize` returns them for one row drawn from a
+generator.  The exhaustive baseline draws the same symbol law through
+:func:`qpsk_product_sum` and returns its estimated cell.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -341,21 +342,6 @@ def overall_error_bound(delta: float, n_s: int) -> float:
     return n_s * delta
 
 
-class _ChunkStore:
-    """Symbol words of one ensemble in 64-snapshot chunks of shape (trials, 4, 2), chunk k the k-th
-    drawn from ``bits``; every view of a :class:`StageEnsemble` reads this one store."""
-
-    def __init__(self, bits, trials: int):
-        self.bits = bits
-        self.words = np.empty((0, trials, 4, 2), np.uint64)
-
-    def first(self, k: int) -> np.ndarray:
-        """Chunks 0..k-1, drawing the ones not drawn yet."""
-        if (missing := k - len(self.words)) > 0:
-            self.words = np.concatenate([self.words, self.bits.random_raw((missing, *self.words.shape[1:]))])
-        return self.words[:k]
-
-
 class StageEnsemble:
     """Vectorized isolated-stage simulator over a Monte Carlo trial batch.
 
@@ -367,50 +353,42 @@ class StageEnsemble:
     words in 64-snapshot chunks of shape (trials, 4, 2), chunk k being the
     k-th drawn after the block.  A chunk is drawn when a count first needs
     it, so the ensemble holds trials x 64 B per 64 snapshots of the largest
-    count probed, and ``error_rate(t_s)`` reads chunks 0..ceil(t_s/64) - 1
-    whatever counts were probed before.
+    count probed, and ``error_rate(scene, t_s)`` reads chunks
+    0..ceil(t_s/64) - 1 whatever counts were probed before.
 
-    None of these draws depends on the transmit power; only the trial
-    coefficients ``coh`` and ``cross`` do.  :meth:`at` gives a view of the
-    same draws at another scene, such as another power point of a sweep:
-    views share the noise pairs and one chunk store, so a chunk drawn
-    through any view is the chunk every view reads.
+    None of these draws depends on the scene, so one ensemble serves every
+    power point of a sweep: the scene is an argument of :meth:`error_rate`.
     """
 
-    def __init__(self, scene: Scene, cb: Codebook, stage: int, trials: int, rng: np.random.Generator):
+    def __init__(self, cb: Codebook, stage: int, trials: int, rng: np.random.Generator):
         if trials < 1:
             raise ValueError("trials must be >= 1")
         self.book = cb.stage(stage)
         self.stage, self.trials = stage, trials
-        bits = rng.bit_generator
-        normals = normals_from_words(bits.random_raw((trials, 16)))
+        self.bits = rng.bit_generator
+        normals = normals_from_words(self.bits.random_raw((trials, 16)))
         self.fading = fading_from_normals(normals)
         self.noise_re, self.noise_im = normals[:, 8:12], normals[:, 12:]
-        self.chunks = _ChunkStore(bits, trials)
-        self._set_scene(scene)
+        self.words = np.empty((0, trials, 4, 2), np.uint64)  # the symbol chunks drawn so far
+        self.scene = None  # the scene that error_rate last set parent, truth, coh and cross for
 
-    def _set_scene(self, scene: Scene):
-        """Set what depends on the scene: the candidates, the true child and the trial coefficients."""
-        self.scene = scene
-        cell, d, stage = true_cell(scene.cfg), scene.cfg.grid_size, self.stage
-        self.parent = np.array([(1, 1) if stage == 1 else true_stage_pair(cell, stage - 1, d)])  # shared by all trials
-        a, b = true_stage_pair(cell, stage, d)
-        self.truth = _CHILDREN.index(((a - 1) % 2, (b - 1) % 2))  # the true child's probe position
-        self.coh, self.cross = trial_coefficients(scene, self.fading)
-
-    def at(self, scene: Scene) -> StageEnsemble:
-        """A view of these draws at ``scene``, with its own trial coefficients."""
-        view = copy.copy(self)
-        view._set_scene(scene)
-        return view
-
-    def error_rate(self, t_s: int) -> float:
-        """Empirical stage error probability at t_s snapshots per beam."""
+    def error_rate(self, scene: Scene, t_s: int) -> float:
+        """Empirical stage error probability at ``scene`` and t_s snapshots per beam."""
         if not _is_integer(t_s) or t_s < 1:
             raise ValueError(f"snapshot count must be an integer >= 1, got {t_s!r}")
-        words = self.chunks.first(-(-t_s // 64))  # the symbol chunks t_s snapshots read
-        u_bar, n_bar = _snapshot_means(self.scene, self.noise_re, self.noise_im, words, t_s)
-        _, _, chosen, _ = stage_decision(self.scene, self.book, self.parent, self.coh, self.cross, u_bar, n_bar)
+        if scene is not self.scene:
+            cell, d, stage = true_cell(scene.cfg), scene.cfg.grid_size, self.stage
+            parent = (1, 1) if stage == 1 else true_stage_pair(cell, stage - 1, d)
+            self.parent = np.array([parent])  # one row that all trials share
+            a, b = true_stage_pair(cell, stage, d)
+            self.truth = _CHILDREN.index(((a - 1) % 2, (b - 1) % 2))  # the true child's probe position
+            self.coh, self.cross = trial_coefficients(scene, self.fading)
+            self.scene = scene
+        k = -(-t_s // 64)  # the symbol chunks t_s snapshots read
+        if (missing := k - len(self.words)) > 0:
+            self.words = np.concatenate([self.words, self.bits.random_raw((missing, self.trials, 4, 2))])
+        u_bar, n_bar = _snapshot_means(scene, self.noise_re, self.noise_im, self.words[:k], t_s)
+        _, _, chosen, _ = stage_decision(scene, self.book, self.parent, self.coh, self.cross, u_bar, n_bar)
         return float(np.mean(chosen != self.truth))
 
 
@@ -418,7 +396,7 @@ def stage_error(
     scene: Scene, cb: Codebook, stage: int, t_s: int, trials: int, rng: np.random.Generator
 ) -> float:
     """Isolated stage-error probability at a fixed snapshot count."""
-    return StageEnsemble(scene, cb, stage, trials, rng).error_rate(t_s)
+    return StageEnsemble(cb, stage, trials, rng).error_rate(scene, t_s)
 
 
 @dataclass(frozen=True)
@@ -432,8 +410,8 @@ class CalibrationResult:
     error_at_t: float | None
 
 
-def calibrate_snapshots(ens: StageEnsemble, delta: float, t_max: int = 512) -> CalibrationResult:
-    """Smallest snapshot count at which the ensemble's stage error is <= delta.
+def calibrate_snapshots(ens: StageEnsemble, scene: Scene, delta: float, t_max: int = 512) -> CalibrationResult:
+    """Smallest snapshot count at which the ensemble's stage error at ``scene`` is <= delta.
 
     Doubles the snapshot count until the target is met (every count reads
     the ensemble's one set of draws), then bisects.  Reports infeasibility
@@ -445,14 +423,14 @@ def calibrate_snapshots(ens: StageEnsemble, delta: float, t_max: int = 512) -> C
         raise ValueError("t_max must be >= 1")
 
     t_lo, t = 0, 1  # t_lo: highest failing count
-    while (err := ens.error_rate(t)) > delta:
+    while (err := ens.error_rate(scene, t)) > delta:
         if t >= t_max:
             return CalibrationResult(ens.stage, delta, ens.trials, t_max, False, None, err)
         t_lo, t = t, min(2 * t, t_max)
     t_hi, err_hi = t, err
     while t_hi - t_lo > 1:
         mid = (t_lo + t_hi) // 2
-        err = ens.error_rate(mid)
+        err = ens.error_rate(scene, mid)
         if err <= delta:
             t_hi, err_hi = mid, err
         else:

@@ -240,7 +240,7 @@ class TestCriterion7CodebookQuality:
         cb = five_stage_codebook
         ok = True
         worst = {}
-        for st in mask_fidelity(cb, cfg):
+        for st in mask_fidelity(cb):
             l_s = cb.schedule[st.stage - 1]
             ok &= st.on_mean >= 0.7 * l_s
             ok &= st.off_mean <= 0.25 * l_s

@@ -24,7 +24,7 @@ from risjrc.codebook import (
     save_codebook,
     unit_modulus_projection,
 )
-from risjrc.geometry import direction_grid, ris_axis_steering
+from risjrc.geometry import DirectionCosine, direction_grid, ris_axis_steering
 from risjrc.localization import make_scene, trial_coefficients
 from risjrc.channels import draw_fading
 
@@ -324,11 +324,20 @@ class TestBuildCodebook:
             np.testing.assert_allclose(np.abs(b.w_y), 1.0, atol=1e-12)
 
     def test_mask_gates(self, five_stage_codebook):
-        cfg = desk_cfg(grid_size=32)
-        for st in mask_fidelity(five_stage_codebook, cfg):
+        for st in mask_fidelity(five_stage_codebook):
             l_s = five_stage_codebook.schedule[st.stage - 1]
             assert st.on_mean >= 0.7 * l_s, st
             assert st.off_mean <= 0.25 * l_s, st
+
+    def test_mask_fidelity_reads_the_codebook_incidence(self):
+        # a matched beam's response at its own incidence does not depend on that incidence; read at
+        # the default incidence instead, this book's stage-1 on-mean would drop from 3.54 to 1.61
+        got = mask_fidelity(build_matched_codebook(tiny_cfg(v_b=DirectionCosine(-0.6, 0.4))))
+        want = mask_fidelity(build_matched_codebook(tiny_cfg()))
+        assert [(st.stage, st.beam, st.axis) for st in got] == [(st.stage, st.beam, st.axis) for st in want]
+        means = [[(st.on_mean, st.off_mean) for st in stats] for stats in (got, want)]
+        np.testing.assert_allclose(*means, rtol=0, atol=1e-12)
+        assert got[0].on_mean == pytest.approx(3.543, abs=1e-3)
 
     def test_determinism(self):
         cfg = tiny_cfg()
@@ -512,6 +521,14 @@ class TestMalformedFiles:
             header[key][stage - 1] = value
         path.write_bytes(CODEBOOK_MAGIC + json.dumps(header).encode() + b"\n" + payload)
         with pytest.raises(ValueError, match=f"{path.name}: .*{match}"):
+            load_codebook(str(path))
+
+    @pytest.mark.parametrize("phase", [complex("nan"), 2 + 0j, 0j], ids=["nan", "two", "zero"])
+    def test_non_unit_phase_rejected(self, saved_tiny_book, phase):
+        # the saved book with its last canonical phase, in stage 3, overwritten
+        data, path = saved_tiny_book
+        path.write_bytes(data[:-16] + np.array([phase], dtype="<c16").tobytes())
+        with pytest.raises(ValueError, match=f"{path.name}: stage 3 payload holds a phase that is not unit modulus"):
             load_codebook(str(path))
 
     def test_stage_count_must_match_d(self, saved_tiny_book):

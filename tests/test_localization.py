@@ -420,15 +420,15 @@ class TestCalibration:
         cfg = desk_cfg(sigma_b2_dbm=-math.inf)
         scene = make_scene(cfg)
         for s in range(1, cfg.n_stages + 1):
-            ens = StageEnsemble(scene, desk_codebook, s, 1000, np.random.default_rng(s))
-            res = calibrate_snapshots(ens, 0.05, t_max=8)
+            ens = StageEnsemble(desk_codebook, s, 1000, np.random.default_rng(s))
+            res = calibrate_snapshots(ens, scene, 0.05, t_max=8)
             assert res.feasible and res.t_s == 1
 
     def test_error_monotone_in_snapshots(self, desk_codebook):
         cfg = desk_cfg(36.0)
         scene = make_scene(cfg)
-        ens = StageEnsemble(scene, desk_codebook, 1, 10_000, np.random.default_rng(0))
-        errs = [ens.error_rate(t) for t in (1, 4, 16, 64)]
+        ens = StageEnsemble(desk_codebook, 1, 10_000, np.random.default_rng(0))
+        errs = [ens.error_rate(scene, t) for t in (1, 4, 16, 64)]
         hw = 2 * 1.96 * math.sqrt(0.25 / 10_000)
         for lo, hi in zip(errs[1:], errs[:-1]):
             assert lo <= hi + hw
@@ -436,7 +436,7 @@ class TestCalibration:
     def test_infeasible_reported(self, desk_codebook):
         cfg = desk_cfg(20.0)  # far too little power for one-snapshot accuracy
         scene = make_scene(cfg)
-        res = calibrate_snapshots(StageEnsemble(scene, desk_codebook, 1, 500, np.random.default_rng(1)), 0.05, t_max=2)
+        res = calibrate_snapshots(StageEnsemble(desk_codebook, 1, 500, np.random.default_rng(1)), scene, 0.05, t_max=2)
         assert not res.feasible
         assert res.t_s is None
 
@@ -455,13 +455,13 @@ class TestCalibration:
         seen = []
         error_rate = StageEnsemble.error_rate
 
-        def recording(self, t_s):
+        def recording(self, scene, t_s):
             seen.append(t_s)
-            return error_rate(self, t_s)
+            return error_rate(self, scene, t_s)
 
         monkeypatch.setattr(StageEnsemble, "error_rate", recording)
-        ens = StageEnsemble(make_scene(cfg), desk_codebook, stage, 500, np.random.default_rng(3))
-        calibrate_snapshots(ens, 0.05, t_max=t_max)
+        ens = StageEnsemble(desk_codebook, stage, 500, np.random.default_rng(3))
+        calibrate_snapshots(ens, make_scene(cfg), 0.05, t_max=t_max)
         assert seen == expected
 
     @settings(max_examples=20, deadline=None)
@@ -472,10 +472,10 @@ class TestCalibration:
     )
     def test_error_rate_does_not_depend_on_probe_order(self, desk_codebook, counts, stage, seed):
         scene = desk_scene(33.0)
-        shared = StageEnsemble(scene, desk_codebook, stage, 300, np.random.default_rng(seed))
+        shared = StageEnsemble(desk_codebook, stage, 300, np.random.default_rng(seed))
         for t in counts:
-            alone = StageEnsemble(scene, desk_codebook, stage, 300, np.random.default_rng(seed))
-            assert shared.error_rate(t) == alone.error_rate(t)
+            alone = StageEnsemble(desk_codebook, stage, 300, np.random.default_rng(seed))
+            assert shared.error_rate(scene, t) == alone.error_rate(scene, t)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -485,14 +485,14 @@ class TestCalibration:
     )
     @example(probes=[(39.0, 200), (45.0, 10)], stage=1, seed=5)
     def test_power_views_read_the_draws_of_a_fresh_ensemble(self, desk_codebook, probes, stage, seed):
-        # views at other powers share one chunk store: a count probed through any view reads what a
-        # fresh ensemble at that view's power reads, whichever view drew the chunks first
-        ens = StageEnsemble(desk_scene(36.0), desk_codebook, stage, 300, np.random.default_rng(seed))
-        views = {p: ens.at(desk_scene(p)) for p in (39.0, 42.0, 45.0)}
+        # one ensemble probed at several powers: a count probed at any scene reads what a fresh
+        # ensemble at that scene reads, whichever scene's probe drew the chunks first
+        ens = StageEnsemble(desk_codebook, stage, 300, np.random.default_rng(seed))
+        scenes = {p: desk_scene(p) for p in (39.0, 42.0, 45.0)}
         for p, t in probes:
-            fresh = StageEnsemble(desk_scene(p), desk_codebook, stage, 300, np.random.default_rng(seed))
-            assert views[p].error_rate(t) == fresh.error_rate(t)
-        assert len(ens.chunks.words) == -(-max(t for _, t in probes) // 64)
+            fresh = StageEnsemble(desk_codebook, stage, 300, np.random.default_rng(seed))
+            assert ens.error_rate(scenes[p], t) == fresh.error_rate(scenes[p], t)
+        assert len(ens.words) == -(-max(t for _, t in probes) // 64)
 
     def test_ensemble_layout_rebuilt_from_raw_words(self, desk_codebook, monkeypatch):
         # per trial 16 words of normals (fading, then 4 real and 4 imaginary noise parts), then
@@ -506,9 +506,9 @@ class TestCalibration:
             return decisions[-1]
 
         monkeypatch.setattr(localization, "stage_decision", recording)
-        ens = StageEnsemble(scene, desk_codebook, stage, trials, np.random.default_rng(4))
-        ens.error_rate(1)  # draws chunk 0; chunks 1 and 2 follow when t needs them
-        err = ens.error_rate(t)
+        ens = StageEnsemble(desk_codebook, stage, trials, np.random.default_rng(4))
+        ens.error_rate(scene, 1)  # draws chunk 0; chunks 1 and 2 follow when t needs them
+        err = ens.error_rate(scene, t)
         _, stats, chosen, _ = decisions[-1]
 
         words = np.random.default_rng(4).bit_generator.random_raw(16 * trials + 3 * 8 * trials)
@@ -564,14 +564,14 @@ class TestInputRanges:
         with pytest.raises(ValueError, match=r"stage must be in 1\.\.3"):
             stage_error(make_scene(cfg), cb, stage, 1, 10, np.random.default_rng(0))
         with pytest.raises(ValueError, match=r"stage must be in 1\.\.3"):
-            calibrate_snapshots(StageEnsemble(make_scene(cfg), cb, stage, 10, np.random.default_rng(0)), 0.05)
+            calibrate_snapshots(StageEnsemble(cb, stage, 10, np.random.default_rng(0)), make_scene(cfg), 0.05)
 
     @pytest.mark.parametrize("delta", [math.nan, 0.0, 1.0, 1.5])
     def test_calibration_rejects_delta_out_of_range(self, delta):
         cfg = tiny_cfg()
-        ens = StageEnsemble(make_scene(cfg), build_matched_codebook(cfg), 1, 10, np.random.default_rng(0))
+        ens = StageEnsemble(build_matched_codebook(cfg), 1, 10, np.random.default_rng(0))
         with pytest.raises(ValueError, match=r"delta must be in \(0, 1\)"):
-            calibrate_snapshots(ens, delta)
+            calibrate_snapshots(ens, make_scene(cfg), delta)
 
     @pytest.mark.parametrize("t_s", [(1.5, 2, 3), (2.0, 2, 3), (np.float64(2), 2, 3), (True, 2, 3), ("2", 2, 3)])
     def test_schedule_rejects_non_integer_counts(self, t_s):
@@ -594,7 +594,7 @@ class TestInputRanges:
         with pytest.raises(ValueError, match="trials must be >= 1"):
             stage_error(make_scene(cfg), cb, 1, 1, trials, np.random.default_rng(0))
         with pytest.raises(ValueError, match="trials must be >= 1"):
-            StageEnsemble(make_scene(cfg), cb, 1, trials, np.random.default_rng(0))
+            StageEnsemble(cb, 1, trials, np.random.default_rng(0))
 
     @pytest.mark.parametrize("t_per_beam", [0, -1, 1.5, 2.0, np.float64(3), True])
     def test_exhaustive_rejects_no_snapshots(self, t_per_beam):

@@ -17,6 +17,7 @@ import pytest
 
 from risjrc.codebook import build_codebook
 from risjrc.comms import average_se
+from risjrc.harness import ExperimentPlan, resolve_schedule
 
 from conftest import tiny_cfg
 
@@ -49,14 +50,17 @@ def test_traced_run_counts_the_hot_paths(tmp_path):
     tracer = tracing_module().Tracer()
     tracer.install()
     try:
-        build_codebook(cfg, schedule=(4, 4, 4), seed=0)
+        cb = build_codebook(cfg, schedule=(4, 4, 4), seed=0)
         average_se(cfg, None, 50, np.random.default_rng(0))
+        resolve_schedule(cfg, ExperimentPlan(calib_trials=40, t_max=8), cb)
     finally:
         tracer.uninstall()
     m = tracer.report(str(tmp_path / "none.bin"), str(tmp_path / "none.csv"))["metrics"]
     assert m["codebook.solve_calls"] == 3
     assert all(m[f"codebook.solve_s.s{s}"] > 0 for s in (1, 2, 3))
     assert m["channels.draw_fading_calls"] == 1
+    assert m["localization.calibrate_calls"] == 3
+    assert m["localization.error_rate_evals"] > 0
     for name, module in namespaces.items():
         left = [k for k, v in vars(module).items() if k in before[name] and v is not before[name][k]]
         assert not left, f"{name} still holds wrappers for {left}"
