@@ -397,6 +397,57 @@ class TestExperiments:
         assert len(lines) == 1 + cfg.n_stages
 
 
+# The benchmark's overall-desk run (32x32 RIS, D=16, codebook designed at the master seed): per master seed,
+# per power point of 39/42/45 dBm, the (stage, feasible, t_s, error_at_t) of each CalibrationResult at 4000
+# calibration trials and delta 0.05, then the (overall_error, stage_error_conditional by stage) values at 1000
+# trials.  Stage 1 bisects well inside t_max here, which the tiny-scale golden file never reaches.
+_DESK_PIN = {
+    1: (
+        [
+            [(1, True, 102, 0.05), (2, True, 4, 0.0495), (3, True, 1, 0.00575), (4, True, 1, 0.00675)],
+            [(1, True, 51, 0.05), (2, True, 2, 0.0495), (3, True, 1, 0.005), (4, True, 1, 0.005)],
+            [(1, True, 26, 0.04975), (2, True, 1, 0.05), (3, True, 1, 0.004), (4, True, 1, 0.004)],
+        ],
+        [
+            (0.076, [0.052, 0.02531645569620253, 0.0, 0.0]),
+            (0.071, [0.051, 0.02107481559536354, 0.0, 0.0]),
+            (0.068, [0.046, 0.023060796645702306, 0.0, 0.0]),
+        ],
+    ),
+    2: (
+        [
+            [(1, True, 245, 0.05), (2, True, 4, 0.049), (3, True, 1, 0.009), (4, True, 1, 0.0075)],
+            [(1, True, 123, 0.05), (2, True, 2, 0.04925), (3, True, 1, 0.00525), (4, True, 1, 0.0045)],
+            [(1, True, 62, 0.05), (2, True, 1, 0.04925), (3, True, 1, 0.0035), (4, True, 1, 0.003)],
+        ],
+        [
+            (0.065, [0.04, 0.023958333333333335, 0.0, 0.0021344717182497333]),
+            (0.069, [0.037, 0.033229491173416406, 0.0, 0.0]),
+            (0.073, [0.046, 0.027253668763102725, 0.0, 0.0010775862068965517]),
+        ],
+    ),
+}
+
+
+class TestDeskScalePin:
+    @pytest.mark.parametrize("seed", sorted(_DESK_PIN))
+    def test_overall_desk_calibrations_and_errors(self, seed):
+        calibrations, errors = _DESK_PIN[seed]
+        cfg = desk_cfg()
+        cb = risjrc.build_codebook(cfg, seed=seed)
+        plan = ExperimentPlan(
+            power_list=(39.0, 42.0, 45.0), trials=1000, master_seed=seed, calib_trials=4000, design_seed=seed
+        )
+        scenes = [make_scene(cfg.with_power(p)) for p in plan.power_list]
+        got = [[(r.stage, r.feasible, r.t_s, r.error_at_t) for r in calibs] for _, calibs in resolve_schedules(scenes, plan, cb)]
+        assert got == calibrations
+        rows = run_experiment(plan, cfg, cb).rows
+        for power, (overall, conditional) in zip(plan.power_list, errors):
+            point = [(r["metric"], r["value"]) for r in rows if r["power"] == power]
+            assert [v for m, v in point if m == "overall_error"] == [overall]
+            assert [v for m, v in point if m == "stage_error_conditional"] == conditional
+
+
 class TestRngStreams:
     def test_trial_streams_distinct(self):
         a = trial_rng(1, "se-vs-P", 0, 0, 8).standard_normal(4)
