@@ -221,10 +221,16 @@ def normals_from_words(words: np.ndarray) -> np.ndarray:
     Each word maps to u = ((w >> 11) + 0.5) 2^-53 in (0, 1], never 0; words 2i and 2i + 1 give the
     radius sqrt(-2 ln u) and the angle 2 pi u of normals 2i (cosine) and 2i + 1 (sine).
     """
-    u = ((words >> np.uint64(11)) + 0.5) * 2.0**-53
-    radius, angle = np.sqrt(-2.0 * np.log(u[..., 0::2])), 2.0 * np.pi * u[..., 1::2]
-    z = np.empty(u.shape)
-    z[..., 0::2], z[..., 1::2] = radius * np.cos(angle), radius * np.sin(angle)
+    # in place on each contiguous half: the ufuncs and operands of sqrt(-2 ln u) and 2 pi u, so their bits
+    radius, angle = (np.add(words[..., i::2] >> np.uint64(11), 0.5) for i in (0, 1))
+    radius *= 2.0**-53
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * np.pi * 2.0**-53  # one rounding either way: scaling by 2^-53 is exact
+    z = np.empty(words.shape)
+    np.multiply(radius, np.cos(angle), out=z[..., 0::2])
+    np.multiply(radius, np.sin(angle, out=angle), out=z[..., 1::2])
     return z
 
 

@@ -16,13 +16,14 @@ that law, which is algebraically exact; the full matrix pipeline in
 the search over a block of trials, and the calibrator's
 :class:`StageEnsemble` read their draws from raw words by one layout: normals
 through :func:`normals_from_words`, then 64-snapshot chunks of symbol words.
-Both take the snapshot means through :func:`_snapshot_means` and decide
-through :func:`stage_decision`.  The ensemble holds only draws and takes the
-scene per call, so one ensemble serves every power point.  The search result
-is :func:`descend`'s per-stage arrays, one row per trial;
-:func:`hierarchical_localize` returns them for one row drawn from a
-generator.  The exhaustive baseline draws the same symbol law through
-:func:`qpsk_product_sum` and returns its estimated cell.
+Both decide through :func:`stage_decision`, in real arithmetic over the terms
+of :func:`stage_terms` (c coh, c cross, the scaled noise), built once per stage
+by :func:`descend` and once per scene by the ensemble, so a probe only counts
+sign bits and forms four statistics.  Its decisions, not its bits, are those
+of :func:`decision_statistic`, the complex form of the law that the
+exhaustive baseline uses.  The ensemble holds only draws and takes the scene
+per call, so one ensemble serves every power point.  The search result is
+:func:`descend`'s per-stage arrays, one row per trial.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .channels import (
     normals_from_words,
     path_gains,
 )
-from .codebook import Codebook, StageBook
+from .codebook import Codebook
 from .geometry import nearest_grid_index, ris_axis_steering, ula_steering
 
 
@@ -115,20 +116,11 @@ _CHILDREN = ((0, 0), (0, 1), (1, 0), (1, 1))  # offsets of the four children of 
 _LOW_BITS = np.array([(1 << b) - 1 for b in range(65)], dtype=np.uint64)  # _LOW_BITS[b] keeps a word's low b bits
 
 
-def _symbol_sums(words: np.ndarray, t) -> np.ndarray:
-    """Sums of t de-rotated QPSK symbols from raw words laid out (K, ..., 2), with K >= ceil(t/64).
-
-    The last axis holds the real and the imaginary sign component, and word k of a component
-    carries its signs 64k to 64k + 63: only its low min(64, t - 64k) bits count.  ``t`` broadcasts
-    against the middle axes.
-    """
-    t = np.asarray(t)
+def _set_bits(words: np.ndarray, t) -> np.ndarray:
+    """Set bits among the low t of runs of K words laid out (K, ...), word k holding bits 64k to 64k + 63;
+    ``t`` broadcasts against ``words[0]``."""
     k = np.arange(len(words)).reshape((-1,) + (1,) * (words.ndim - 1))
-    ones = np.bitwise_count(words & _LOW_BITS[np.clip(t[..., None] - 64 * k, 0, 64)]).sum(axis=0, dtype=np.int64)
-    a, b = ones[..., 0], ones[..., 1]  # A = 2a - t and B = 2b - t
-    sums = np.empty(np.broadcast_shapes(a.shape, t.shape), complex)
-    sums.real, sums.imag = a + b - t, b - a
-    return sums
+    return np.bitwise_count(words & _LOW_BITS[np.clip(t - 64 * k, 0, 64)]).sum(axis=0, dtype=np.int64)
 
 
 def qpsk_product_sum(rng: np.random.Generator, t, size=()) -> np.ndarray:
@@ -137,11 +129,15 @@ def qpsk_product_sum(rng: np.random.Generator, t, size=()) -> np.ndarray:
     Rotated by 45 degrees, a QPSK symbol has independent random real and imaginary signs, so the
     sum is ((A + B) + j(B - A))/2 with A and B each 2 popcount(t random bits) - t: an exact
     Gaussian integer.  The bits are one (ceil(max t/64), *size, 2) block of raw 64-bit words of
-    ``rng``'s bit generator (word 0 of every sum, then word 1, ...), as :func:`_symbol_sums`
-    reads them.  ``t`` broadcasts against ``size``.
+    ``rng``'s bit generator (word 0 of every sum, then word 1, ...; the last axis is the real and
+    the imaginary sign component), as :func:`_set_bits` reads them.  ``t`` broadcasts against ``size``.
     """
     size, t = tuple(size), np.asarray(t)
-    return _symbol_sums(rng.bit_generator.random_raw((-(-int(t.max(initial=0)) // 64), *size, 2)), t)
+    words = rng.bit_generator.random_raw((-(-int(t.max(initial=0)) // 64), *size, 2))
+    a, b = np.moveaxis(_set_bits(words, t[..., None]), -1, 0)  # A = 2a - t and B = 2b - t
+    sums = np.empty(np.broadcast_shapes(a.shape, t.shape), complex)
+    sums.real, sums.imag = a + b - t, b - a
+    return sums
 
 
 def qpsk_product_mean(rng: np.random.Generator, t_s, size=()) -> np.ndarray:
@@ -149,33 +145,57 @@ def qpsk_product_mean(rng: np.random.Generator, t_s, size=()) -> np.ndarray:
     return qpsk_product_sum(rng, t_s, size) / t_s
 
 
-def _snapshot_means(scene: Scene, noise_re, noise_im, words, t) -> tuple:
-    """Means ``(u_bar, n_bar)`` over t snapshots per beam: the symbol sums of ``words`` (laid out as
-    :func:`_symbol_sums` reads them) and the unit noise pair ``noise_re + j noise_im`` scaled to the
-    sum of t beamformed noise samples, each divided by t."""
-    n_sum = scene.noise_scale * complex_from_parts(noise_re, noise_im, np.sqrt(t / 2.0))
-    return _symbol_sums(words, t) / t, n_sum / t
-
-
-def stage_decision(scene: Scene, book: StageBook, parents, coh, cross, u_bar, n_bar) -> tuple:
-    """One search stage over N trials: probe the four children of each parent axis pair.
-
-    ``parents`` holds (N, 2) 1-based axis pairs of the previous stage ((1, 1) at stage 1), or
-    one row that all trials share; ``coh``/``cross`` are (N,) trial coefficients and
-    ``u_bar``/``n_bar`` (N, 4) snapshot means.  Returns the candidate pairs (one row per row of
-    ``parents``, 4, 2), their statistics (N, 4), the chosen position (N,) and the chosen pair
-    (N, 2); ties go to the lowest position.
-    """
+def stage_terms(scene: Scene, cb: Codebook, stage: int, parents, coh, cross, noise) -> tuple:
+    """What :func:`stage_decision` reads besides the symbol counts: from (N, 2) 1-based parent axis pairs
+    (or one row that all trials share), (N,) ``coh``/``cross`` and (2, 4, N) unit noise pairs, the candidate
+    pairs (rows of ``parents``, 4, 2), a (4, 4, N) block, candidate k in row k, of the real and imaginary
+    parts of c coh and c cross, the noise and the scene's noise_scale."""
+    for name, designed, wanted in (("D", cb.d, scene.cfg.grid_size), ("N_r", cb.n_ris, scene.cfg.n_ris)):
+        if designed != wanted:
+            raise ValueError(f"codebook has {name}={designed}, scenario needs {name}={wanted}")
+    book = cb.stage(stage)
     pairs = 2 * parents[:, None, :] - 1 + np.array(_CHILDREN)
     gain_x, gain_y = scene.q_x @ book.w_x, scene.q_y @ book.w_y
-    c = (gain_x[pairs[..., 0] - 1] * gain_y[pairs[..., 1] - 1]) ** 2
-    stats = decision_statistic(c, coh[:, None], cross[:, None], u_bar, n_bar)
-    chosen = np.argmax(stats, axis=1)
-    return pairs, stats, chosen, np.take_along_axis(pairs, chosen[:, None, None], axis=1)[:, 0]
+    c = ((gain_x[pairs[..., 0] - 1] * gain_y[pairs[..., 1] - 1]) ** 2).T  # (4, rows of parents)
+    c_coh, c_cross = c * coh, c * cross
+    return pairs, np.stack([c_coh.real, c_coh.imag, c_cross.real, c_cross.imag]), noise, scene.noise_scale
+
+
+def stage_decision(terms: tuple, ones, t: int) -> tuple:
+    """One search stage over N trials: decide among the four children of each parent axis pair.
+
+    From :func:`stage_terms`' ``terms`` and the (2, 4, N) counts (a, b) of set real and imaginary sign
+    bits among t, :func:`decision_statistic` part by part: |c coh + c cross u_bar + n_bar|^2 with
+    u_bar = ((a + b - t) + j(b - a))/t and n_bar = noise_scale noise sqrt(t/2)/t.  Returns the candidate
+    pairs, their statistics (N, 4), the chosen position (N,) and pair (N, 2); ties go to the lowest position.
+    """
+    pairs, (ar, ai, br, bi), (nr, ni), noise_scale = terms
+    a, b = ones
+    sr, si = (a + b - t).astype(float), (b - a).astype(float)  # t u_bar; a cast: an int-float ufunc is slower
+    g = noise_scale * math.sqrt(t / 2.0)  # the std of a sum of t beamformed noise samples
+    zr, tmp = br * sr, bi * si  # in place from here: fresh temporaries cost as much as the arithmetic
+    zr -= tmp
+    zr += np.multiply(nr, g, out=tmp)
+    zr *= 1.0 / t
+    zr += ar
+    zi = np.multiply(bi, sr, out=sr)  # sr and si are spent once zi has them
+    zi += np.multiply(br, si, out=si)
+    zi += np.multiply(ni, g, out=tmp)
+    zi *= 1.0 / t
+    zi += ai
+    stats = np.add(np.square(zr, out=zr), np.square(zi, out=zi), out=zr)  # (4, N)
+    best = np.maximum(stats[0], stats[1]), np.maximum(stats[2], stats[3])
+    chosen = np.where(best[1] > best[0], 2 + (stats[3] > stats[2]), stats[1] > stats[0])  # first maximum
+    return pairs, stats.T, chosen, np.take(pairs.reshape(-1, 2), 4 * np.arange(len(pairs)) + chosen, axis=0)
 
 
 def _is_integer(t) -> bool:
     return isinstance(t, (int, np.integer)) and not isinstance(t, bool)
+
+
+def _check_count(name: str, value):
+    if not _is_integer(value) or value < 1:
+        raise ValueError(f"{name} must be {'>= 1' if _is_integer(value) else 'an integer'}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -248,16 +268,15 @@ def descend(scene: Scene, cb: Codebook, schedule: SnapshotSchedule, words) -> li
     chunks = -(-t // 64)  # words per symbol sum and sign component, per stage
     ends = 8 * np.cumsum(chunks)
 
-    noise_re, noise_im = np.moveaxis(normals[:, 8:].reshape(-1, 2, n_s, 4), 1, 0)
+    noise = normals[:, 8:].reshape(-1, 2, n_s, 4).transpose(2, 1, 3, 0)  # (stages, 2, 4, N)
     coh, cross = trial_coefficients(scene, fading_from_normals(normals))
 
     cell = true_cell(cfg)
     parents = np.ones((len(coh), 2), dtype=int)  # the root, whose children are the stage-1 quadrants
     stages = []
-    for s, (book, t_s, k, end) in enumerate(zip(cb.stages, t, chunks, ends), start=1):
-        symbols = np.moveaxis(raw[:, end - 8 * k : end].reshape(-1, k, 4, 2), 1, 0)
-        u_bar, n_bar = _snapshot_means(scene, noise_re[:, s - 1], noise_im[:, s - 1], symbols, t_s)
-        decision = stage_decision(scene, book, parents, coh, cross, u_bar, n_bar)
+    for s, (t_s, k, end) in enumerate(zip(t, chunks, ends), start=1):
+        ones = _set_bits(raw[:, end - 8 * k : end].reshape(-1, k, 4, 2).transpose(1, 3, 2, 0), t_s)  # (2, 4, N)
+        decision = stage_decision(stage_terms(scene, cb, s, parents, coh, cross, noise[s - 1]), ones, t_s)
         parents = decision[3]
         stages.append((*decision, np.all(parents == true_stage_pair(cell, s, cfg.grid_size), axis=1)))
     return stages
@@ -345,51 +364,52 @@ def overall_error_bound(delta: float, n_s: int) -> float:
 class StageEnsemble:
     """Vectorized isolated-stage simulator over a Monte Carlo trial batch.
 
-    Conditions on correct ancestor decisions: the four candidates are the
-    children of the true stage-(s-1) partition, decided by
-    :func:`stage_decision`.  Each trial reads raw words as :func:`descend`
-    does: one (trials, 16) block of normals (the fading, then one unit noise
-    pair per candidate, 4 real parts then 4 imaginary parts), then symbol
-    words in 64-snapshot chunks of shape (trials, 4, 2), chunk k being the
-    k-th drawn after the block.  A chunk is drawn when a count first needs
-    it, so the ensemble holds trials x 64 B per 64 snapshots of the largest
-    count probed, and ``error_rate(scene, t_s)`` reads chunks
-    0..ceil(t_s/64) - 1 whatever counts were probed before.
+    Conditions on correct ancestor decisions: the four candidates are the children of the true
+    stage-(s-1) partition, decided by :func:`stage_decision`.  Each trial reads raw words as
+    :func:`descend` does: one (trials, 16) block of normals (the fading, then one unit noise pair per
+    candidate, 4 real parts then 4 imaginary parts), then symbol words in 64-snapshot chunks of shape
+    (trials, 4, 2), chunk k being the k-th drawn after the block.  A chunk is drawn when a count first
+    needs it and kept as (2, 4, trials) words beside their set-bit counts, so the ensemble holds
+    trials x 72 B per 64 snapshots of the largest count probed, and ``error_rate(scene, t_s)`` reads
+    chunks 0..ceil(t_s/64) - 1 whatever counts were probed before.
 
-    None of these draws depends on the scene, so one ensemble serves every
-    power point of a sweep: the scene is an argument of :meth:`error_rate`.
+    None of these draws depends on the scene, so one ensemble serves every power point of a sweep:
+    the scene is an argument of :meth:`error_rate`, which builds its :func:`stage_terms` once per
+    scene, so that a probe only masks and counts its last chunk, adds the counts before it and decides.
     """
 
     def __init__(self, cb: Codebook, stage: int, trials: int, rng: np.random.Generator):
-        if trials < 1:
-            raise ValueError("trials must be >= 1")
-        self.book = cb.stage(stage)
-        self.stage, self.trials = stage, trials
+        _check_count("trials", trials)
+        cb.stage(stage)  # rejects a stage out of range before any draw
+        self.cb, self.stage, self.trials = cb, stage, trials
         self.bits = rng.bit_generator
         normals = normals_from_words(self.bits.random_raw((trials, 16)))
         self.fading = fading_from_normals(normals)
-        self.noise_re, self.noise_im = normals[:, 8:12], normals[:, 12:]
-        self.words = np.empty((0, trials, 4, 2), np.uint64)  # the symbol chunks drawn so far
-        self.scene = None  # the scene that error_rate last set parent, truth, coh and cross for
+        self.noise = normals[:, 8:].reshape(trials, 2, 4).transpose(1, 2, 0).copy()  # (2, 4, trials)
+        self.words = np.empty((0, 2, 4, trials), np.uint64)  # the symbol chunks drawn so far, (2, 4, trials) each
+        self.counts = np.empty((0, 2, 4, trials), np.uint8)  # the set bits of each whole chunk
+        self.scene = None  # the scene that error_rate last built terms and truth for
 
     def error_rate(self, scene: Scene, t_s: int) -> float:
         """Empirical stage error probability at ``scene`` and t_s snapshots per beam."""
         if not _is_integer(t_s) or t_s < 1:
             raise ValueError(f"snapshot count must be an integer >= 1, got {t_s!r}")
         if scene is not self.scene:
-            cell, d, stage = true_cell(scene.cfg), scene.cfg.grid_size, self.stage
-            parent = (1, 1) if stage == 1 else true_stage_pair(cell, stage - 1, d)
-            self.parent = np.array([parent])  # one row that all trials share
+            self.scene = self.terms = None  # the last scene's terms go before the next scene's are built
+            cell, d, stage = true_cell(scene.cfg), self.cb.d, self.stage  # stage_terms rejects another D
+            parent = np.array([(1, 1) if stage == 1 else true_stage_pair(cell, stage - 1, d)])  # shared by all trials
+            self.terms = stage_terms(scene, self.cb, stage, parent, *trial_coefficients(scene, self.fading), self.noise)
             a, b = true_stage_pair(cell, stage, d)
-            self.truth = _CHILDREN.index(((a - 1) % 2, (b - 1) % 2))  # the true child's probe position
-            self.coh, self.cross = trial_coefficients(scene, self.fading)
-            self.scene = scene
+            self.truth, self.scene = _CHILDREN.index(((a - 1) % 2, (b - 1) % 2)), scene  # the true child's position
         k = -(-t_s // 64)  # the symbol chunks t_s snapshots read
         if (missing := k - len(self.words)) > 0:
-            self.words = np.concatenate([self.words, self.bits.random_raw((missing, self.trials, 4, 2))])
-        u_bar, n_bar = _snapshot_means(scene, self.noise_re, self.noise_im, self.words[:k], t_s)
-        _, _, chosen, _ = stage_decision(scene, self.book, self.parent, self.coh, self.cross, u_bar, n_bar)
-        return float(np.mean(chosen != self.truth))
+            new = self.bits.random_raw((missing, self.trials, 4, 2)).transpose(0, 3, 2, 1)
+            self.words = np.concatenate([self.words, new])
+            self.counts = np.concatenate([self.counts, np.bitwise_count(new)])
+        last = np.bitwise_count(self.words[k - 1] & _LOW_BITS[t_s - 64 * (k - 1)])  # its low t_s - 64(k - 1) bits
+        ones = self.counts[: k - 1].sum(axis=0, dtype=np.int32) + last
+        _, _, chosen, _ = stage_decision(self.terms, ones, t_s)
+        return np.count_nonzero(chosen != self.truth) / self.trials
 
 
 def stage_error(
@@ -419,8 +439,7 @@ def calibrate_snapshots(ens: StageEnsemble, scene: Scene, delta: float, t_max: i
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
+    _check_count("t_max", t_max)
 
     t_lo, t = 0, 1  # t_lo: highest failing count
     while (err := ens.error_rate(scene, t)) > delta:

@@ -87,6 +87,33 @@ class TestNormalsFromWords:
         np.testing.assert_allclose(z[0], [math.sqrt(108 * math.log(2)), 0.0], rtol=1e-15, atol=1e-12)
         np.testing.assert_array_equal(z[1], [0.0, -0.0])
 
+    @staticmethod
+    def vectorized_normals(words) -> np.ndarray:
+        """The whole-block expression that the half-by-half, in-place ``normals_from_words`` replaced."""
+        u = ((words >> np.uint64(11)) + 0.5) * 2.0**-53
+        radius, angle = np.sqrt(-2.0 * np.log(u[..., 0::2])), 2.0 * np.pi * u[..., 1::2]
+        z = np.empty(u.shape)
+        z[..., 0::2], z[..., 1::2] = radius * np.cos(angle), radius * np.sin(angle)
+        return z
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            lambda bits: bits.random_raw(2**16),
+            lambda bits: bits.random_raw((4000, 16)),
+            lambda bits: bits.random_raw((500, 72))[:, : 8 + 8 * 4],  # the normals slice of a four-stage descent
+            lambda bits: bits.random_raw((0, 40)),
+            lambda bits: np.array([[0, 2**64 - 1, 2**64 - 1, 0]], dtype=np.uint64),
+        ],
+        ids=["flat", "ensemble", "descent-slice", "empty", "extremes"],
+    )
+    def test_bits_match_the_vectorized_expression(self, block):
+        # not the scalar Box-Muller of the search oracle: math.log and math.cos need not round as numpy's do
+        words = block(np.random.Philox(key=12))
+        z = normals_from_words(words)
+        assert z.shape == words.shape
+        np.testing.assert_array_equal(z.view(np.uint64), self.vectorized_normals(words).view(np.uint64))
+
 
 class TestScenarioConfig:
     def test_power_split_invariant(self):

@@ -596,6 +596,35 @@ class TestInputRanges:
         with pytest.raises(ValueError, match="trials must be >= 1"):
             StageEnsemble(cb, 1, trials, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("trials", [2.5, True, np.float64(3)])
+    def test_ensemble_rejects_non_integer_trials(self, trials):
+        cfg = tiny_cfg()
+        with pytest.raises(ValueError, match="trials must be an integer, got"):
+            StageEnsemble(build_matched_codebook(cfg), 1, trials, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "t_max, message", [(2.5, "an integer"), (True, "an integer"), (np.float64(4), "an integer"), (0, ">= 1")]
+    )
+    def test_calibration_rejects_bad_t_max(self, t_max, message):
+        cfg = tiny_cfg()
+        ens = StageEnsemble(build_matched_codebook(cfg), 1, 10, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=f"t_max must be {message}, got"):
+            calibrate_snapshots(ens, make_scene(cfg), 0.05, t_max=t_max)
+
+    @pytest.mark.parametrize("scenario", [dict(grid_size=4), dict(grid_size=8), dict(grid_size=32), dict(n_ris=256)])
+    def test_codebook_of_another_geometry_rejected(self, desk_codebook, scenario):
+        # the desk codebook is designed for D=16 and N_r=1024; stage 4 is past the last stage of a D=4 scene
+        scene = make_scene(desk_cfg(**scenario))
+        name, wanted = ("D", scene.cfg.grid_size) if "grid_size" in scenario else ("N_r", scene.cfg.n_ris)
+        message = f"codebook has {name}={16 if name == 'D' else 1024}, scenario needs {name}={wanted}"
+        for stage in (1, 3, 4):
+            with pytest.raises(ValueError, match=message):
+                StageEnsemble(desk_codebook, stage, 10, np.random.default_rng(0)).error_rate(scene, 4)
+        sched = SnapshotSchedule((1,) * scene.cfg.n_stages)
+        # a D mismatch fails descend's stage count first
+        with pytest.raises(ValueError, match=message if name == "N_r" else "codebook has 4 stages"):
+            descend(scene, desk_codebook, sched, np.zeros((2, trial_width(sched)), np.uint64))
+
     @pytest.mark.parametrize("t_per_beam", [0, -1, 1.5, 2.0, np.float64(3), True])
     def test_exhaustive_rejects_no_snapshots(self, t_per_beam):
         with pytest.raises(ValueError, match="t_per_beam must be an integer >= 1"):
