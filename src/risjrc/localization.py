@@ -17,7 +17,7 @@ the search over a block of trials, and the calibrator's
 :class:`StageEnsemble` read their draws from raw words by one layout: normals
 through :func:`normals_from_words`, then 64-snapshot chunks of symbol words.
 Both decide through :func:`stage_decision`, in real arithmetic over the terms
-of :func:`stage_terms` (c coh, c cross, the scaled noise), built once per stage
+of :func:`stage_terms` (c coh, c cross, the noise and its std), built once per stage
 by :func:`descend` and once per scene by the ensemble, so a probe only counts
 sign bits and forms four statistics.  Its decisions, not its bits, are those
 of :func:`decision_statistic`, the complex form of the law that the

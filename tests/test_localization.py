@@ -167,6 +167,15 @@ class TestDescent:
                 (0, 4, 2), (0, 4), (0,), (0, 2), (0,)
             )
 
+    def test_ties_go_to_the_lowest_position(self):
+        # statistics from the noise alone (no signal terms, a noise std of 1, T = 2), with ties: the first
+        # maximum wins, as np.argmax picks it
+        noise = np.array([[1, 1, 1, 1], [0, 2, 2, 1], [0, 1, 2, -2], [3, 0, 0, -3], [0, 0, -1, 1], [2, -2, 2, -2]]).T
+        terms = (np.ones((1, 4, 2), int), np.zeros((4, 4, 6)), np.stack([noise, 0 * noise]).astype(float), 1.0)
+        _, stats, chosen, _ = stage_decision(terms, np.zeros((2, 4, 6), int), 2)
+        np.testing.assert_array_equal(chosen, np.argmax(stats, axis=1))
+        np.testing.assert_array_equal(chosen, [0, 1, 2, 0, 2, 0])
+
     @pytest.mark.parametrize("shape", [(3, 71), (3, 73), (72,), (0,)])
     def test_block_of_wrong_width_rejected(self, desk_codebook, shape):
         sched = SnapshotSchedule((63, 3, 1, 1))
