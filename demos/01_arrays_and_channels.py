@@ -1,7 +1,7 @@
 """Array responses and the rank-1 mmWave channel model.
 
 Walks through the building blocks: ULA/planar steering vectors, the
-direction-cosine parameterization, pathloss readings, and the key
+direction-cosine parameterization, the pathloss law, and the key
 structural fact that the RIS echo collapses to a product of two one-axis
 responses.
 """
@@ -38,18 +38,13 @@ ry = ris_axis_steering(dc.vy, 8, 0.25)
 print(f"planar steering = kron of axis steerings: {np.allclose(r, np.kron(rx, ry))}")
 
 print()
-print("=== pathloss readings ===")
-for model in ("literal", "standard", "standard_power"):
-    print(f"  {model:15s}: base-RIS amplitude = {pathloss(10.0, 2.5, -30.0, model):.3e}")
+print("=== pathloss ===")
+# amplitude gain sqrt(eta0 * d^-alpha): the power law eta0 * d^-alpha, read as a power gain
+print(f"base-RIS amplitude at 10 m, alpha 2.5, eta0 -30 dB: {pathloss(10.0, 2.5, -30.0):.3e}")
 
 print()
 print("=== channel synthesis ===")
-cfg = ScenarioConfig(
-    n_ris=1024,
-    grid_size=16,
-    pathloss_model="standard_power",
-    power=36.0,
-)
+cfg = ScenarioConfig(n_ris=1024, grid_size=16, power=36.0)
 rng = np.random.default_rng(0)
 fading = draw_fading(rng)
 cs = build_channels(cfg, fading)
@@ -61,12 +56,7 @@ print()
 print("=== echo factorization ===")
 # The received echo through the RIS equals gamma * c_x * c_y * B * X with
 # one-axis squared responses c_x, c_y; verify against the dense product.
-small = ScenarioConfig(
-    n_ris=16,
-    grid_size=8,
-    pathloss_model="standard_power",
-    power=36.0,
-)
+small = ScenarioConfig(n_ris=16, grid_size=8, power=36.0)
 cs_small = build_channels(small, fading)
 x = make_transmit_block(small, 4, rng)
 omega = PhaseProfile(np.exp(1j * rng.uniform(0, 2 * np.pi, 4)), np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))

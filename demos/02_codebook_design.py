@@ -12,12 +12,7 @@ from risjrc import ScenarioConfig, build_codebook, load_codebook, mask_fidelity,
 from risjrc.codebook import half_power_width
 from risjrc.harness import beampattern_csv
 
-cfg = ScenarioConfig(
-    n_ris=1024,
-    grid_size=32,
-    pathloss_model="standard_power",
-    power=36.0,
-)
+cfg = ScenarioConfig(n_ris=1024, grid_size=32, power=36.0)
 
 print("designing codebook (5 stages, 2+4+8+16+32 beams per axis, both axes)...")
 cb = build_codebook(cfg, schedule=(4, 8, 16, 16, 16), seed=0)

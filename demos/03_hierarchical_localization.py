@@ -22,12 +22,7 @@ from risjrc.localization import (
     true_cell,
 )
 
-cfg = ScenarioConfig(
-    n_ris=1024,
-    grid_size=16,
-    pathloss_model="standard_power",
-    power=45.0,
-)
+cfg = ScenarioConfig(n_ris=1024, grid_size=16, power=45.0)
 cb = build_codebook(cfg, seed=0)
 scene = make_scene(cfg)
 schedule = SnapshotSchedule((32, 2, 1, 1))

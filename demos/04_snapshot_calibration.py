@@ -18,12 +18,7 @@ DELTA = 0.05
 
 
 def cfg_at(p_dbm):
-    return ScenarioConfig(
-        n_ris=1024,
-        grid_size=16,
-        pathloss_model="standard_power",
-        power=p_dbm,
-    )
+    return ScenarioConfig(n_ris=1024, grid_size=16, power=p_dbm)
 
 
 cb = build_codebook(cfg_at(42.0), seed=0)

@@ -12,10 +12,7 @@ import numpy as np
 from risjrc import ScenarioConfig, average_se, build_codebook, comm_phase_profile
 from risjrc.comms import stage_phase_profile
 
-cfg = ScenarioConfig(
-    pathloss_model="standard_power",
-    power=36.0,
-)  # full-size arrays: 64 Tx antennas, 16 Rx, 64x64 RIS
+cfg = ScenarioConfig(power=36.0)  # full-size arrays: 64 Tx antennas, 16 Rx, 64x64 RIS
 
 print("designing the full-size codebook (one-time)...")
 cb = build_codebook(cfg, schedule=(4, 8, 16, 16, 16), seed=0)

@@ -23,9 +23,6 @@ from .geometry import (
     ula_steering,
 )
 
-PATHLOSS_MODELS = ("literal", "standard", "standard_power")
-
-
 def dbm_to_watts(p_dbm: float) -> float:
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
 
@@ -34,17 +31,16 @@ def db_to_linear(p_db: float) -> float:
     return 10.0 ** (p_db / 10.0)
 
 
-def _total_watts(power: float, units: str) -> float:
-    return dbm_to_watts(power) if units == "dBm" else db_to_linear(power)
-
-
 @dataclass
 class ScenarioConfig:
     """Scenario geometry, power budget, and model switches.
 
-    Powers are stored in the configured units (``power_units``); all
-    internal math is in linear watts.  The radar/user split must sum to
-    the total transmit power; each share left unset is half of the total.
+    The total transmit power is stored once, in the configured units
+    (``power_units``), and split by ``radar_share``, the radar stream's
+    fraction of it; the user stream has the rest.  All internal math is in
+    linear watts: ``p_r_watts`` and ``p_u_watts`` derive the two stream
+    powers from the total, so ``replace(cfg, power=P)`` keeps the split.
+    ``pathloss_model`` names the one pathloss law, ``standard_power``.
     """
 
     # array sizes
@@ -72,22 +68,18 @@ class ScenarioConfig:
     alpha_ru: float = 2.8
     alpha_rt: float = 2.8
     eta0_db: float = -30.0
-    pathloss_model: str = "literal"
+    pathloss_model: str = "standard_power"
     # noise powers
     sigma_b2_dbm: float = -94.0
     sigma_u2_dbm: float = -80.0
     # transmit power and split
     power: float = 36.0
     power_units: str = "dBm"
-    p_r_watts: float | None = None
-    p_u_watts: float | None = None
+    radar_share: float = 0.5
     # RIS element spacing in wavelengths
     ris_spacing: float = 0.25
 
     def __post_init__(self):
-        for name in ("p_r_watts", "p_u_watts"):
-            if getattr(self, name) is None:
-                setattr(self, name, self.p_total_watts / 2)
         for f in fields(self):
             value = getattr(self, f.name)
             # -inf dBm is a noiseless receiver (0 W), not a malformed value
@@ -96,12 +88,6 @@ class ScenarioConfig:
                 raise FieldError((f.name,), f"{f.name} must be finite, got {value!r}")
         check_fields(self, _SCENARIO_RULES)
         axis_size(self.n_ris)
-        total = self.p_total_watts
-        if not math.isclose(self.p_r_watts + self.p_u_watts, total, rel_tol=1e-9, abs_tol=1e-30):
-            raise FieldError(
-                ("p_r_watts", "p_u_watts"),
-                f"p_r_watts + p_u_watts = {self.p_r_watts + self.p_u_watts!r} does not match total power {total!r} W",
-            )
 
     @property
     def n_axis(self) -> int:
@@ -113,7 +99,15 @@ class ScenarioConfig:
 
     @property
     def p_total_watts(self) -> float:
-        return _total_watts(self.power, self.power_units)
+        return dbm_to_watts(self.power) if self.power_units == "dBm" else db_to_linear(self.power)
+
+    @property
+    def p_r_watts(self) -> float:
+        return self.radar_share * self.p_total_watts
+
+    @property
+    def p_u_watts(self) -> float:
+        return (1.0 - self.radar_share) * self.p_total_watts
 
     @property
     def sigma_b2_watts(self) -> float:
@@ -124,16 +118,8 @@ class ScenarioConfig:
         return dbm_to_watts(self.sigma_u2_dbm)
 
     def with_power(self, power: float) -> "ScenarioConfig":
-        """Copy of the config at a new total power, preserving the split ratio."""
-        total_old = self.p_total_watts
-        frac_r = self.p_r_watts / total_old if total_old > 0 else 0.5
-        total_new = _total_watts(power, self.power_units)
-        return replace(
-            self,
-            power=power,
-            p_r_watts=frac_r * total_new,
-            p_u_watts=(1.0 - frac_r) * total_new,
-        )
+        """Copy of the config at a new total power, in its units and with its radar share."""
+        return replace(self, power=power)
 
     @property
     def grid(self) -> np.ndarray:
@@ -145,31 +131,23 @@ _SCENARIO_RULES = (
     *((name, ">= 1", lambda x: x >= 1) for name in ("n_b", "n_u")),
     ("grid_size", "a power of two >= 2", lambda x: x >= 2 and not x & (x - 1)),
     *((name, "> 0", lambda x: x > 0) for name in ("d_bu", "d_br", "d_ru", "d_rt")),
-    ("pathloss_model", f"one of {PATHLOSS_MODELS}", lambda x: x in PATHLOSS_MODELS),
+    ("pathloss_model", "'standard_power'", lambda x: x == "standard_power"),
     ("power_units", "'dBm' or 'dB'", lambda x: x in ("dBm", "dB")),
     ("ris_spacing", "in (0, 0.5] wavelengths", lambda x: 0 < x <= 0.5),
-    *((name, ">= 0", lambda x: x >= 0) for name in ("p_r_watts", "p_u_watts")),
+    ("radar_share", "in [0, 1]", lambda x: 0 <= x <= 1),
 )
 
 
-def pathloss(d: float, alpha: float, eta0_db: float, model: str = "literal") -> float:
+def pathloss(d: float, alpha: float, eta0_db: float) -> float:
     """Large-scale amplitude gain of a path of length ``d`` metres.
 
-    ``literal`` evaluates (eta0_lin / d)**alpha with eta0_lin the linear
-    form of the dB reference loss.  ``standard`` evaluates the usual
-    power law eta0_lin * d**-alpha.  ``standard_power`` treats that power
-    law as a power gain and returns its square root as the amplitude.
+    The power gain is the power law eta0_lin * d**-alpha, eta0_lin being
+    the linear form of the dB reference loss at 1 m; the amplitude gain is
+    its square root (the ``standard_power`` law).
     """
     if d <= 0:
         raise ValueError(f"distance must be positive, got {d}")
-    eta0 = db_to_linear(eta0_db)
-    if model == "literal":
-        return (eta0 / d) ** alpha
-    if model == "standard":
-        return eta0 * d ** (-alpha)
-    if model == "standard_power":
-        return math.sqrt(eta0 * d ** (-alpha))
-    raise ValueError(f"unknown pathloss model {model!r}")
+    return math.sqrt(db_to_linear(eta0_db) * d ** (-alpha))
 
 
 @dataclass(frozen=True)
@@ -183,12 +161,11 @@ class PathGains:
 
 
 def path_gains(cfg: ScenarioConfig) -> PathGains:
-    m = cfg.pathloss_model
     return PathGains(
-        eta_bu=pathloss(cfg.d_bu, cfg.alpha_bu, cfg.eta0_db, m),
-        eta_br=pathloss(cfg.d_br, cfg.alpha_br, cfg.eta0_db, m),
-        eta_ru=pathloss(cfg.d_ru, cfg.alpha_ru, cfg.eta0_db, m),
-        eta_rt=pathloss(cfg.d_rt, cfg.alpha_rt, cfg.eta0_db, m),
+        eta_bu=pathloss(cfg.d_bu, cfg.alpha_bu, cfg.eta0_db),
+        eta_br=pathloss(cfg.d_br, cfg.alpha_br, cfg.eta0_db),
+        eta_ru=pathloss(cfg.d_ru, cfg.alpha_ru, cfg.eta0_db),
+        eta_rt=pathloss(cfg.d_rt, cfg.alpha_rt, cfg.eta0_db),
     )
 
 

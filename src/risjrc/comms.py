@@ -9,7 +9,7 @@ import numpy as np
 
 from .channels import ChannelSet, PhaseProfile, ScenarioConfig, draw_fading, path_gains
 from .codebook import Codebook, matched_axis_beam
-from .geometry import ris_axis_steering, ula_steering
+from .geometry import check_count, ris_axis_steering, ula_steering
 
 
 @dataclass
@@ -152,8 +152,7 @@ def average_se(
     and evaluated by the rank-1 closed form of ``_se_samples``;
     ``spectral_efficiency`` of ``effective_channel`` is its oracle.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_count("trials", trials)
     values = _se_samples(cfg, omega, trials, rng)
     mean = float(values.mean())
     halfwidth = float(1.96 * values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

@@ -34,6 +34,17 @@ def check_fields(obj, rules):
             raise FieldError((name,), f"{name} must be {rule}, got {value!r}")
 
 
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_count(name: str, value):
+    """Raise a ValueError naming ``name`` unless ``value`` is an integer >= 1."""
+    if not is_integer(value) or value < 1:
+        raise ValueError(f"{name} must be {'>= 1' if is_integer(value) else 'an integer'}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DirectionCosine:
     """Point (vx, vy) on the unit disk of direction cosines."""

@@ -178,8 +178,7 @@ CONFIG_FIELDS = (
     ("noise_dbm", "sigma_u2", ScenarioConfig, "sigma_u2_dbm", float),
     ("power", "total", ScenarioConfig, "power", float),
     ("power", "units", ScenarioConfig, "power_units", str),
-    ("power", "p_r_watts", ScenarioConfig, "p_r_watts", float),
-    ("power", "p_u_watts", ScenarioConfig, "p_u_watts", float),
+    ("power", "radar_share", ScenarioConfig, "radar_share", float),
     ("ris", "spacing_wavelengths", ScenarioConfig, "ris_spacing", float),
     ("codebook", "schedule", ExperimentPlan, "schedule_ls", _int_tuple),
     ("codebook", "design_seed", ExperimentPlan, "design_seed", int),

@@ -44,7 +44,7 @@ from .channels import (
     path_gains,
 )
 from .codebook import Codebook
-from .geometry import nearest_grid_index, ris_axis_steering, ula_steering
+from .geometry import check_count, is_integer, nearest_grid_index, ris_axis_steering, ula_steering
 
 
 def beam_statistic(y_r: np.ndarray, s_r: np.ndarray, theta_r_deg: float) -> float:
@@ -189,21 +189,12 @@ def stage_decision(terms: tuple, ones, t: int) -> tuple:
     return pairs, stats.T, chosen, np.take(pairs.reshape(-1, 2), 4 * np.arange(len(pairs)) + chosen, axis=0)
 
 
-def _is_integer(t) -> bool:
-    return isinstance(t, (int, np.integer)) and not isinstance(t, bool)
-
-
-def _check_count(name: str, value):
-    if not _is_integer(value) or value < 1:
-        raise ValueError(f"{name} must be {'>= 1' if _is_integer(value) else 'an integer'}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SnapshotSchedule:
     t_s: tuple
 
     def __post_init__(self):
-        if not all(_is_integer(t) for t in self.t_s):
+        if not all(is_integer(t) for t in self.t_s):
             raise ValueError(f"snapshot counts must be integers, got {self.t_s}")
         if any(t < 1 for t in self.t_s):
             raise ValueError("snapshot counts must be >= 1")
@@ -291,7 +282,7 @@ def hierarchical_localize(scene: Scene, cb: Codebook, schedule: SnapshotSchedule
 
 def exhaustive_localize(scene: Scene, rng: np.random.Generator, t_per_beam: int = 1) -> tuple:
     """Scan all D x D matched pencil beams and return the 1-based cell (i, j) of the argmax statistic."""
-    if not _is_integer(t_per_beam) or t_per_beam < 1:
+    if not is_integer(t_per_beam) or t_per_beam < 1:
         raise ValueError(f"t_per_beam must be an integer >= 1, got {t_per_beam!r}")
     d = scene.cfg.grid_size
     coh, cross = trial_coefficients(scene, draw_fading(rng))
@@ -379,7 +370,7 @@ class StageEnsemble:
     """
 
     def __init__(self, cb: Codebook, stage: int, trials: int, rng: np.random.Generator):
-        _check_count("trials", trials)
+        check_count("trials", trials)
         cb.stage(stage)  # rejects a stage out of range before any draw
         self.cb, self.stage, self.trials = cb, stage, trials
         self.bits = rng.bit_generator
@@ -392,7 +383,7 @@ class StageEnsemble:
 
     def error_rate(self, scene: Scene, t_s: int) -> float:
         """Empirical stage error probability at ``scene`` and t_s snapshots per beam."""
-        if not _is_integer(t_s) or t_s < 1:
+        if not is_integer(t_s) or t_s < 1:
             raise ValueError(f"snapshot count must be an integer >= 1, got {t_s!r}")
         if scene is not self.scene:
             self.scene = self.terms = None  # the last scene's terms go before the next scene's are built
@@ -439,7 +430,7 @@ def calibrate_snapshots(ens: StageEnsemble, scene: Scene, delta: float, t_max: i
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
-    _check_count("t_max", t_max)
+    check_count("t_max", t_max)
 
     t_lo, t = 0, 1  # t_lo: highest failing count
     while (err := ens.error_rate(scene, t)) > delta:

@@ -8,14 +8,12 @@ def desk_cfg(
     power_dbm: float = 42.0,
     n_ris: int = 1024,
     grid_size: int = 16,
-    model: str = "standard_power",
     **overrides,
 ) -> ScenarioConfig:
     """Workstation-scale scenario used across the suite."""
     kwargs = dict(
         n_ris=n_ris,
         grid_size=grid_size,
-        pathloss_model=model,
         power=power_dbm,
         power_units="dBm",
     )

@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from risjrc.channels import (
@@ -27,21 +29,17 @@ from conftest import desk_cfg, tiny_cfg
 
 class TestPathloss:
     def test_unity_at_reference_ratio(self):
-        # eta0 = -30 dB -> 1e-3 linear; d = 1e-3 m makes the ratio 1
-        assert pathloss(1e-3, 2.7, -30.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_literal_form(self):
-        assert pathloss(10.0, 2.5, -30.0) == pytest.approx(1e-10, rel=1e-12)
+        # eta0 = -30 dB -> 1e-3 linear; d = 1e-3^(1/2.7) m makes the power gain eta0 d^-alpha 1
+        assert pathloss(1e-3 ** (1 / 2.7), 2.7, -30.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_reference_distance_unit_exponent(self):
-        assert pathloss(1.0, 1.0, -30.0) == pytest.approx(1e-3, rel=1e-12)
-
-    def test_standard_form(self):
-        assert pathloss(10.0, 2.5, -30.0, "standard") == pytest.approx(1e-3 * 10**-2.5, rel=1e-12)
+        # at the 1 m reference the power gain is eta0 whatever the exponent; the amplitude is its root
+        assert pathloss(1.0, 1.0, -30.0) == pytest.approx(math.sqrt(1e-3), rel=1e-12)
+        assert pathloss(1.0, 3.5, -30.0) == pytest.approx(math.sqrt(1e-3), rel=1e-12)
 
     def test_standard_power_form(self):
         expected = math.sqrt(1e-3 * 10**-2.5)
-        assert pathloss(10.0, 2.5, -30.0, "standard_power") == pytest.approx(expected, rel=1e-12)
+        assert pathloss(10.0, 2.5, -30.0) == pytest.approx(expected, rel=1e-12)
 
     def test_nonpositive_distance_rejected(self):
         with pytest.raises(ValueError):
@@ -117,8 +115,23 @@ class TestNormalsFromWords:
 
 class TestScenarioConfig:
     def test_power_split_invariant(self):
-        with pytest.raises(ValueError, match="p_r_watts"):
-            ScenarioConfig(p_r_watts=1.0, p_u_watts=1.0, power=36.0)
+        # one stored share: the two stream powers sum to the total by construction
+        for share in (0.0, 0.25, 0.5, 1.0):
+            cfg = ScenarioConfig(power=36.0, radar_share=share)
+            assert cfg.p_r_watts + cfg.p_u_watts == pytest.approx(cfg.p_total_watts, rel=1e-15)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        units=st.sampled_from(["dBm", "dB"]),
+        power=st.floats(-60.0, 80.0),
+        new_power=st.floats(-60.0, 80.0),
+        share=st.floats(0.0, 1.0),
+    )
+    def test_replace_is_with_power(self, units, power, new_power, share):
+        cfg = ScenarioConfig(n_ris=16, grid_size=8, power=power, power_units=units, radar_share=share)
+        moved = replace(cfg, power=new_power)
+        assert moved == cfg.with_power(new_power)
+        assert (moved.power, moved.power_units, moved.radar_share) == (new_power, units, share)
 
     def test_grid_power_of_two(self):
         with pytest.raises(ValueError, match="grid_size"):
@@ -157,7 +170,7 @@ class TestScenarioConfig:
 
     def test_with_power_in_db_keeps_an_uneven_split(self):
         # 10 dB re 1 W is 10 W, split 3:1; at 13 dB the radar keeps three quarters of 10^1.3 W
-        cfg = ScenarioConfig(power=10.0, power_units="dB", p_r_watts=7.5, p_u_watts=2.5).with_power(13.0)
+        cfg = ScenarioConfig(power=10.0, power_units="dB", radar_share=0.75).with_power(13.0)
         assert cfg.p_total_watts == 10.0**1.3
         assert cfg.p_r_watts == pytest.approx(0.75 * cfg.p_total_watts, rel=1e-12)
         assert cfg.p_u_watts == pytest.approx(0.25 * cfg.p_total_watts, rel=1e-12)
@@ -213,7 +226,7 @@ class TestTransmitBlock:
         np.testing.assert_allclose(np.abs(blk.s_u), 1.0, atol=1e-12)
 
     def test_rank_one_when_single_stream(self):
-        cfg = tiny_cfg(p_r_watts=2.0, p_u_watts=0.0, power=10 * math.log10(2.0) + 30)
+        cfg = tiny_cfg(radar_share=1.0, power=10 * math.log10(2.0) + 30)
         blk = make_transmit_block(cfg, 8, np.random.default_rng(1))
         sv = np.linalg.svd(blk.x, compute_uv=False)
         assert sv[1] / sv[0] < 1e-12

@@ -12,9 +12,9 @@ A change that alters an output on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py --update
 
-and the diff of ``golden/tiny.json`` is the record of what changed.  Rows
+and the diff of ``golden/tiny.json`` is the record of what changed.  Cells
 that still match within the tolerance keep their recorded text, so the
-diff shows only the rows that moved.
+diff shows only the cells that moved.
 """
 
 from __future__ import annotations
@@ -122,6 +122,14 @@ def mismatches(got: list, want: list) -> list:
     return found
 
 
+def keep_recorded(got: str, want: str) -> str:
+    """The CSV line ``got`` with ``want``'s recorded text in every cell that still matches it."""
+    g, w = next(csv.reader([got])), next(csv.reader([want]))
+    if len(g) != len(w):
+        return got
+    return _csv_lines([[b if _same_cell(a, b) else a for a, b in zip(g, w)]])[0]
+
+
 @pytest.fixture(scope="module")
 def produced(tmp_path_factory):
     return produce(tmp_path_factory.mktemp("golden"))
@@ -159,7 +167,7 @@ if __name__ == "__main__":
     for name, lines in entries.items():
         kept = GOLDEN_ENTRIES.get(name, [])
         if len(kept) == len(lines):
-            entries[name] = [w if not mismatches([g], [w]) else g for g, w in zip(lines, kept)]
+            entries[name] = [keep_recorded(g, w) for g, w in zip(lines, kept)]
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN} ({len(entries)} entries)")

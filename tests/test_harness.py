@@ -74,6 +74,12 @@ class TestConfigIO:
         want = ScenarioConfig(power=power, power_units=units)
         assert vars(cfg) == vars(want)
         assert want.p_r_watts == want.p_u_watts == want.p_total_watts / 2
+        # a written default file with only its total and units edited loads with the same split
+        written = tmp_path / "written.cfg"
+        write_default_config(str(written))
+        text = written.read_text().replace("total = 36.0\n", f"total = {power}\n")
+        written.write_text(text.replace("units = dBm\n", f"units = {units}\n"))
+        assert load_config(str(written))[0] == want
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -86,13 +92,6 @@ class TestConfigIO:
         path.write_text("[nonsense]\nx = 1\n")
         with pytest.raises(ValueError, match="nonsense"):
             load_config(str(path))
-
-    def test_inconsistent_power_split_rejected(self, tmp_path):
-        path = tmp_path / "bad3.cfg"
-        path.write_text("[power]\ntotal = 30\nunits = dBm\np_r_watts = 0.9\np_u_watts = 0.9\n")
-        with pytest.raises(ValueError, match="p_r_watts") as e:
-            load_config(str(path))
-        assert str(e.value).startswith(f"{path}: [power] p_r_watts, [power] p_u_watts: p_r_watts + p_u_watts = ")
 
     def test_bad_value_reports_location(self, tmp_path):
         path = tmp_path / "bad4.cfg"
@@ -144,6 +143,11 @@ class TestConfigIO:
             ("noise_dbm", "sigma_u2", "nan", "sigma_u2_dbm"),
             ("ris", "spacing_wavelengths", "inf", "ris_spacing"),
             ("ris", "spacing_wavelengths", "0", "ris_spacing"),
+            ("power", "radar_share", "-0.1", "radar_share"),
+            ("power", "radar_share", "1.5", "radar_share"),
+            ("power", "radar_share", "nan", "radar_share"),
+            ("pathloss", "model", "literal", "pathloss_model"),
+            ("pathloss", "model", "standard", "pathloss_model"),
         ],
     )
     def test_non_finite_scenario_value_rejected(self, tmp_path, section, key, text, field):
@@ -200,10 +204,13 @@ class TestFieldErrors:
         [
             (lambda: ScenarioConfig(n_u=0), ("n_u",)),
             (lambda: ScenarioConfig(d_rt=-5.0), ("d_rt",)),
-            (lambda: ScenarioConfig(p_r_watts=1.0, p_u_watts=1.0), ("p_r_watts", "p_u_watts")),
+            (lambda: ScenarioConfig(radar_share=1.5), ("radar_share",)),
             (lambda: SolverParams(n_starts=0), ("n_starts",)),
             (lambda: ExperimentPlan(power_list=(39.0, math.inf)).validate(), ("power_list",)),
             (lambda: ExperimentPlan(master_seed=-1).validate(), ("master_seed",)),
+            (lambda: ScenarioConfig(radar_share=-0.1), ("radar_share",)),
+            (lambda: ScenarioConfig(radar_share=math.nan), ("radar_share",)),
+            (lambda: ScenarioConfig(pathloss_model="literal"), ("pathloss_model",)),
         ],
     )
     def test_config_types_name_the_fields_at_fault(self, make, fields):
@@ -332,6 +339,13 @@ class TestExperiments:
         if source == "calibrated":
             assert all(len(calibs) == 4 for _, calibs in swept)
             assert len({schedule for schedule, _ in swept}) > 1  # the powers calibrate to different counts
+
+    def test_default_scenario_calibrates_feasibly(self):
+        # a run with no config: 64x64 RIS, D=32, schedule 4/8/16/16/16, design seed 0, 39/42/45 dBm, delta 0.05
+        cfg, plan = ScenarioConfig(), ExperimentPlan()
+        scenes = [make_scene(cfg.with_power(p)) for p in plan.power_list]
+        resolved = resolve_schedules(scenes, plan, get_codebook(cfg, plan))
+        assert [[r.feasible for r in calibs] for _, calibs in resolved] == [[True] * 5] * 3
 
     @pytest.mark.parametrize(
         "kind, ensembles_per_stage",

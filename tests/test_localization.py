@@ -19,6 +19,7 @@ from risjrc.channels import (
 )
 from risjrc import localization
 from risjrc.codebook import build_matched_codebook
+from risjrc.comms import average_se
 from risjrc.geometry import DirectionCosine, direction_grid, ula_steering
 from risjrc.harness import trial_trace_csv
 from risjrc.localization import (
@@ -233,7 +234,7 @@ class TestBeamStatistic:
 
     def test_noiseless_closed_form_against_pipeline(self):
         # single-stream transmit makes the statistic a pure coherent term
-        cfg = tiny_cfg(p_r_watts=4.0, p_u_watts=0.0, power=10 * math.log10(4.0) + 30)
+        cfg = tiny_cfg(radar_share=1.0, power=10 * math.log10(4.0) + 30)
         rng = np.random.default_rng(1)
         fad = draw_fading(rng)
         cs = build_channels(cfg, fad)
@@ -604,12 +605,16 @@ class TestInputRanges:
             stage_error(make_scene(cfg), cb, 1, 1, trials, np.random.default_rng(0))
         with pytest.raises(ValueError, match="trials must be >= 1"):
             StageEnsemble(cb, 1, trials, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            average_se(cfg, None, trials, np.random.default_rng(0))
 
     @pytest.mark.parametrize("trials", [2.5, True, np.float64(3)])
     def test_ensemble_rejects_non_integer_trials(self, trials):
         cfg = tiny_cfg()
         with pytest.raises(ValueError, match="trials must be an integer, got"):
             StageEnsemble(build_matched_codebook(cfg), 1, trials, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="trials must be an integer, got"):
+            average_se(cfg, None, trials, np.random.default_rng(0))
 
     @pytest.mark.parametrize(
         "t_max, message", [(2.5, "an integer"), (True, "an integer"), (np.float64(4), "an integer"), (0, ">= 1")]
