@@ -34,17 +34,11 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def _load(args, kind: str):
-    if args.config:
-        cfg, plan = load_config(args.config)
-    else:
-        cfg, plan = ScenarioConfig(), ExperimentPlan()
+    cfg, plan = load_config(args.config) if args.config else (ScenarioConfig(), ExperimentPlan())
     plan.kind = kind
-    if args.seed is not None:
-        plan.master_seed = args.seed
-    if args.trials is not None:
-        plan.trials = args.trials
-    if args.parallel is not None:
-        plan.parallel = args.parallel
+    for attr, value in (("master_seed", args.seed), ("trials", args.trials), ("parallel", args.parallel)):
+        if value is not None:
+            setattr(plan, attr, value)
     plan.validate()
     cb = load_codebook(args.codebook) if args.codebook else None
     return cfg, plan, cb
@@ -126,5 +120,15 @@ def main(argv=None) -> int:
     return 0
 
 
+def run(argv=None) -> int:
+    """``main`` for the command line: a rejected input or unreadable file prints one line, as argparse
+    reports a bad option, and returns exit status 2 instead of raising."""
+    try:
+        return main(argv)
+    except (ValueError, OSError) as e:
+        print(f"risjrc: error: {e}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

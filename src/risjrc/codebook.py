@@ -45,6 +45,7 @@ from .channels import ScenarioConfig
 from .geometry import DirectionCosine, check_fields, direction_grid, ris_axis_steering
 
 CODEBOOK_MAGIC = b"RISCB2\n"
+START_PERTURBATION = 0.3  # standard deviation, in radians, of the phase offsets of perturbed solver starts
 _JSON_KINDS = {"an integer": int, "a number": (int, float), "a list": list}
 _HEADER_KEYS = dict(d="an integer", n_ris="an integer", spacing="a number", schedule="a list")
 _HEADER_KEYS.update(v_b="a list", v_u="a list", residuals="a list", quality_warnings="a list")
@@ -82,15 +83,12 @@ def partition_indices(s: int, i: int, d: int) -> PartitionSpec:
 
 @dataclass
 class SolverParams:
-    """Projected-update solver settings for the masked-response fit."""
+    """Stopping rule, start count and residual warning ceiling of the masked-response fit; its objective,
+    step, row weights and start spread are fixed (see ``design_sensing_phases``)."""
 
-    mu: float | None = None  # None -> 0.5 / sigma_max(weighted A)**2
     max_iters: int = 500
     tol: float = 1e-8
-    target_phase: str = "free"  # "free": refit target phases; "fixed": real target
-    on_weight: float | None = None  # None -> auto_on_weight(s)
     n_starts: int = 4
-    init_perturbation: float = 0.3
     residual_ceiling_factor: float = 1.0  # warn when residual > factor * L * sqrt(D)
 
     def __post_init__(self):
@@ -99,13 +97,9 @@ class SolverParams:
 
 # (field, rule, check); chained comparisons with math.inf also reject nan
 _SOLVER_RULES = (
-    ("target_phase", "'free' or 'fixed'", lambda x: x in ("free", "fixed")),
     ("n_starts", ">= 1", lambda x: x >= 1),
     ("max_iters", ">= 0", lambda x: x >= 0),
     ("tol", "finite and >= 0", lambda x: 0 <= x < math.inf),
-    ("mu", "auto or finite and > 0", lambda x: x is None or 0 < x < math.inf),
-    ("on_weight", "auto or finite and > 0", lambda x: x is None or 0 < x < math.inf),
-    ("init_perturbation", "finite and >= 0", lambda x: 0 <= x < math.inf),
     ("residual_ceiling_factor", "> 0", lambda x: x > 0),
 )
 
@@ -159,15 +153,15 @@ def design_sensing_phases(
     ``unit_modulus_projection(conj(r(v_b)) * fit)``, with the same residual (see the module docstring).
 
     Minimizes || W (A g - t) || subject to |g_m| = 1 with the projected update
-    g <- exp(j angle(g + mu A_w^H (t_w - A_w g))).  With ``target_phase="free"`` the target is L_s in
-    magnitude on the partition, its phases refit to the current response each iteration; ``"fixed"``
-    pins the real target L_s * mask, which also forces the on-partition response phases to zero and
-    gives visibly weaker illumination.
+    g <- exp(j angle(g + mu A_w^H (t_w - A_w g))), A_w = W A.  The target is L_s in magnitude on the
+    partition, its phases refit to the current response each iteration, and zero off it; W^2 weights the
+    on-partition rows by ``auto_on_weight(s)``; the step is mu = 0.5 / sigma_max(A_w)**2 per beam.
 
-    Beam k starts from the matched beam toward its partition midpoint plus ``n_starts - 1`` copies
-    perturbed by ``rngs[k]``.  All starts of all beams are rows of one batched solve on the canonical
-    rows A(0), each stopped by its own rule; the best iterate per row, then per beam, wins (earliest on
-    ties).  ``s`` stays the first positional argument: perfbench's tracer reads each span's stage from it.
+    Beam k starts from the matched beam toward its partition midpoint plus ``n_starts - 1`` copies whose
+    phases are offset by ``START_PERTURBATION`` times standard normals from ``rngs[k]``.  All starts of
+    all beams are rows of one batched solve on the canonical rows A(0), each stopped by its own rule; the
+    best iterate per row, then per beam, wins (earliest on ties).  ``s`` stays the first positional
+    argument: perfbench's tracer reads each span's stage from it.
 
     Each iteration costs one (rows x l_s) @ (l_s x l_s) product with the stage's Gram matrix plus
     products with each row's b on-partition rows of A(0), gathered once and compacted with the rows
@@ -182,30 +176,27 @@ def design_sensing_phases(
     a0 = response_rows(l_s, 0.0, grid, spacing)
     specs = [partition_indices(s, i, d) for i in parts]
     masks = np.array([p.mask(d) for p in specs])
-    w_on = params.on_weight if params.on_weight is not None else auto_on_weight(s)
+    w_on = auto_on_weight(s)
     wts = np.where(masks, math.sqrt(w_on), 1.0)
     sigma_max = np.linalg.svd(wts[:, :, None] * a0, compute_uv=False)[:, 0]
-    mu = 0.5 / sigma_max**2 if params.mu is None else np.full(len(specs), params.mu)
 
     # the matched start toward the midpoint, times r(v_b), is r(v_mid)
     phase0 = np.angle(ris_axis_steering([p.midpoint(grid) for p in specs], l_s, spacing))
     n_starts = params.n_starts
     pert = np.stack([np.vstack([np.zeros(l_s), rng.standard_normal((n_starts - 1, l_s))]) for rng in rngs])
-    h = np.exp(1j * (phase0[:, None, :] + params.init_perturbation * pert)).reshape(-1, l_s)
-    mu = np.repeat(mu, n_starts)[:, None]
+    h = np.exp(1j * (phase0[:, None, :] + START_PERTURBATION * pert)).reshape(-1, l_s)
+    mu = np.repeat(0.5 / sigma_max**2, n_starts)[:, None]
     gram = a0.T @ a0.conj()
     a_on = a0[np.repeat([p.indices - 1 for p in specs], n_starts, axis=0)]  # each row's partition rows A_I, n x b x l_s
     a_on_c = a_on.conj()
-    fixed = params.target_phase == "fixed"
 
     def gram_terms(h, a_on):
         """h G, the on-partition gradient weights c and the residual of rows h, with no n x D product."""
         hg = h @ gram
         y = np.einsum("nbl,nl->nb", a_on, h)  # on-partition responses A_I h
         mag = np.abs(y)
-        c = (w_on - 1.0) * y - w_on * l_s * (1.0 if fixed else _unit_phase(y))
-        dev = np.abs(y - l_s) if fixed else mag - l_s
-        res2 = np.vecdot(h, hg).real + (w_on * dev**2 - mag**2).sum(axis=1)  # vecdot conjugates h
+        c = (w_on - 1.0) * y - w_on * l_s * _unit_phase(y)
+        res2 = np.vecdot(h, hg).real + (w_on * (mag - l_s) ** 2 - mag**2).sum(axis=1)  # vecdot conjugates h
         return hg, c, np.sqrt(np.maximum(res2, 0.0))
 
     hg, c, res = gram_terms(h, a_on)

@@ -143,10 +143,6 @@ def _float_tuple(text: str) -> tuple | None:
     return tuple(float(x) for x in text.replace(",", " ").split()) or None
 
 
-def _auto_float(text: str) -> float | None:
-    return None if text == "auto" else float(text)
-
-
 # (section, key, owner, attribute, parser): every key a config file may set.
 # A parser returning None leaves the attribute at its dataclass default.
 CONFIG_FIELDS = (
@@ -184,9 +180,6 @@ CONFIG_FIELDS = (
     ("codebook", "design_seed", ExperimentPlan, "design_seed", int),
     ("codebook", "max_iters", SolverParams, "max_iters", int),
     ("codebook", "tol", SolverParams, "tol", float),
-    ("codebook", "mu", SolverParams, "mu", _auto_float),
-    ("codebook", "target_phase", SolverParams, "target_phase", str),
-    ("codebook", "on_weight", SolverParams, "on_weight", _auto_float),
     ("codebook", "n_starts", SolverParams, "n_starts", int),
     ("experiment", "kind", ExperimentPlan, "kind", str),
     ("experiment", "power_list", ExperimentPlan, "power_list", _float_tuple),
@@ -250,18 +243,14 @@ def write_default_config(path: str):
     plan = ExperimentPlan(schedule_ls=default_schedule(cfg.grid_size, cfg.n_axis))
     owners = {ScenarioConfig: cfg, ExperimentPlan: plan, SolverParams: plan.solver}
     lines, section = ["# RIS joint radar-communication scenario"], None
-    for sec, key, owner, attr, parse in CONFIG_FIELDS:
+    for sec, key, owner, attr, _ in CONFIG_FIELDS:
         if sec != section:
             lines.append(f"\n[{sec}]")
             section = sec
         value = attrgetter(attr)(owners[owner])
-        if value is None:
-            text = "auto" if parse is _auto_float else ""
-        elif isinstance(value, tuple):
-            text = ", ".join(str(v) for v in value)
-        else:
-            text = str(value)
-        lines.append(f"{key} = {text}".rstrip())
+        if isinstance(value, tuple):
+            value = ", ".join(str(v) for v in value)
+        lines.append(f"{key} = {'' if value is None else value}".rstrip())
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 

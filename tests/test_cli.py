@@ -50,3 +50,18 @@ def test_bad_override_names_its_field(tmp_path, flag, value, field):
     with pytest.raises(FieldError) as raised:
         cli.main(["localize", "--config", str(config), flag, value])
     assert raised.value.fields == (field,)
+
+
+@pytest.mark.parametrize(
+    "text", [None, TINY_CONFIG.replace("[codebook]\n", "[codebook]\nmu = auto\n")], ids=["missing-file", "unknown-key"]
+)
+def test_rejected_config_is_one_error_line(tmp_path, capsys, text):
+    """``run`` reports a config it cannot read or accept as one stderr line and exit status 2."""
+    config = tmp_path / "run.cfg"
+    if text is not None:
+        config.write_text(text)
+    assert cli.run(["calibrate", "--config", str(config), "--out", str(tmp_path / "c.csv")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("risjrc: error: ") and err.count("\n") == 1
+    assert (str(config) if text is None else "unknown key 'mu'") in err
