@@ -31,7 +31,7 @@ def db_to_linear(p_db: float) -> float:
     return 10.0 ** (p_db / 10.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Scenario geometry, power budget, and model switches.
 

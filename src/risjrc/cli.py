@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from dataclasses import replace
 
 from .channels import ScenarioConfig
 from .codebook import load_codebook, save_codebook
@@ -34,12 +36,11 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def _load(args, kind: str):
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ValueError(f"{args.out}: output directory does not exist")  # else found only when the run writes
     cfg, plan = load_config(args.config) if args.config else (ScenarioConfig(), ExperimentPlan())
-    plan.kind = kind
-    for attr, value in (("master_seed", args.seed), ("trials", args.trials), ("parallel", args.parallel)):
-        if value is not None:
-            setattr(plan, attr, value)
-    plan.validate()
+    overrides = {"master_seed": args.seed, "trials": args.trials, "parallel": args.parallel}
+    plan = replace(plan, kind=kind, **{attr: value for attr, value in overrides.items() if value is not None})
     cb = load_codebook(args.codebook) if args.codebook else None
     return cfg, plan, cb
 

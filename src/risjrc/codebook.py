@@ -81,7 +81,7 @@ def partition_indices(s: int, i: int, d: int) -> PartitionSpec:
     return PartitionSpec(stage=s, index=i, indices=np.arange(lo, lo + block))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverParams:
     """Stopping rule, start count and residual warning ceiling of the masked-response fit; its objective,
     step, row weights and start spread are fixed (see ``design_sensing_phases``)."""

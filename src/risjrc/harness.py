@@ -44,12 +44,11 @@ from .localization import (
     exhaustive_transmissions,
     hierarchical_transmissions,
     make_scene,
-    snapshot_rule_literal,
     stage_error,
     trial_width,
 )
 
-SCHEDULE_SOURCES = ("manual", "literal-rule", "calibrated")
+SCHEDULE_SOURCES = ("manual", "calibrated")
 
 CSV_COLUMNS = (
     "experiment",
@@ -78,9 +77,9 @@ TRACE_COLUMNS = (
 BEAMPATTERN_COLUMNS = ("stage", "axis", "beam", "grid_index", "v", "response_mag")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentPlan:
-    """What to run: experiment kind, sweep, budgets, and seeds."""
+    """What to run: experiment kind, sweep, budgets, and seeds; frozen and checked when built."""
 
     kind: str = "overall-error-vs-P"
     power_list: tuple = (39.0, 42.0, 45.0)
@@ -97,7 +96,7 @@ class ExperimentPlan:
     design_seed: int = 0
     solver: SolverParams = field(default_factory=SolverParams)
 
-    def validate(self):
+    def __post_init__(self):
         check_fields(self, _PLAN_RULES)
 
 
@@ -198,13 +197,17 @@ CONFIG_FIELDS = (
 def load_config(path: str) -> tuple[ScenarioConfig, ExperimentPlan]:
     """Parse and validate a scenario + experiment config file.
 
-    Unknown sections or keys are rejected with their location; a value out of
-    range fails as ``<path>: [section] key: <message>``, the keys being those
-    that set the fields its :class:`FieldError` names.
+    A rejected file is a one-line ValueError naming ``path``: ``malformed config``
+    if configparser cannot read it, unknown sections or keys with their location,
+    and a value out of range as ``<path>: [section] key: <message>``, the keys
+    being those that set the fields its :class:`FieldError` names.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     with open(path) as f:
-        parser.read_file(f, source=path)
+        try:
+            parser.read_file(f, source=path)
+        except configparser.Error as e:  # no section header, a repeated section or key, ...
+            raise ValueError(f"{path}: malformed config: {' '.join(str(e).split())}") from None
 
     known = {(section, key): (owner, attr, parse) for section, key, owner, attr, parse in CONFIG_FIELDS}
     values = {ScenarioConfig: {}, ExperimentPlan: {}, SolverParams: {}}
@@ -229,7 +232,6 @@ def load_config(path: str) -> tuple[ScenarioConfig, ExperimentPlan]:
             scenario[name] = DirectionCosine(vx, vy)
         cfg = ScenarioConfig(**scenario)
         plan = ExperimentPlan(**values[ExperimentPlan], solver=SolverParams(**values[SolverParams]))
-        plan.validate()
     except ValueError as e:  # a FieldError names the attributes at fault; "vx", "vy" those of direction `name`
         attrs = [f"{name}.{f}" if f in ("vx", "vy") else f for f in getattr(e, "fields", ())]
         keys = ", ".join(f"[{sec}] {key}" for sec, key, _, attr, _ in CONFIG_FIELDS if attr in attrs)
@@ -351,12 +353,13 @@ def resolve_schedules(scenes: list[Scene], plan: ExperimentPlan, cb: Codebook) -
     """Per-stage snapshot counts for each power point of a sweep, per the plan's source.
 
     Returns one ``(schedule, calibs)`` per scene, ``calibs`` being the list of
-    CalibrationResults (empty unless calibrated).  The literal-rule source uses
-    the magnitude reading of the closed-form rule, since the signed form is
-    non-physical.  Calibration goes stage by stage: one :class:`StageEnsemble`
-    per stage on ``aux_rng(seed, kind, 0, stage)``, which every power point
-    searches with its own scene and which is dropped before the next stage
-    is drawn, so one ensemble is held at a time.
+    CalibrationResults (empty unless calibrated).  The manual source takes
+    ``plan.snapshots``, or 1 at every stage when unset; the closed-form rule's
+    count is a manual schedule of ``snapshot_rule_literal(...).t_magnitude``.
+    Calibration goes stage by stage: one :class:`StageEnsemble` per stage on
+    ``aux_rng(seed, kind, 0, stage)``, which every power point searches with
+    its own scene and which is dropped before the next stage is drawn, so one
+    ensemble is held at a time.
     """
     n_stages = scenes[0].cfg.n_stages
     if plan.schedule_source == "manual":
@@ -364,19 +367,6 @@ def resolve_schedules(scenes: list[Scene], plan: ExperimentPlan, cb: Codebook) -
         if len(t_s) != n_stages:
             raise ValueError(f"snapshots must have {n_stages} entries, got {len(t_s)}")
         return [(SnapshotSchedule(tuple(t_s)), []) for _ in scenes]
-    if plan.schedule_source == "literal-rule":
-        schedules = []
-        for scene in scenes:
-            cfg, eta = scene.cfg, scene.gains
-            t_s = []
-            for s in range(1, n_stages + 1):
-                l_s = cb.schedule[s - 1]
-                rule = snapshot_rule_literal(
-                    plan.delta, cfg.p_r_watts, l_s, cfg.n_b, eta.eta_br, eta.eta_rt, cfg.sigma_b2_watts
-                )
-                t_s.append(rule.t_magnitude)
-            schedules.append((SnapshotSchedule(tuple(t_s)), []))
-        return schedules
     # calibrated; streams keyed by stage only so power points share draws,
     # which keeps the calibrated counts smoothly monotone across the sweep
     calibs = [[] for _ in scenes]
@@ -550,7 +540,7 @@ _EXPERIMENTS = {
 EXPERIMENT_KINDS = tuple(_EXPERIMENTS)
 _EXPERIMENT_IDS = {kind: n for n, kind in enumerate(EXPERIMENT_KINDS, start=1)}
 
-# (field, rule, check) rows for ExperimentPlan.validate; chained comparisons also reject nan
+# (field, rule, check) rows that ExperimentPlan checks when built; chained comparisons also reject nan
 _PLAN_RULES = (
     ("kind", f"one of {EXPERIMENT_KINDS}", lambda x: x in EXPERIMENT_KINDS),
     ("power_list", "non-empty and finite", lambda x: len(x) > 0 and all(map(math.isfinite, x))),
@@ -564,7 +554,6 @@ _PLAN_RULES = (
 
 def run_experiment(plan: ExperimentPlan, cfg: ScenarioConfig, cb: Codebook | None = None) -> ResultTable:
     """Execute the planned sweep and return the result table."""
-    plan.validate()
     table = ResultTable()
     add = functools.partial(
         table.add,

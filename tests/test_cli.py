@@ -53,9 +53,17 @@ def test_bad_override_names_its_field(tmp_path, flag, value, field):
 
 
 @pytest.mark.parametrize(
-    "text", [None, TINY_CONFIG.replace("[codebook]\n", "[codebook]\nmu = auto\n")], ids=["missing-file", "unknown-key"]
+    "text, names",
+    [
+        (None, None),  # names the file
+        (TINY_CONFIG.replace("[codebook]\n", "[codebook]\nmu = auto\n"), "unknown key 'mu'"),
+        ("mu = auto\n", "malformed config"),
+        (TINY_CONFIG + "[experiment]\ntrials = 5\n", "malformed config"),
+        (TINY_CONFIG + "schedule_source = literal-rule\n", "[experiment] schedule_source"),
+    ],
+    ids=["missing-file", "unknown-key", "no-section-header", "duplicate-section", "literal-rule"],
 )
-def test_rejected_config_is_one_error_line(tmp_path, capsys, text):
+def test_rejected_config_is_one_error_line(tmp_path, capsys, text, names):
     """``run`` reports a config it cannot read or accept as one stderr line and exit status 2."""
     config = tmp_path / "run.cfg"
     if text is not None:
@@ -64,4 +72,16 @@ def test_rejected_config_is_one_error_line(tmp_path, capsys, text):
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err
     assert err.startswith("risjrc: error: ") and err.count("\n") == 1
-    assert (str(config) if text is None else "unknown key 'mu'") in err
+    assert (names or str(config)) in err
+
+
+def test_missing_output_directory_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli, "run_experiment", never)
+    out = tmp_path / "missing" / "c.csv"
+    assert cli.run(["calibrate", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("risjrc: error: ") and err.count("\n") == 1
+    assert str(out) in err

@@ -1,6 +1,8 @@
 import json
+import tempfile
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,6 +397,24 @@ class TestSerialization:
         cb = build_codebook(tiny_cfg(), solver=SolverParams(residual_ceiling_factor=1e-9), seed=1)
         assert all(len(b.quality_warnings) == 2**b.stage for b in cb.stages)
         self.assert_roundtrip(cb, tmp_path / "book.riscb")
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        v_b=st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+        v_u=st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+        spacing=st.floats(0.05, 0.5),
+        schedule=st.tuples(*[st.integers(1, 4)] * 3),
+        max_iters=st.integers(0, 5),
+        n_starts=st.integers(1, 2),
+        ceiling=st.sampled_from([1e-9, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_roundtrip_of_drawn_tiny_designs(self, v_b, v_u, spacing, schedule, max_iters, n_starts, ceiling, seed):
+        cfg = tiny_cfg(v_b=DirectionCosine(*v_b), v_u=DirectionCosine(*v_u), ris_spacing=spacing)
+        solver = SolverParams(max_iters=max_iters, n_starts=n_starts, residual_ceiling_factor=ceiling)
+        cb = build_codebook(cfg, schedule=schedule, solver=solver, seed=seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            self.assert_roundtrip(cb, Path(tmp) / "book.riscb")
 
     def test_payload_is_canonical_fits(self, tmp_path, five_stage_codebook):
         # 2**s x l_s complex128 fits per stage, 936 phases for 4/8/16/16/16, and no axis beams

@@ -26,6 +26,7 @@ import io
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -73,9 +74,8 @@ def produce(workdir: Path) -> dict:
             out.update(codebook_entries("build_codebook", cb))
             out.update(codebook_entries("build_matched_codebook", build_matched_codebook(cfg)))
         for kind in EXPERIMENT_KINDS:
-            plan.kind = kind
             path = workdir / f"{kind}-{source}.csv"
-            emit_csv(run_experiment(plan, cfg, cb), str(path))
+            emit_csv(run_experiment(replace(plan, kind=kind), cfg, cb), str(path))
             out[f"{kind}/{source}"] = _lines(path)
     for command in ("localize", "beampattern"):
         path = workdir / f"{command}.csv"

@@ -3,7 +3,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -214,8 +214,8 @@ class TestFieldErrors:
             (lambda: ScenarioConfig(d_rt=-5.0), ("d_rt",)),
             (lambda: ScenarioConfig(radar_share=1.5), ("radar_share",)),
             (lambda: SolverParams(n_starts=0), ("n_starts",)),
-            (lambda: ExperimentPlan(power_list=(39.0, math.inf)).validate(), ("power_list",)),
-            (lambda: ExperimentPlan(master_seed=-1).validate(), ("master_seed",)),
+            (lambda: ExperimentPlan(power_list=(39.0, math.inf)), ("power_list",)),
+            (lambda: ExperimentPlan(master_seed=-1), ("master_seed",)),
             (lambda: ScenarioConfig(radar_share=-0.1), ("radar_share",)),
             (lambda: ScenarioConfig(radar_share=math.nan), ("radar_share",)),
             (lambda: ScenarioConfig(pathloss_model="literal"), ("pathloss_model",)),
@@ -225,6 +225,17 @@ class TestFieldErrors:
         with pytest.raises(FieldError) as e:
             make()
         assert e.value.fields == fields
+
+    @pytest.mark.parametrize(
+        "make, attr", [(ScenarioConfig, "n_b"), (SolverParams, "n_starts"), (ExperimentPlan, "trials")]
+    )
+    def test_config_types_are_frozen_and_checked_on_replace(self, make, attr):
+        obj = make()
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, attr, 0)
+        with pytest.raises(FieldError) as e:
+            replace(obj, **{attr: 0})
+        assert e.value.fields == (attr,)
 
 
 class TestWilson:
@@ -333,7 +344,6 @@ class TestExperiments:
             ("snapshots-vs-P", "calibrated"),
             ("stage-error-vs-P", "calibrated"),
             ("transmission-count", "calibrated"),
-            ("overall-error-vs-P", "literal-rule"),
             ("overall-error-vs-P", "manual"),
         ],
     )
@@ -523,7 +533,7 @@ class TestTrialReproducibility:
             rows = list(csv.DictReader(f))
 
         cfg, plan = load_config(str(config))
-        plan.kind = "overall-error-vs-P"
+        plan = replace(plan, kind="overall-error-vs-P")
         cb = get_codebook(cfg, plan)
         cfg_p = cfg.with_power(plan.power_list[0])
         schedule, _ = resolve_schedule(cfg_p, plan, cb)
