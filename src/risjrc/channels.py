@@ -18,6 +18,7 @@ from .geometry import (
     axis_size,
     check_fields,
     direction_grid,
+    is_integer,
     ris_axis_steering,
     ris_full_steering,
     ula_steering,
@@ -128,8 +129,9 @@ class ScenarioConfig:
 
 # (field, rule, check) rows for ScenarioConfig's single-field ranges; the finiteness loop runs first
 _SCENARIO_RULES = (
-    *((name, ">= 1", lambda x: x >= 1) for name in ("n_b", "n_u")),
-    ("grid_size", "a power of two >= 2", lambda x: x >= 2 and not x & (x - 1)),
+    *((name, "an integer >= 1", lambda x: is_integer(x) and x >= 1) for name in ("n_b", "n_u")),
+    ("grid_size", "an integer power of two >= 2", lambda x: is_integer(x) and x >= 2 and not x & (x - 1)),
+    ("n_ris", "an integer", is_integer),  # before axis_size checks its range
     *((name, "> 0", lambda x: x > 0) for name in ("d_bu", "d_br", "d_ru", "d_rt")),
     ("pathloss_model", "'standard_power'", lambda x: x == "standard_power"),
     ("power_units", "'dBm' or 'dB'", lambda x: x in ("dBm", "dB")),
@@ -213,8 +215,9 @@ def normals_from_words(words: np.ndarray) -> np.ndarray:
 
 def fading_from_normals(normals: np.ndarray) -> FadingDraw:
     """The fading of each row of a ``(..., >= 8)`` block of standard normals: 4 real parts, then 4
-    imaginary parts, in the order br, bu, ru, rho; later entries are ignored."""
-    return FadingDraw(*np.moveaxis(complex_from_parts(normals[..., :4], normals[..., 4:8]), -1, 0))
+    imaginary parts, in the order br, bu, ru, rho; later entries are ignored.  Each coefficient is a
+    C-contiguous array of the block's leading shape, or a numpy scalar for a single row."""
+    return FadingDraw(*(complex_from_parts(normals[..., k], normals[..., k + 4])[()] for k in range(4)))
 
 
 def draw_fading(rng: np.random.Generator, size: tuple = ()) -> FadingDraw:

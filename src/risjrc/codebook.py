@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ScenarioConfig
-from .geometry import DirectionCosine, check_fields, direction_grid, ris_axis_steering
+from .geometry import DirectionCosine, check_fields, direction_grid, is_integer, ris_axis_steering
 
 CODEBOOK_MAGIC = b"RISCB2\n"
 START_PERTURBATION = 0.3  # standard deviation, in radians, of the phase offsets of perturbed solver starts
@@ -97,8 +97,8 @@ class SolverParams:
 
 # (field, rule, check); chained comparisons with math.inf also reject nan
 _SOLVER_RULES = (
-    ("n_starts", ">= 1", lambda x: x >= 1),
-    ("max_iters", ">= 0", lambda x: x >= 0),
+    ("n_starts", "an integer >= 1", lambda x: is_integer(x) and x >= 1),
+    ("max_iters", "an integer >= 0", lambda x: is_integer(x) and x >= 0),
     ("tol", "finite and >= 0", lambda x: 0 <= x < math.inf),
     ("residual_ceiling_factor", "> 0", lambda x: x > 0),
 )

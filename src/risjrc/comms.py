@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .channels import ChannelSet, PhaseProfile, ScenarioConfig, draw_fading, path_gains
+from .channels import ChannelSet, PathGains, PhaseProfile, ScenarioConfig, draw_fading, path_gains
 from .codebook import Codebook, matched_axis_beam
 from .geometry import check_count, ris_axis_steering, ula_steering
 
@@ -72,17 +74,39 @@ def stage_phase_profile(cb: Codebook, stage: int, beam: int = 1) -> PhaseProfile
     return PhaseProfile(omega_x=book.w_x[:, beam - 1], omega_y=book.w_y[:, beam - 1])
 
 
+class _LinkTerms(NamedTuple):
+    """What the SE of a scenario config needs besides its fading and RIS profile; arrays read-only."""
+
+    eta: PathGains
+    m_direct: np.ndarray  # 2x2 direct-path factor M_d
+    norm_d: float  # ‖M_d‖²
+    m_outer: np.ndarray  # 2x2 cascade factor before the RIS gain and P
+    p: np.ndarray  # 2x2 diagonal sqrt powers
+    axis: tuple  # r_x(v_u), r_x(v_b), r_y(v_u), r_y(v_b)
+
+
+@functools.lru_cache(maxsize=8)  # a sweep reads each power point's entry on consecutive calls
+def _link_terms(cfg: ScenarioConfig) -> _LinkTerms:
+    """The fading-independent SE terms of ``cfg``, built once per config: every scenario of a power
+    point reads the same entry."""
+    link = build_link_matrices(cfg)
+    b_r = ula_steering(cfg.theta_r_deg, cfg.n_b)
+    b_u = ula_steering(cfg.theta_u_deg, cfg.n_b)
+    u_b = ula_steering(cfg.zeta_b_deg, cfg.n_u)
+    u_r = ula_steering(cfg.zeta_r_deg, cfg.n_u)
+    m_direct = np.outer(link.c.conj().T @ u_b, b_u.conj() @ link.f) @ link.p
+    m_outer = np.outer(link.c.conj().T @ u_r, b_r.conj() @ link.f)
+    n_axis, sp = cfg.n_axis, cfg.ris_spacing
+    axis = tuple(ris_axis_steering(v, n_axis, sp) for v in (cfg.v_u.vx, cfg.v_b.vx, cfg.v_u.vy, cfg.v_b.vy))
+    for array in (m_direct, m_outer, link.p, *axis):  # one cached entry is shared by every caller
+        array.flags.writeable = False
+    return _LinkTerms(path_gains(cfg), m_direct, np.vdot(m_direct, m_direct).real, m_outer, link.p, axis)
+
+
 def _cascade_axis_gain(cfg: ScenarioConfig, omega: PhaseProfile) -> complex:
     """r(v_u)^H diag(w) r(v_b) over the full RIS, via the axis factors."""
-    n_axis = cfg.n_axis
-    sp = cfg.ris_spacing
-    ax = ris_axis_steering(cfg.v_u.vx, n_axis, sp).conj() @ (
-        omega.omega_x * ris_axis_steering(cfg.v_b.vx, n_axis, sp)
-    )
-    ay = ris_axis_steering(cfg.v_u.vy, n_axis, sp).conj() @ (
-        omega.omega_y * ris_axis_steering(cfg.v_b.vy, n_axis, sp)
-    )
-    return ax * ay
+    rx_u, rx_b, ry_u, ry_b = _link_terms(cfg).axis
+    return (rx_u.conj() @ (omega.omega_x * rx_b)) * (ry_u.conj() @ (omega.omega_y * ry_b))
 
 
 @dataclass(frozen=True)
@@ -108,32 +132,26 @@ def _se_samples(
         SE = log2(1 + ‖H‖_F²/σ² + |det H|²/σ⁴),
 
     with ``‖H‖_F² = |a|²‖M_d‖² + |b|²‖M_c‖² + 2·Re(a·b̄·⟨M_c, M_d⟩)``.
-    Without a RIS, ``b = 0`` and the det term is exactly 0.
+    Everything but the fading and the RIS gain comes from ``_link_terms``,
+    built once per config.  Without a RIS, ``b = 0``: the cascade, cross and
+    det terms are exact zeros, so the SE is ``log2(1 + |a|²‖M_d‖²/σ²)``,
+    which is evaluated directly.
     """
     sigma_u2 = cfg.sigma_u2_watts
     if sigma_u2 <= 0:
         raise ValueError("noise power must be positive")
-    link = build_link_matrices(cfg)
-    eta = path_gains(cfg)
-    b_r = ula_steering(cfg.theta_r_deg, cfg.n_b)
-    b_u = ula_steering(cfg.theta_u_deg, cfg.n_b)
-    u_b = ula_steering(cfg.zeta_b_deg, cfg.n_u)
-    u_r = ula_steering(cfg.zeta_r_deg, cfg.n_u)
-    m_direct = np.outer(link.c.conj().T @ u_b, b_u.conj() @ link.f) @ link.p
+    terms = _link_terms(cfg)
+    eta = terms.eta
     beta = draw_fading(rng, (trials,))
     a = beta.beta_bu * eta.eta_bu
     if omega is None:
-        m_cascade = np.zeros((2, 2), dtype=complex)
-        b = np.zeros(trials, dtype=complex)
-    else:
-        a_ru = _cascade_axis_gain(cfg, omega)
-        m_cascade = a_ru * np.outer(link.c.conj().T @ u_r, b_r.conj() @ link.f) @ link.p
-        b = (beta.beta_ru * eta.eta_ru) * (beta.beta_br * eta.eta_br)
-    norm_d = np.vdot(m_direct, m_direct).real
+        return np.log2(1.0 + np.abs(a) ** 2 * terms.norm_d / sigma_u2)
+    m_cascade = (_cascade_axis_gain(cfg, omega) * terms.m_outer) @ terms.p
+    b = (beta.beta_ru * eta.eta_ru) * (beta.beta_br * eta.eta_br)
     norm_c = np.vdot(m_cascade, m_cascade).real
-    cross = np.vdot(m_cascade, m_direct)
-    det_sum = np.linalg.det(m_direct + m_cascade)
-    frob = np.abs(a) ** 2 * norm_d + np.abs(b) ** 2 * norm_c + 2.0 * (a * b.conj() * cross).real
+    cross = np.vdot(m_cascade, terms.m_direct)
+    det_sum = np.linalg.det(terms.m_direct + m_cascade)
+    frob = np.abs(a) ** 2 * terms.norm_d + np.abs(b) ** 2 * norm_c + 2.0 * (a * b.conj() * cross).real
     det2 = np.abs(a * b) ** 2 * abs(det_sum) ** 2
     return np.log2(1.0 + frob / sigma_u2 + det2 / sigma_u2**2)
 
@@ -149,7 +167,8 @@ def average_se(
     Only the three link fading coefficients are redrawn; the target
     cross-section plays no role in the user link.  All trials are drawn
     in one ``draw_fading`` call, the same stream as one call per trial,
-    and evaluated by the rank-1 closed form of ``_se_samples``;
+    and evaluated by the rank-1 closed form of ``_se_samples`` over terms
+    built once per ``cfg``, so the scenarios of one power point share them;
     ``spectral_efficiency`` of ``effective_channel`` is its oracle.
     """
     check_count("trials", trials)

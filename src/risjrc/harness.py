@@ -34,7 +34,7 @@ from .codebook import (
     mask_fidelity,
     sensing_responses,
 )
-from .geometry import DirectionCosine, check_fields, direction_grid
+from .geometry import DirectionCosine, check_fields, direction_grid, is_integer
 from .localization import (
     Scene,
     SnapshotSchedule,
@@ -544,11 +544,17 @@ _EXPERIMENT_IDS = {kind: n for n, kind in enumerate(EXPERIMENT_KINDS, start=1)}
 _PLAN_RULES = (
     ("kind", f"one of {EXPERIMENT_KINDS}", lambda x: x in EXPERIMENT_KINDS),
     ("power_list", "non-empty and finite", lambda x: len(x) > 0 and all(map(math.isfinite, x))),
-    *((name, ">= 1", lambda x: x >= 1) for name in ("trials", "parallel", "t_max", "calib_trials", "t_per_beam")),
-    *((name, ">= 0", lambda x: x >= 0) for name in ("master_seed", "design_seed")),
+    *(
+        (name, "an integer >= 1", lambda x: is_integer(x) and x >= 1)
+        for name in ("trials", "parallel", "t_max", "calib_trials", "t_per_beam")
+    ),
+    *((name, "an integer >= 0", lambda x: is_integer(x) and x >= 0) for name in ("master_seed", "design_seed")),
     ("delta", "in (0, 1)", lambda x: 0 < x < 1),
     ("schedule_source", f"one of {SCHEDULE_SOURCES}", lambda x: x in SCHEDULE_SOURCES),
-    *((name, "unset or entries >= 1", lambda x: not x or min(x) >= 1) for name in ("snapshots", "schedule_ls")),
+    *(
+        (name, "unset or integer entries >= 1", lambda x: not x or all(is_integer(v) and v >= 1 for v in x))
+        for name in ("snapshots", "schedule_ls")
+    ),
 )
 
 

@@ -5,9 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import exp1
 
-from risjrc.channels import FadingDraw, PhaseProfile, build_channels, draw_fading, fading_from_normals, path_gains
-from risjrc.codebook import build_matched_codebook, matched_axis_beam
+from risjrc.channels import (
+    FadingDraw,
+    PhaseProfile,
+    build_channels,
+    complex_from_parts,
+    draw_fading,
+    fading_from_normals,
+    path_gains,
+)
+from risjrc.codebook import build_codebook, build_matched_codebook, matched_axis_beam
 from risjrc.comms import (
+    _link_terms,
     _se_samples,
     average_se,
     build_link_matrices,
@@ -228,6 +237,113 @@ class TestBatchedSeOracle:
         est = average_se(cfg, None, 200_000, np.random.default_rng(11))
         sigma = est.halfwidth / 1.96
         assert abs(est.mean - exact) < 4.0 * sigma
+
+
+class TestLinkTerms:
+    """The fading-independent terms are built once per config and read without changing a bit."""
+
+    @pytest.mark.parametrize("scenario", ["benchmark", "stage-1", "no-ris"])
+    def test_average_se_bits_do_not_depend_on_the_cache(self, desk_codebook, scenario):
+        cfg = desk_cfg(30.0)
+        omega = {"benchmark": comm_phase_profile(cfg), "stage-1": stage_phase_profile(desk_codebook, 1), "no-ris": None}
+        run = lambda: average_se(cfg, omega[scenario], 300, np.random.default_rng(12))
+        _link_terms.cache_clear()
+        cold = run()
+        warm = run()
+        _link_terms(cfg.with_power(46.0))
+        between = run()
+        assert cold == warm == between
+
+    @pytest.mark.parametrize("size", [(50,), (3, 7)])
+    def test_fading_fields_are_contiguous_in_the_one_layout(self, size):
+        x = np.random.default_rng(13).standard_normal((*size, 8))
+        former = np.moveaxis(complex_from_parts(x[..., :4], x[..., 4:8]), -1, 0)
+        draw = draw_fading(np.random.default_rng(13), size)
+        for got, want in zip(vars(draw).values(), former):
+            assert got.flags.c_contiguous and got.shape == size
+            assert got.tobytes() == want.tobytes()
+
+    def test_single_fading_draw_is_numpy_scalars(self):
+        draw = draw_fading(np.random.default_rng(13))
+        assert all(type(v) is np.complex128 for v in vars(draw).values())
+
+    def test_no_ris_samples_are_the_general_form_with_b_zero(self):
+        cfg, trials = desk_cfg(36.0), 300
+        got = _se_samples(cfg, None, trials, np.random.default_rng(14))
+        beta = draw_fading(np.random.default_rng(14), (trials,))
+        link, eta, s2 = build_link_matrices(cfg), path_gains(cfg), cfg.sigma_u2_watts
+        u_b, b_u = ula_steering(cfg.zeta_b_deg, cfg.n_u), ula_steering(cfg.theta_u_deg, cfg.n_b)
+        m_direct = np.outer(link.c.conj().T @ u_b, b_u.conj() @ link.f) @ link.p
+        m_cascade = np.zeros((2, 2), dtype=complex)
+        a, b = beta.beta_bu * eta.eta_bu, np.zeros(trials, dtype=complex)
+        norm_d, norm_c = np.vdot(m_direct, m_direct).real, np.vdot(m_cascade, m_cascade).real
+        cross, det_sum = np.vdot(m_cascade, m_direct), np.linalg.det(m_direct + m_cascade)
+        frob = np.abs(a) ** 2 * norm_d + np.abs(b) ** 2 * norm_c + 2.0 * (a * b.conj() * cross).real
+        det2 = np.abs(a * b) ** 2 * abs(det_sum) ** 2
+        assert got.tobytes() == np.log2(1.0 + frob / s2 + det2 / s2**2).tobytes()
+
+    def test_cached_arrays_are_read_only(self):
+        terms = _link_terms(desk_cfg())
+        for array in (terms.m_direct, terms.m_outer, terms.p, *terms.axis):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+
+def exact_mean_se(cfg, omega, nodes=60, phases=16):
+    """E[SE] over the three link fades by quadrature, numpy only.
+
+    With unit-fading channels G_d (direct) and G_c (cascade through ``omega``) from the matrix
+    pipeline, A = ‖G_d‖²/σ², B = ‖G_c‖²/σ², C = |⟨G_c, G_d⟩|/σ² and D = |det(G_d + G_c)|²/σ⁴, the SE
+    of a draw is log2(1 + A X₁ + B X₂X₃ + 2C√(X₁X₂X₃) cos φ + D X₁X₂X₃) with Xᵢ = |βᵢ|² ~ Exp(1) and φ
+    uniform.  Each Xᵢ = eᵗ is integrated by the trapezoid rule in t on [-25, 4] with weight e^(t - eᵗ),
+    normalized, and φ by the equispaced rule.
+    """
+    link, s2 = build_link_matrices(cfg), cfg.sigma_u2_watts
+    g_d = effective_channel(build_channels(cfg, FadingDraw(0.0, 1.0, 0.0, 0.0)), None, link)
+    g_c = np.zeros((2, 2))
+    if omega is not None:
+        g_c = effective_channel(build_channels(cfg, FadingDraw(1.0, 0.0, 1.0, 0.0)), omega, link)
+    a, b = np.vdot(g_d, g_d).real / s2, np.vdot(g_c, g_c).real / s2
+    c, d = abs(np.vdot(g_c, g_d)) / s2, abs(np.linalg.det(g_d + g_c)) ** 2 / s2**2
+    t = np.linspace(-25.0, 4.0, nodes)
+    w = np.full(nodes, t[1] - t[0])
+    w[[0, -1]] /= 2
+    w *= np.exp(t - np.exp(t))
+    w /= w.sum()  # so a constant integrates exactly: the 60 raw weights sum to 1 + 2.2e-8
+    x1, x2, x3 = np.ix_(np.exp(t), np.exp(t), np.exp(t))
+    weight = w[:, None, None] * w[None, :, None] * w[None, None, :]
+    prod = x1 * x2 * x3
+    base, amp = 1.0 + a * x1 + b * x2 * x3 + d * prod, 2.0 * c * np.sqrt(prod)
+    phi = 2.0 * np.pi * np.arange(phases) / phases
+    return sum(np.sum(weight * np.log2(base + amp * math.cos(p))) for p in phi) / phases
+
+
+class TestExactSe:
+    """Criterion 6's scenario, checked against its exact mean SE rather than only against its ordering."""
+
+    @pytest.fixture(scope="class")
+    def full_codebook(self):
+        return build_codebook(desk_cfg(n_ris=4096, grid_size=32), schedule=(4, 8, 16, 16, 16), seed=0)
+
+    @pytest.mark.parametrize("k, power", [(0, 30.0), (1, 46.0)])
+    def test_monte_carlo_matches_the_exact_mean(self, full_codebook, k, power):
+        cfg = desk_cfg(power, n_ris=4096, grid_size=32)
+        scenarios = [
+            comm_phase_profile(cfg),
+            stage_phase_profile(full_codebook, 1),
+            stage_phase_profile(full_codebook, 5),
+            None,
+        ]
+        exact = [exact_mean_se(cfg, omega) for omega in scenarios]
+        assert exact[0] >= exact[1] >= exact[2] > exact[3]
+        # without a RIS, SE = log2(1 + A·X) and E[SE] = e^{1/A}·E₁(1/A)/ln 2
+        g_d = effective_channel(build_channels(cfg, FadingDraw(0.0, 1.0, 0.0, 0.0)), None, build_link_matrices(cfg))
+        inv = cfg.sigma_u2_watts / np.linalg.norm(g_d) ** 2
+        assert exact[3] == pytest.approx(math.exp(inv) * exp1(inv) / math.log(2.0), abs=1e-6)
+        for tag, (omega, value) in enumerate(zip(scenarios, exact)):
+            est = average_se(cfg, omega, 20_000, np.random.default_rng((2718, k, tag)))
+            assert abs(est.mean - value) < 4.0 * est.halfwidth / 1.96
 
 
 class TestStagePhaseProfile:

@@ -226,6 +226,28 @@ class TestFieldErrors:
             make()
         assert e.value.fields == fields
 
+    @pytest.mark.parametrize("value", [2.5, True, np.float64(3.0)], ids=["float", "bool", "numpy-float"])
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            *((ScenarioConfig, name) for name in ("n_b", "n_u", "grid_size", "n_ris")),
+            *((SolverParams, name) for name in ("max_iters", "n_starts")),
+            *(
+                (ExperimentPlan, name)
+                for name in ("trials", "parallel", "t_max", "calib_trials", "t_per_beam", "master_seed", "design_seed")
+            ),
+            (ExperimentPlan, "snapshots"),
+            (ExperimentPlan, "schedule_ls"),
+        ],
+    )
+    def test_count_fields_reject_non_integers(self, make, name, value):
+        # a list field takes the value as one of its entries
+        arg = (4, value) if name in ("snapshots", "schedule_ls") else value
+        with pytest.raises(FieldError) as e:
+            make(**{name: arg})
+        assert e.value.fields == (name,)
+        assert f"{name} must be " in str(e.value) and "integer" in str(e.value)
+
     @pytest.mark.parametrize(
         "make, attr", [(ScenarioConfig, "n_b"), (SolverParams, "n_starts"), (ExperimentPlan, "trials")]
     )
@@ -599,10 +621,21 @@ class TestTrialReproducibility:
         assert np.array_equal(serial, threaded)
 
 
-def test_import_does_not_load_multiprocessing():
-    """The thread pool is imported only by a parallel sweep, so a fresh ``import risjrc`` stays light."""
+def _modules_loaded_by_fresh_import(*packages) -> str:
+    """The modules of ``packages`` that a fresh interpreter holds after ``import risjrc``, as printed."""
     src = os.path.dirname(os.path.dirname(risjrc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, risjrc; print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    code = f"import sys, risjrc; print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_does_not_load_multiprocessing():
+    """The thread pool is imported only by a parallel sweep, so a fresh ``import risjrc`` stays light."""
+    assert _modules_loaded_by_fresh_import("multiprocessing", "concurrent") == "[]"
+
+
+def test_import_does_not_load_scipy():
+    """The library runs on numpy alone: ``import scipy.special`` by itself costs about three times
+    the benchmark's whole set-up, so a fresh ``import risjrc`` loads no scipy module."""
+    assert _modules_loaded_by_fresh_import("scipy") == "[]"
