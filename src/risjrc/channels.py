@@ -19,6 +19,7 @@ from .geometry import (
     check_fields,
     direction_grid,
     is_integer,
+    is_real,
     ris_axis_steering,
     ris_full_steering,
     ula_steering,
@@ -82,10 +83,14 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for f in fields(self):
+            if f.type != "float":  # the real-valued fields; the rules check the rest
+                continue
             value = getattr(self, f.name)
+            if not is_real(value):
+                raise FieldError((f.name,), f"{f.name} must be a real number, got {value!r}")
             # -inf dBm is a noiseless receiver (0 W), not a malformed value
             noiseless = value == -math.inf and f.name in ("sigma_b2_dbm", "sigma_u2_dbm")
-            if isinstance(value, float) and not math.isfinite(value) and not noiseless:
+            if not math.isfinite(value) and not noiseless:
                 raise FieldError((f.name,), f"{f.name} must be finite, got {value!r}")
         check_fields(self, _SCENARIO_RULES)
         axis_size(self.n_ris)
@@ -127,7 +132,7 @@ class ScenarioConfig:
         return direction_grid(self.grid_size)
 
 
-# (field, rule, check) rows for ScenarioConfig's single-field ranges; the finiteness loop runs first
+# (field, rule, check) rows for ScenarioConfig's single-field ranges; the real-number loop runs first
 _SCENARIO_RULES = (
     *((name, "an integer >= 1", lambda x: is_integer(x) and x >= 1) for name in ("n_b", "n_u")),
     ("grid_size", "an integer power of two >= 2", lambda x: is_integer(x) and x >= 2 and not x & (x - 1)),

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ScenarioConfig
-from .geometry import DirectionCosine, check_fields, direction_grid, is_integer, ris_axis_steering
+from .geometry import DirectionCosine, check_fields, direction_grid, is_integer, is_real, ris_axis_steering
 
 CODEBOOK_MAGIC = b"RISCB2\n"
 START_PERTURBATION = 0.3  # standard deviation, in radians, of the phase offsets of perturbed solver starts
@@ -99,8 +99,8 @@ class SolverParams:
 _SOLVER_RULES = (
     ("n_starts", "an integer >= 1", lambda x: is_integer(x) and x >= 1),
     ("max_iters", "an integer >= 0", lambda x: is_integer(x) and x >= 0),
-    ("tol", "finite and >= 0", lambda x: 0 <= x < math.inf),
-    ("residual_ceiling_factor", "> 0", lambda x: x > 0),
+    ("tol", "a finite real number >= 0", lambda x: is_real(x) and 0 <= x < math.inf),
+    ("residual_ceiling_factor", "a real number > 0", lambda x: is_real(x) and x > 0),
 )
 
 

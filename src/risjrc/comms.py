@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import ChannelSet, PathGains, PhaseProfile, ScenarioConfig, draw_fading, path_gains
+from .channels import ChannelSet, FadingDraw, PathGains, PhaseProfile, ScenarioConfig, draw_fading, path_gains
 from .codebook import Codebook, matched_axis_beam
 from .geometry import check_count, ris_axis_steering, ula_steering
 
@@ -116,13 +116,8 @@ class SeEstimate:
     trials: int
 
 
-def _se_samples(
-    cfg: ScenarioConfig,
-    omega: PhaseProfile | None,
-    trials: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Spectral efficiency of each of ``trials`` fading draws, in one batch.
+def _se_samples(cfg: ScenarioConfig, omega: PhaseProfile | None, fading: FadingDraw) -> np.ndarray:
+    """Spectral efficiency of profile ``omega`` on each draw of ``fading``, in one batch.
 
     The effective channel is ``H = a·M_d + b·M_c``: ``M_d`` and ``M_c``
     are the fading-independent rank-1 factors of the direct and cascade
@@ -142,18 +137,24 @@ def _se_samples(
         raise ValueError("noise power must be positive")
     terms = _link_terms(cfg)
     eta = terms.eta
-    beta = draw_fading(rng, (trials,))
-    a = beta.beta_bu * eta.eta_bu
+    a = fading.beta_bu * eta.eta_bu
     if omega is None:
         return np.log2(1.0 + np.abs(a) ** 2 * terms.norm_d / sigma_u2)
     m_cascade = (_cascade_axis_gain(cfg, omega) * terms.m_outer) @ terms.p
-    b = (beta.beta_ru * eta.eta_ru) * (beta.beta_br * eta.eta_br)
+    b = (fading.beta_ru * eta.eta_ru) * (fading.beta_br * eta.eta_br)
     norm_c = np.vdot(m_cascade, m_cascade).real
     cross = np.vdot(m_cascade, terms.m_direct)
     det_sum = np.linalg.det(terms.m_direct + m_cascade)
     frob = np.abs(a) ** 2 * terms.norm_d + np.abs(b) ** 2 * norm_c + 2.0 * (a * b.conj() * cross).real
     det2 = np.abs(a * b) ** 2 * abs(det_sum) ** 2
     return np.log2(1.0 + frob / sigma_u2 + det2 / sigma_u2**2)
+
+
+def _se_estimate(values: np.ndarray) -> SeEstimate:
+    """Mean of per-trial SE ``values`` and its 95% normal-approximation half-width."""
+    trials = len(values)
+    halfwidth = float(1.96 * values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return SeEstimate(mean=float(values.mean()), halfwidth=halfwidth, trials=trials)
 
 
 def average_se(
@@ -169,10 +170,8 @@ def average_se(
     in one ``draw_fading`` call, the same stream as one call per trial,
     and evaluated by the rank-1 closed form of ``_se_samples`` over terms
     built once per ``cfg``, so the scenarios of one power point share them;
-    ``spectral_efficiency`` of ``effective_channel`` is its oracle.
+    ``spectral_efficiency`` of ``effective_channel`` is its oracle.  A sweep
+    that compares profiles on one draw calls the same two pieces.
     """
     check_count("trials", trials)
-    values = _se_samples(cfg, omega, trials, rng)
-    mean = float(values.mean())
-    halfwidth = float(1.96 * values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return SeEstimate(mean=mean, halfwidth=halfwidth, trials=trials)
+    return _se_estimate(_se_samples(cfg, omega, draw_fading(rng, (trials,))))

@@ -39,6 +39,11 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """True for a Python or numpy real number that is not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def check_count(name: str, value):
     """Raise a ValueError naming ``name`` unless ``value`` is an integer >= 1."""
     if not is_integer(value) or value < 1:
@@ -53,6 +58,8 @@ class DirectionCosine:
     vy: float
 
     def __post_init__(self):
+        if bad := [c for c in ("vx", "vy") if not is_real(getattr(self, c))]:
+            raise FieldError(bad, f"direction cosines must be real numbers, got ({self.vx!r}, {self.vy!r})")
         if bad := [c for c in ("vx", "vy") if not math.isfinite(getattr(self, c))]:
             raise FieldError(bad, "direction cosines must be finite")
         if bad := [c for c in ("vx", "vy") if abs(getattr(self, c)) > 1.0]:

@@ -7,8 +7,9 @@ fixed range of words, so a block of trials is one draw and any trial
 reproduces alone (:func:`trial_rng`).  Calibration, stage-error and SE draws
 come from tagged :func:`aux_rng` streams; calibration's are keyed by stage
 only, so the power points of a sweep search one ensemble per stage
-(:func:`resolve_schedules`).  Results are bit-reproducible and independent of
-the parallelism degree.
+(:func:`resolve_schedules`), and the SE scenarios of a power point read one
+fading draw.  Results are bit-reproducible and independent of the
+parallelism degree.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import comms
-from .channels import ScenarioConfig
+from .channels import ScenarioConfig, draw_fading
 from .codebook import (
     Codebook,
     SolverParams,
@@ -34,7 +35,7 @@ from .codebook import (
     mask_fidelity,
     sensing_responses,
 )
-from .geometry import DirectionCosine, check_fields, direction_grid, is_integer
+from .geometry import DirectionCosine, check_fields, direction_grid, is_integer, is_real
 from .localization import (
     Scene,
     SnapshotSchedule,
@@ -354,9 +355,8 @@ def resolve_schedules(scenes: list[Scene], plan: ExperimentPlan, cb: Codebook) -
 
     Returns one ``(schedule, calibs)`` per scene, ``calibs`` being the list of
     CalibrationResults (empty unless calibrated).  The manual source takes
-    ``plan.snapshots``, or 1 at every stage when unset; the closed-form rule's
-    count is a manual schedule of ``snapshot_rule_literal(...).t_magnitude``.
-    Calibration goes stage by stage: one :class:`StageEnsemble` per stage on
+    ``plan.snapshots``, or 1 at every stage when unset.  Calibration goes
+    stage by stage: one :class:`StageEnsemble` per stage on
     ``aux_rng(seed, kind, 0, stage)``, which every power point searches with
     its own scene and which is dropped before the next stage is drawn, so one
     ensemble is held at a time.
@@ -495,9 +495,10 @@ def _se_vs_p(cfg, plan, book, add):
             (f"stage-{book.n_stages}", comms.stage_phase_profile(book, book.n_stages)),
             ("no-ris", None),
         ]
-        for tag_idx, (tag, omega) in enumerate(scenarios):
-            rng = aux_rng(plan.master_seed, plan.kind, p_idx, 200 + tag_idx)
-            est = comms.average_se(cfg_p, omega, plan.trials, rng)
+        # one draw for all four scenarios (common random numbers), so their differences are paired
+        fading = draw_fading(aux_rng(plan.master_seed, plan.kind, p_idx, 200), (plan.trials,))
+        for tag, omega in scenarios:
+            est = comms._se_estimate(comms._se_samples(cfg_p, omega, fading))
             add_p(metric="spectral_efficiency", detail=f"scenario={tag}", value=est.mean, ci_halfwidth=est.halfwidth)
 
 
@@ -543,13 +544,17 @@ _EXPERIMENT_IDS = {kind: n for n, kind in enumerate(EXPERIMENT_KINDS, start=1)}
 # (field, rule, check) rows that ExperimentPlan checks when built; chained comparisons also reject nan
 _PLAN_RULES = (
     ("kind", f"one of {EXPERIMENT_KINDS}", lambda x: x in EXPERIMENT_KINDS),
-    ("power_list", "non-empty and finite", lambda x: len(x) > 0 and all(map(math.isfinite, x))),
+    (
+        "power_list",
+        "a non-empty tuple or list of finite real numbers",
+        lambda x: isinstance(x, (tuple, list)) and len(x) > 0 and all(is_real(v) and math.isfinite(v) for v in x),
+    ),
     *(
         (name, "an integer >= 1", lambda x: is_integer(x) and x >= 1)
         for name in ("trials", "parallel", "t_max", "calib_trials", "t_per_beam")
     ),
     *((name, "an integer >= 0", lambda x: is_integer(x) and x >= 0) for name in ("master_seed", "design_seed")),
-    ("delta", "in (0, 1)", lambda x: 0 < x < 1),
+    ("delta", "a real number in (0, 1)", lambda x: is_real(x) and 0 < x < 1),
     ("schedule_source", f"one of {SCHEDULE_SOURCES}", lambda x: x in SCHEDULE_SOURCES),
     *(
         (name, "unset or integer entries >= 1", lambda x: not x or all(is_integer(v) and v >= 1 for v in x))

@@ -209,7 +209,7 @@ class TestBatchedSeOracle:
             "benchmark": comm_phase_profile(cfg),
             "random": PhaseProfile(np.exp(1j * np.array(phases[:4])), np.exp(1j * np.array(phases[4:]))),
         }[scenario]
-        got = _se_samples(cfg, omega, trials, np.random.default_rng(seed))
+        got = _se_samples(cfg, omega, draw_fading(np.random.default_rng(seed), (trials,)))
         rng = np.random.default_rng(seed)
         link = build_link_matrices(cfg)
         want = [
@@ -269,7 +269,7 @@ class TestLinkTerms:
 
     def test_no_ris_samples_are_the_general_form_with_b_zero(self):
         cfg, trials = desk_cfg(36.0), 300
-        got = _se_samples(cfg, None, trials, np.random.default_rng(14))
+        got = _se_samples(cfg, None, draw_fading(np.random.default_rng(14), (trials,)))
         beta = draw_fading(np.random.default_rng(14), (trials,))
         link, eta, s2 = build_link_matrices(cfg), path_gains(cfg), cfg.sigma_u2_watts
         u_b, b_u = ula_steering(cfg.zeta_b_deg, cfg.n_u), ula_steering(cfg.theta_u_deg, cfg.n_b)

@@ -125,6 +125,12 @@ class TestFieldErrors:
             DirectionCosine(vx, vy)
         assert e.value.fields == fields
 
+    @pytest.mark.parametrize("vx, vy, fields", [("0.1", 0.0, ("vx",)), (0.0, True, ("vy",)), ("0", False, ("vx", "vy"))])
+    def test_direction_cosine_rejects_strings_and_bools(self, vx, vy, fields):
+        with pytest.raises(FieldError, match="real numbers") as e:
+            DirectionCosine(vx, vy)
+        assert e.value.fields == fields
+
 
 class TestInvariants:
     def test_unit_modulus_random_inputs(self):

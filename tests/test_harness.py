@@ -11,12 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 import risjrc
 from risjrc import cli, harness
-from risjrc.channels import ScenarioConfig
+from risjrc.channels import ScenarioConfig, draw_fading
 from risjrc.codebook import SolverParams
+from risjrc.comms import _se_samples, average_se, comm_phase_profile, stage_phase_profile
 from risjrc.geometry import DirectionCosine, FieldError
 from risjrc.harness import (
     ExperimentPlan,
     ResultTable,
+    aux_rng,
     config_hash,
     emit_csv,
     get_codebook,
@@ -41,6 +43,7 @@ from risjrc.localization import (
 
 from conftest import desk_cfg
 from test_cli import TINY_CONFIG
+from test_comms import exact_mean_se
 
 
 # an out-of-range text per parser, and explicit cases for the list keys
@@ -247,6 +250,36 @@ class TestFieldErrors:
             make(**{name: arg})
         assert e.value.fields == (name,)
         assert f"{name} must be " in str(e.value) and "integer" in str(e.value)
+
+    @pytest.mark.parametrize("value", ["0.5", True], ids=["str", "bool"])
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            *(
+                (ScenarioConfig, name)
+                for name in (
+                    *("theta_r_deg", "theta_u_deg", "zeta_b_deg", "zeta_r_deg"),
+                    *("d_bu", "d_br", "d_ru", "d_rt", "alpha_bu", "alpha_br", "alpha_ru", "alpha_rt", "eta0_db"),
+                    *("sigma_b2_dbm", "sigma_u2_dbm", "power", "radar_share", "ris_spacing"),
+                )
+            ),
+            *((SolverParams, name) for name in ("tol", "residual_ceiling_factor")),
+            (ExperimentPlan, "delta"),
+            (ExperimentPlan, "power_list"),
+        ],
+    )
+    def test_real_fields_reject_strings_and_bools(self, make, name, value):
+        # the list field takes the value as one of its entries
+        arg = (39.0, value) if name == "power_list" else value
+        with pytest.raises(FieldError) as e:
+            make(**{name: arg})
+        assert e.value.fields == (name,)
+        assert f"{name} must be " in str(e.value) and "real number" in str(e.value)
+
+    def test_real_fields_take_ints_and_numpy_reals(self):
+        cfg = ScenarioConfig(power=36, d_bu=np.float64(20.0), radar_share=np.float32(0.25), eta0_db=np.int64(-30))
+        plan = ExperimentPlan(delta=np.float32(0.125), power_list=(39, np.float64(42.0)))
+        assert (cfg.p_r_watts, cfg.d_bu, plan.delta, plan.power_list) == (0.25 * 10**0.6, 20.0, 0.125, (39, 42.0))
 
     @pytest.mark.parametrize(
         "make, attr", [(ScenarioConfig, "n_b"), (SolverParams, "n_starts"), (ExperimentPlan, "trials")]
@@ -500,6 +533,58 @@ class TestDeskScalePin:
             point = [(r["metric"], r["value"]) for r in rows if r["power"] == power]
             assert [v for m, v in point if m == "overall_error"] == [overall]
             assert [v for m, v in point if m == "stage_error_conditional"] == conditional
+
+
+class TestSeSharedDraw:
+    """The four scenarios of an se-vs-P power point read one fading draw, at criterion 6's scenario."""
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        cfg = desk_cfg(n_ris=4096, grid_size=32)
+        cb = risjrc.build_codebook(cfg, schedule=(4, 8, 16, 16, 16), seed=0)
+        plan = ExperimentPlan(kind="se-vs-P", power_list=(30.0, 46.0), trials=2000)
+        value = {(r["power"], r["detail"]): (r["value"], r["ci_halfwidth"]) for r in run_experiment(plan, cfg, cb).rows}
+        return cfg, cb, plan, value
+
+    @staticmethod
+    def profiles(cfg_p, cb) -> dict:
+        """Each scenario's RIS profile, in the order the model ranks their SE."""
+        return {
+            "benchmark": comm_phase_profile(cfg_p),
+            "stage-1": stage_phase_profile(cb, 1),
+            "stage-5": stage_phase_profile(cb, 5),
+            "no-ris": None,
+        }
+
+    def test_each_row_is_average_se_on_the_point_stream(self, sweep):
+        cfg, cb, plan, value = sweep
+        assert len(value) == 8
+        for p_idx, power in enumerate(plan.power_list):
+            cfg_p = cfg.with_power(power)
+            for tag, omega in self.profiles(cfg_p, cb).items():
+                est = average_se(cfg_p, omega, plan.trials, aux_rng(plan.master_seed, plan.kind, p_idx, 200))
+                assert value[(power, f"scenario={tag}")] == (est.mean, est.halfwidth)
+
+    @pytest.mark.parametrize("p_idx", [0, 1])
+    def test_ordering_holds_trial_by_trial(self, sweep, p_idx):
+        cfg, cb, plan, _ = sweep
+        cfg_p = cfg.with_power(plan.power_list[p_idx])
+        fading = draw_fading(aux_rng(plan.master_seed, plan.kind, p_idx, 200), (plan.trials,))
+        se = [_se_samples(cfg_p, omega, fading) for omega in self.profiles(cfg_p, cb).values()]
+        for better, worse in zip(se, se[1:]):
+            assert np.all(better >= worse)
+
+    def test_mean_gap_matches_the_exact_gap(self, sweep):
+        # on one draw the benchmark - stage-1 gap is nearly the same on every trial, so its mean is exact to
+        # far below the per-scenario ci_halfwidth
+        cfg, cb, plan, value = sweep
+        for power in plan.power_list:
+            cfg_p = cfg.with_power(power)
+            omegas = self.profiles(cfg_p, cb)
+            exact = exact_mean_se(cfg_p, omegas["benchmark"]) - exact_mean_se(cfg_p, omegas["stage-1"])
+            got = value[(power, "scenario=benchmark")][0] - value[(power, "scenario=stage-1")][0]
+            assert got == pytest.approx(exact, abs=1e-4)
+            assert value[(power, "scenario=stage-1")][1] > 100 * abs(got - exact)
 
 
 class TestRngStreams:
