@@ -1,4 +1,6 @@
+import contextlib
 import json
+import math
 import tempfile
 import warnings
 from dataclasses import replace
@@ -100,6 +102,61 @@ def reference_stages(cfg, schedule, seed):
     return out
 
 
+def divide_phase(g):
+    """g / |g| by numpy's complex division, exact zeros to 1: the in-loop projection ``reference_stage_solve`` pins."""
+    mag = np.abs(g)
+    return np.divide(g, mag, out=np.ones_like(g), where=mag > 0)
+
+
+def reference_stage_solve(s, l_s, parts, grid, params, spacing, rngs):
+    """``design_sensing_phases`` with the straightforward loop: the best residual and fit of every row are
+    gathered and scattered in the full-size arrays on every iteration, the step is formed out of place and
+    iterates are projected by ``divide_phase``.  The solver must return the same values, bit for bit."""
+    d = len(grid)
+    a0 = response_rows(l_s, 0.0, grid, spacing)
+    specs = [partition_indices(s, i, d) for i in parts]
+    masks = np.array([p.mask(d) for p in specs])
+    w_on = auto_on_weight(s)
+    wts = np.where(masks, math.sqrt(w_on), 1.0)
+    sigma_max = np.linalg.svd(wts[:, :, None] * a0, compute_uv=False)[:, 0]
+
+    phase0 = np.angle(ris_axis_steering([p.midpoint(grid) for p in specs], l_s, spacing))
+    n_starts = params.n_starts
+    pert = np.stack([np.vstack([np.zeros(l_s), rng.standard_normal((n_starts - 1, l_s))]) for rng in rngs])
+    h = np.exp(1j * (phase0[:, None, :] + START_PERTURBATION * pert)).reshape(-1, l_s)
+    mu = np.repeat(0.5 / sigma_max**2, n_starts)[:, None]
+    gram = a0.T @ a0.conj()
+    a_on = a0[np.repeat([p.indices - 1 for p in specs], n_starts, axis=0)]
+    a_on_c = a_on.conj()
+
+    def gram_terms(h, a_on):
+        hg = h @ gram
+        y = np.einsum("nbl,nl->nb", a_on, h)
+        mag = np.abs(y)
+        c = (w_on - 1.0) * y - w_on * l_s * divide_phase(y)
+        res2 = np.vecdot(h, hg).real + (w_on * (mag - l_s) ** 2 - mag**2).sum(axis=1)
+        return hg, c, np.sqrt(np.maximum(res2, 0.0))
+
+    hg, c, res = gram_terms(h, a_on)
+    best_h, best_res, prev = h.copy(), res.copy(), res
+    ids = np.arange(len(h))
+    for _ in range(params.max_iters):
+        h = divide_phase(h - mu * (hg + (c[:, None, :] @ a_on_c)[:, 0]))
+        hg, c, res = gram_terms(h, a_on)
+        better = res < best_res[ids]
+        best_res[ids[better]], best_h[ids[better]] = res[better], h[better]
+        going = ~(np.abs(prev - res) < params.tol * np.maximum(prev, 1e-300))
+        if not going.all():
+            ids, h, hg, c, a_on, a_on_c, mu, res = (x[going] for x in (ids, h, hg, c, a_on, a_on_c, mu, res))
+            if not ids.size:
+                break
+        prev = res
+
+    k = np.argmin(best_res.reshape(-1, n_starts), axis=1)
+    best = np.arange(len(specs)) * n_starts + k
+    return best_h[best], best_res[best]
+
+
 class TestPartitions:
     def test_first_half_at_stage_one(self):
         p = partition_indices(1, 1, 32)
@@ -156,6 +213,37 @@ class TestSensingDesign:
         assert u[0] == 1
         np.testing.assert_allclose(u, unit_modulus_projection(g), rtol=0, atol=1e-15)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        parts=st.lists(
+            st.tuples(*[st.sampled_from([0.0, -0.0, 5e-324, -4e-320, 3e-310, 2.2e-308, 1e-300, -1e300, 3e300])
+                        | st.floats(-1e300, 1e300)] * 2),
+            min_size=1,
+            max_size=24,
+        )
+    )
+    def test_in_loop_projection_is_the_division(self, parts):
+        """The in-loop projection has the values of numpy's g / |g|, exact zeros to 1.
+
+        Bytes may differ only in the sign of an exactly-zero part: numpy's complex division computes the
+        real part as (re + im * 0) / |g| and the imaginary part as (im - re * 0) / |g|, so it gives -0-1j for
+        -0-1j, where re * (1/|g|) gives 0-1j.  Below about 5.6e-309, 1/|g| overflows, in the division as well.
+        """
+        g = np.empty(len(parts), dtype=complex)
+        g.real, g.imag = np.array(parts).T
+        mag = np.abs(g)
+        with np.errstate(over="ignore"):
+            overflows = bool(np.isinf(np.reciprocal(mag[mag > 0])).any())  # the divisor numpy's division forms
+        # an overflowed 1/|g| times a zero part is 0 * inf, invalid in both forms
+        quiet = np.errstate(over="ignore", invalid="ignore") if overflows else contextlib.nullcontext()
+        with quiet:
+            want = np.divide(g, mag, out=np.ones_like(g), where=mag > 0)
+            got = _unit_phase(g)
+        np.testing.assert_array_equal(got, want)
+        assert np.all(got[mag == 0] == 1)
+        differ = got.view(np.uint64) != want.view(np.uint64)
+        assert np.all(got.view(float)[differ] == 0) and np.all(want.view(float)[differ] == 0)
+
     def test_final_stage_keeps_matched_gain(self):
         # single-cell partition designed with the full aperture
         d = 16
@@ -204,6 +292,42 @@ class TestSensingDesign:
         g_ref, res_ref = reference_sensing_fit(s, i, l_s, v_b, grid, params, rng=rng())
         np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-10)
         assert res == pytest.approx(res_ref, rel=0, abs=1e-10)
+
+
+def assert_stage_solves_match_reference(d, schedule, params, seed, spacing=0.25):
+    """Every stage solve of ``build_codebook(..., seed=seed)`` at grid size d equals ``reference_stage_solve``
+    bit for bit, both fed generators from the same seeds, spawned in ``build_codebook``'s order."""
+    grid = direction_grid(d)
+    ss = np.random.SeedSequence(seed)
+    for s, l_s in enumerate(schedule, start=1):
+        children = ss.spawn(2 * 2**s)[0::2]
+        parts = range(1, 2**s + 1)
+        got = design_sensing_phases(s, l_s, parts, grid, params, spacing, [np.random.default_rng(c) for c in children])
+        want = reference_stage_solve(s, l_s, parts, grid, params, spacing, [np.random.default_rng(c) for c in children])
+        for g, w, what in zip(got, want, ("fits", "residuals")):
+            assert np.array_equal(g, w), f"stage {s} {what} differ from the reference loop"
+
+
+class TestStageSolveBits:
+    """The solver's loop returns the values of ``reference_stage_solve``, to the bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "d, schedule",
+        [(8, (4, 4, 4)), (16, (4, 8, 16, 16)), (32, (4, 8, 16, 16, 16))],
+        ids=["tiny", "desk", "full"],
+    )
+    def test_codebook_scales(self, d, schedule, seed):
+        # tiny and desk are the default schedules of tiny_cfg and desk_cfg; full is the 64x64-RIS one
+        assert_stage_solves_match_reference(d, schedule, SolverParams(), seed)
+
+    @pytest.mark.parametrize("n_starts", [1, 4])
+    @pytest.mark.parametrize("tol", [0.0, 1e-3])
+    @pytest.mark.parametrize("max_iters", [0, 1, 3, 37])
+    def test_stopping_rules(self, max_iters, tol, n_starts):
+        # rows stop at different iterations and improve on only some of them
+        params = SolverParams(max_iters=max_iters, tol=tol, n_starts=n_starts)
+        assert_stage_solves_match_reference(16, (4, 8, 16, 16), params, 1)
 
 
 class TestSolverParams:
