@@ -26,10 +26,13 @@ A(0)^T conj(A(0)) is one l_s x l_s matrix per stage, A_I holds the b =
 D / 2**s rows of the row's partition, and c = (w_on - 1) y_I - w_on l_s u_I
 with u_I the target phases.  The squared residual is
 Re sum conj(h) (h G) - sum |y_I|^2 + w_on sum |y_I - l_s u_I|^2.  Inside the
-loop the iterate is projected as g / |g|; the ramped axis beams go through
-``unit_modulus_projection``, exp(j angle(g)).  Neither is bit-idempotent: a
-second pass moves about 2% of exp(j angle(g))'s entries by one ulp, and about
-a third of g / |g|'s.
+loop the iterate is projected as g (1/|g|), the same values as g / |g|: numpy
+divides a complex number by a real one as its parts times the reciprocal.
+The ramped axis beams go through ``unit_modulus_projection``, exp(j angle(g)).
+Neither is bit-idempotent: a second pass moves about 2% of exp(j angle(g))'s
+entries by one ulp, and about a third of g / |g|'s.  The test oracle
+``reference_stage_solve`` (tests/test_codebook.py), the loop written out
+plainly with g / |g|, pins the solver's values to the bit.
 """
 
 from __future__ import annotations
@@ -118,13 +121,19 @@ def unit_modulus_projection(g: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.angle(g))
 
 
-def _unit_phase(g: np.ndarray) -> np.ndarray:
+def _unit_phase(g: np.ndarray, mag: np.ndarray | None = None) -> np.ndarray:
     """g / |g| with exact zeros mapped to 1, as exp(j angle(0)) gives: the solver's in-loop projection.
+    ``mag``, when given, is |g|.
 
-    About three times cheaper than ``unit_modulus_projection``; the ramped axis beams still go through
-    ``unit_modulus_projection``, whose second pass moves fewer entries (see the module docstring).
+    With no zero magnitude it is formed as g * (1/|g|): numpy divides a complex number by a real one as
+    its parts times 1/|g|, so the values are those of g / |g|, and only the sign of an exactly-zero part
+    can differ.  The ramped axis beams go through ``unit_modulus_projection``, whose second pass moves
+    fewer entries (see the module docstring).
     """
-    mag = np.abs(g)
+    if mag is None:
+        mag = np.abs(g)
+    if mag.all():
+        return g * np.reciprocal(mag)
     return np.divide(g, mag, out=np.ones_like(g), where=mag > 0)
 
 
@@ -165,11 +174,15 @@ def design_sensing_phases(
 
     Each iteration costs one (rows x l_s) @ (l_s x l_s) product with the stage's Gram matrix plus
     products with each row's b on-partition rows of A(0), gathered once and compacted with the rows
-    (see the module docstring for the algebra).  Iterates, and so the returned fits, are projected as
-    g / |g|, exact zeros to 1.
+    (see the module docstring for the algebra).  The best residual and fit of the rows still iterating
+    are compacted with them too, and written out only when a row stops.  Iterates, and so the returned
+    fits, are projected as g (1/|g|), the same values as g / |g|, exact zeros to 1 (``_unit_phase``);
+    the test oracle ``reference_stage_solve`` pins the values this loop returns.
     """
     if l_s < 1:
         raise ValueError("sensing element count must be >= 1")
+    if not len(parts):
+        raise ValueError("need at least one beam")
     if len(parts) != len(rngs):
         raise ValueError(f"need one generator per beam: {len(parts)} beams, {len(rngs)} generators")
     d = len(grid)
@@ -195,24 +208,34 @@ def design_sensing_phases(
         hg = h @ gram
         y = np.einsum("nbl,nl->nb", a_on, h)  # on-partition responses A_I h
         mag = np.abs(y)
-        c = (w_on - 1.0) * y - w_on * l_s * _unit_phase(y)
+        c = (w_on - 1.0) * y - w_on * l_s * _unit_phase(y, mag)
         res2 = np.vecdot(h, hg).real + (w_on * (mag - l_s) ** 2 - mag**2).sum(axis=1)  # vecdot conjugates h
         return hg, c, np.sqrt(np.maximum(res2, 0.0))
 
     hg, c, res = gram_terms(h, a_on)
-    best_h, best_res, prev = h.copy(), res.copy(), res
-    ids = np.arange(len(h))  # rows still iterating
+    best_h, best_res, prev = np.empty_like(h), np.empty_like(res), res
+    # rows still iterating, and their best residual and fit so far, written to best_res and best_h when
+    # the row stops or the loop ends
+    ids, br, bh = np.arange(len(h)), res.copy(), h.copy()
     for _ in range(params.max_iters):
-        h = _unit_phase(h - mu * (hg + (c[:, None, :] @ a_on_c)[:, 0]))
+        step = (c[:, None, :] @ a_on_c)[:, 0]
+        step += hg
+        step *= mu
+        h = _unit_phase(np.subtract(h, step, out=step))
         hg, c, res = gram_terms(h, a_on)
-        better = res < best_res[ids]  # strict: earliest iterate wins ties
-        best_res[ids[better]], best_h[ids[better]] = res[better], h[better]
+        better = res < br  # strict: earliest iterate wins ties
+        np.copyto(br, res, where=better)
+        np.copyto(bh, h, where=better[:, None])
         going = ~(np.abs(prev - res) < params.tol * np.maximum(prev, 1e-300))
         if not going.all():
-            ids, h, hg, c, a_on, a_on_c, mu, res = (x[going] for x in (ids, h, hg, c, a_on, a_on_c, mu, res))
+            done = ~going
+            best_res[ids[done]], best_h[ids[done]] = br[done], bh[done]
+            ids, h, hg, c, a_on, a_on_c, mu, res, br, bh = (
+                x[going] for x in (ids, h, hg, c, a_on, a_on_c, mu, res, br, bh))
             if not ids.size:
                 break
         prev = res
+    best_res[ids], best_h[ids] = br, bh
 
     k = np.argmin(best_res.reshape(-1, n_starts), axis=1)  # earliest start wins ties
     best = np.arange(len(specs)) * n_starts + k  # each beam's winning row
@@ -310,8 +333,9 @@ def build_codebook(
     schedule = tuple(schedule) if schedule is not None else default_schedule(d, n_axis)
     if len(schedule) != n_stages:
         raise ValueError(f"schedule must have {n_stages} entries, got {len(schedule)}")
-    if any(l < 1 or l > n_axis for l in schedule):
-        raise ValueError(f"schedule entries must be in 1..{n_axis}")
+    for l in schedule:
+        if not is_integer(l) or not 1 <= l <= n_axis:
+            raise ValueError(f"schedule entries must be integers in 1..{n_axis}, got {l!r}")
     solver = solver or SolverParams()
     grid = direction_grid(d)
     ss = np.random.SeedSequence(seed)

@@ -259,6 +259,10 @@ class TestSensingDesign:
         with pytest.raises(ValueError, match="one generator per beam"):
             design_sensing_phases(1, 4, [1, 2], grid, SolverParams(), 0.25, [np.random.default_rng(0)])
 
+    def test_at_least_one_beam_required(self):
+        with pytest.raises(ValueError, match="at least one beam"):
+            design_sensing_phases(1, 4, [], direction_grid(16), SolverParams(), 0.25, [])
+
     def test_deterministic_given_seed(self):
         grid = direction_grid(16)
         g1, r1 = fit_one_beam(2, 3, 8, 0.133, grid, rng=np.random.default_rng(9))
@@ -495,6 +499,12 @@ class TestBuildCodebook:
     def test_schedule_length_checked(self):
         with pytest.raises(ValueError):
             build_codebook(tiny_cfg(), schedule=(4, 8))
+
+    @pytest.mark.parametrize("entry", [True, 2.0, "4"])
+    def test_schedule_entries_must_be_integers(self, entry):
+        # True and 2.0 pass a range check; the solver would die on them inside numpy
+        with pytest.raises(ValueError, match=f"schedule entries must be integers in 1..4, got {entry!r}"):
+            build_codebook(tiny_cfg(), schedule=(4, 4, entry))
 
 
 def _header_and_payload(data: bytes) -> tuple[dict, bytes]:
