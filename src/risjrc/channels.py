@@ -264,6 +264,26 @@ def build_channels(cfg: ScenarioConfig, fading: FadingDraw) -> ChannelSet:
     return ChannelSet(h_bu=h_bu, h_br=h_br, h_ru=h_ru, g_bu=g_bu, g_br=g_br, g_ru=g_ru, gamma=gamma)
 
 
+@dataclass
+class LinkMatrices:
+    """Transmit precoder, receive combiner, and power allocation."""
+
+    f: np.ndarray  # N_b x 2, columns unit norm
+    c: np.ndarray  # N_u x 2, columns unit norm
+    p: np.ndarray  # 2 x 2 diagonal, sqrt powers
+
+
+def build_link_matrices(cfg: ScenarioConfig) -> LinkMatrices:
+    f = np.column_stack(
+        [ula_steering(cfg.theta_r_deg, cfg.n_b), ula_steering(cfg.theta_u_deg, cfg.n_b)]
+    ) / math.sqrt(cfg.n_b)
+    c = np.column_stack(
+        [ula_steering(cfg.zeta_r_deg, cfg.n_u), ula_steering(cfg.zeta_b_deg, cfg.n_u)]
+    ) / math.sqrt(cfg.n_u)
+    p = np.diag([math.sqrt(cfg.p_r_watts), math.sqrt(cfg.p_u_watts)])
+    return LinkMatrices(f=f, c=c, p=p)
+
+
 def target_response(
     v_t: DirectionCosine, gamma: complex, n_ris: int, spacing_wavelengths: float = 0.25
 ) -> np.ndarray:

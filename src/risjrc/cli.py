@@ -16,7 +16,7 @@ from .harness import (
     emit_csv,
     get_codebook,
     load_config,
-    resolve_schedule,
+    resolve_schedules,
     run_experiment,
     trace_rows,
     trial_rng,
@@ -58,16 +58,15 @@ def _localize(args, kind):
     cfg, plan, cb = _load(args, kind)
     book = get_codebook(cfg, plan, cb)
     power = plan.power_list[0]
-    cfg_p = cfg.with_power(power)
-    schedule, _ = resolve_schedule(cfg_p, plan, book)
-    scene = make_scene(cfg_p)
+    scene = make_scene(cfg.with_power(power))
+    schedule, _ = resolve_schedules([scene], plan, book)[0]
     rng = trial_rng(plan.master_seed, plan.kind, 0, 0, trial_width(schedule))
     stages = hierarchical_localize(scene, book, schedule, rng)
     for _, _, _, s, beams, stats, chosen, t_s, _ in trace_rows(stages, schedule, power, plan.master_seed):
         print(f"stage {s}: beams {beams} stats {[f'{v:.3e}' for v in stats]} -> chose {chosen} (T={t_s})")
     _, _, _, pair, correct = stages[-1]
     print(
-        f"true cell {true_cell(cfg_p)}, estimated {tuple(pair[0].tolist())}, "
+        f"true cell {true_cell(scene.cfg)}, estimated {tuple(pair[0].tolist())}, "
         f"success={bool(correct[0])}, transmissions={hierarchical_transmissions(schedule)}"
     )
     if args.out:

@@ -99,6 +99,9 @@ class ExperimentPlan:
 
     def __post_init__(self):
         check_fields(self, _PLAN_RULES)
+        for name in ("power_list", "snapshots", "schedule_ls"):  # a list would hash apart from its tuple
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
 
 
 def trial_rng(master_seed: int, experiment: str, point_index: int, trial: int, width: int) -> np.random.Generator:
@@ -421,18 +424,17 @@ def run_localization_trials(
 
 
 def _power_points(cfg: ScenarioConfig, plan: ExperimentPlan, add):
-    """Per sweep point: its index, the config at its power, and ``add`` bound to its power."""
+    """Per sweep point: its index, its scene (the one both links read), and ``add`` bound to its power."""
     for p_idx, power in enumerate(plan.power_list):
-        yield p_idx, cfg.with_power(power), functools.partial(add, power=power)
+        yield p_idx, make_scene(cfg.with_power(power)), functools.partial(add, power=power)
 
 
 def _scheduled_points(cfg: ScenarioConfig, plan: ExperimentPlan, cb: Codebook, add):
-    """Per sweep point: its index, its scene, its schedule and CalibrationResults, and ``add`` bound
-    to its power.  One scene per point serves the calibrator and the point's trials alike, and the
-    whole sweep's schedules are resolved in one call."""
+    """:func:`_power_points` with each point's schedule and CalibrationResults beside its scene, the
+    whole sweep's schedules resolved in one call."""
     points = list(_power_points(cfg, plan, add))
-    scenes = [make_scene(cfg_p) for _, cfg_p, _ in points]
-    for (p_idx, _, add_p), scene, (schedule, calibs) in zip(points, scenes, resolve_schedules(scenes, plan, cb)):
+    schedules = resolve_schedules([scene for _, scene, _ in points], plan, cb)
+    for (p_idx, scene, add_p), (schedule, calibs) in zip(points, schedules):
         yield p_idx, scene, schedule, calibs, add_p
 
 
@@ -488,9 +490,9 @@ def _overall_error_vs_p(cfg, plan, book, add):
 
 
 def _se_vs_p(cfg, plan, book, add):
-    for p_idx, cfg_p, add_p in _power_points(cfg, plan, add):
+    for p_idx, scene, add_p in _power_points(cfg, plan, add):
         scenarios = [
-            ("benchmark", comms.comm_phase_profile(cfg_p)),
+            ("benchmark", comms.comm_phase_profile(scene.cfg)),
             ("stage-1", comms.stage_phase_profile(book, 1)),
             (f"stage-{book.n_stages}", comms.stage_phase_profile(book, book.n_stages)),
             ("no-ris", None),
@@ -498,7 +500,7 @@ def _se_vs_p(cfg, plan, book, add):
         # one draw for all four scenarios (common random numbers), so their differences are paired
         fading = draw_fading(aux_rng(plan.master_seed, plan.kind, p_idx, 200), (plan.trials,))
         for tag, omega in scenarios:
-            est = comms._se_estimate(comms._se_samples(cfg_p, omega, fading))
+            est = comms._se_estimate(comms._se_samples(scene, omega, fading))
             add_p(metric="spectral_efficiency", detail=f"scenario={tag}", value=est.mean, ci_halfwidth=est.halfwidth)
 
 

@@ -24,10 +24,16 @@ of :func:`decision_statistic`, the complex form of the law that the
 exhaustive baseline uses.  The ensemble holds only draws and takes the scene
 per call, so one ensemble serves every power point.  The search result is
 :func:`descend`'s per-stage arrays, one row per trial.
+
+A power point's :class:`Scene` holds the fading-free terms of both links: the
+search's RIS products, chi and noise scale, and the user link's SE factors that
+:func:`risjrc.comms._se_samples` reads.  The exhaustive baseline's grid
+correlations are built on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +43,7 @@ from .channels import (
     FadingDraw,
     PathGains,
     ScenarioConfig,
+    build_link_matrices,
     complex_from_parts,
     draw_fading,
     fading_from_normals,
@@ -60,16 +67,28 @@ def beam_statistic(y_r: np.ndarray, s_r: np.ndarray, theta_r_deg: float) -> floa
 
 @dataclass
 class Scene:
-    """Scenario constants cached for fast per-trial statistic evaluation."""
+    """The fading-free terms of one power point, read by the target search and the user link alike."""
 
     cfg: ScenarioConfig
     gains: PathGains
     q_x: np.ndarray  # conj(r_x(v_tx)) * r_x(v_bx), per axis element
     q_y: np.ndarray
     chi: complex  # b(theta_r)^H b(theta_u)
-    corr_x: np.ndarray  # r(v_tx)^H r(v_j) over the grid, full axis aperture
-    corr_y: np.ndarray
     noise_scale: float  # sqrt(N_b sigma_b^2), std of one beamformed noise sample
+    m_direct: np.ndarray  # 2x2 direct-path SE factor M_d
+    norm_d: float  # ‖M_d‖²
+    m_outer: np.ndarray  # 2x2 cascade SE factor before the RIS gain and P
+    p: np.ndarray  # P, 2x2 diagonal sqrt powers
+    r_u: tuple  # r_x(v_u), r_y(v_u)
+    r_b: tuple  # r_x(v_b), r_y(v_b)
+
+    @functools.cached_property
+    def grid_corr(self) -> tuple:
+        """(corr_x, corr_y): r(v_t)^H r(v_j) over the grid per axis, full axis aperture.  Built on first use:
+        only the exhaustive baseline reads them, and they cost most of what a scene would cost otherwise."""
+        n_axis, sp, grid = self.cfg.n_axis, self.cfg.ris_spacing, self.cfg.grid
+        r_t = (ris_axis_steering(v_t, n_axis, sp) for v_t in (self.cfg.v_t.vx, self.cfg.v_t.vy))
+        return tuple(np.array([r.conj() @ ris_axis_steering(v, n_axis, sp) for v in grid]) for r in r_t)
 
 
 def make_scene(cfg: ScenarioConfig) -> Scene:
@@ -81,18 +100,21 @@ def make_scene(cfg: ScenarioConfig) -> Scene:
     ry_b = ris_axis_steering(cfg.v_b.vy, n_axis, sp)
     b_r = ula_steering(cfg.theta_r_deg, cfg.n_b)
     b_u = ula_steering(cfg.theta_u_deg, cfg.n_b)
-    grid = cfg.grid
-    corr_x = np.array([rx_t.conj() @ ris_axis_steering(v, n_axis, sp) for v in grid])
-    corr_y = np.array([ry_t.conj() @ ris_axis_steering(v, n_axis, sp) for v in grid])
+    link = build_link_matrices(cfg)
+    m_direct = np.outer(link.c.conj().T @ ula_steering(cfg.zeta_b_deg, cfg.n_u), b_u.conj() @ link.f) @ link.p
     return Scene(
         cfg=cfg,
         gains=path_gains(cfg),
         q_x=rx_t.conj() * rx_b,
         q_y=ry_t.conj() * ry_b,
         chi=complex(b_r.conj() @ b_u),
-        corr_x=corr_x,
-        corr_y=corr_y,
         noise_scale=math.sqrt(cfg.n_b * cfg.sigma_b2_watts),
+        m_direct=m_direct,
+        norm_d=np.vdot(m_direct, m_direct).real,
+        m_outer=np.outer(link.c.conj().T @ ula_steering(cfg.zeta_r_deg, cfg.n_u), b_r.conj() @ link.f),
+        p=link.p,
+        r_u=(ris_axis_steering(cfg.v_u.vx, n_axis, sp), ris_axis_steering(cfg.v_u.vy, n_axis, sp)),
+        r_b=(rx_b, ry_b),
     )
 
 
@@ -286,7 +308,7 @@ def exhaustive_localize(scene: Scene, rng: np.random.Generator, t_per_beam: int 
         raise ValueError(f"t_per_beam must be an integer >= 1, got {t_per_beam!r}")
     d = scene.cfg.grid_size
     coh, cross = trial_coefficients(scene, draw_fading(rng))
-    c = (np.outer(scene.corr_x, scene.corr_y)) ** 2  # D x D squared responses
+    c = np.outer(*scene.grid_corr) ** 2  # D x D squared responses
     u_bar = qpsk_product_mean(rng, t_per_beam, (d, d))
     # the sum of t_per_beam unit complex Gaussian samples is one draw scaled by sqrt(t_per_beam)
     n_sum = complex_from_parts(rng.standard_normal((d, d)), rng.standard_normal((d, d)), math.sqrt(t_per_beam / 2))

@@ -16,7 +16,6 @@ from risjrc.channels import (
 )
 from risjrc.codebook import build_codebook, build_matched_codebook, matched_axis_beam
 from risjrc.comms import (
-    _link_terms,
     _se_samples,
     average_se,
     build_link_matrices,
@@ -26,6 +25,7 @@ from risjrc.comms import (
     stage_phase_profile,
 )
 from risjrc.geometry import ula_steering
+from risjrc.localization import make_scene
 
 from conftest import desk_cfg, tiny_cfg
 
@@ -209,7 +209,7 @@ class TestBatchedSeOracle:
             "benchmark": comm_phase_profile(cfg),
             "random": PhaseProfile(np.exp(1j * np.array(phases[:4])), np.exp(1j * np.array(phases[4:]))),
         }[scenario]
-        got = _se_samples(cfg, omega, draw_fading(np.random.default_rng(seed), (trials,)))
+        got = _se_samples(make_scene(cfg), omega, draw_fading(np.random.default_rng(seed), (trials,)))
         rng = np.random.default_rng(seed)
         link = build_link_matrices(cfg)
         want = [
@@ -240,19 +240,18 @@ class TestBatchedSeOracle:
 
 
 class TestLinkTerms:
-    """The fading-independent terms are built once per config and read without changing a bit."""
+    """The fading-independent SE terms come from the power point's scene and read the same bits from any scene."""
 
     @pytest.mark.parametrize("scenario", ["benchmark", "stage-1", "no-ris"])
-    def test_average_se_bits_do_not_depend_on_the_cache(self, desk_codebook, scenario):
+    def test_se_bits_are_the_same_from_two_scenes_of_one_config(self, desk_codebook, scenario):
         cfg = desk_cfg(30.0)
         omega = {"benchmark": comm_phase_profile(cfg), "stage-1": stage_phase_profile(desk_codebook, 1), "no-ris": None}
+        samples = lambda scene: _se_samples(scene, omega[scenario], draw_fading(np.random.default_rng(12), (300,)))
         run = lambda: average_se(cfg, omega[scenario], 300, np.random.default_rng(12))
-        _link_terms.cache_clear()
-        cold = run()
-        warm = run()
-        _link_terms(cfg.with_power(46.0))
-        between = run()
-        assert cold == warm == between
+        first, first_mean = samples(make_scene(cfg)), run()
+        make_scene(cfg.with_power(46.0))
+        assert samples(make_scene(cfg)).tobytes() == first.tobytes()
+        assert run() == first_mean
 
     @pytest.mark.parametrize("size", [(50,), (3, 7)])
     def test_fading_fields_are_contiguous_in_the_one_layout(self, size):
@@ -269,7 +268,7 @@ class TestLinkTerms:
 
     def test_no_ris_samples_are_the_general_form_with_b_zero(self):
         cfg, trials = desk_cfg(36.0), 300
-        got = _se_samples(cfg, None, draw_fading(np.random.default_rng(14), (trials,)))
+        got = _se_samples(make_scene(cfg), None, draw_fading(np.random.default_rng(14), (trials,)))
         beta = draw_fading(np.random.default_rng(14), (trials,))
         link, eta, s2 = build_link_matrices(cfg), path_gains(cfg), cfg.sigma_u2_watts
         u_b, b_u = ula_steering(cfg.zeta_b_deg, cfg.n_u), ula_steering(cfg.theta_u_deg, cfg.n_b)
@@ -281,13 +280,6 @@ class TestLinkTerms:
         frob = np.abs(a) ** 2 * norm_d + np.abs(b) ** 2 * norm_c + 2.0 * (a * b.conj() * cross).real
         det2 = np.abs(a * b) ** 2 * abs(det_sum) ** 2
         assert got.tobytes() == np.log2(1.0 + frob / s2 + det2 / s2**2).tobytes()
-
-    def test_cached_arrays_are_read_only(self):
-        terms = _link_terms(desk_cfg())
-        for array in (terms.m_direct, terms.m_outer, terms.p, *terms.axis):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
 
 
 def exact_mean_se(cfg, omega, nodes=60, phases=16):

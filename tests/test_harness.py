@@ -313,6 +313,14 @@ class TestConfigHash:
         plan2 = ExperimentPlan(master_seed=4321)
         assert config_hash(cfg, plan2) != base
 
+    def test_list_and_tuple_plans_hash_alike(self):
+        cfg = desk_cfg()
+        as_list = ExperimentPlan(power_list=[39.0, 42.0, 45.0], snapshots=[3, 1, 2, 4], schedule_ls=[4, 4, 8, 8])
+        as_tuple = ExperimentPlan(power_list=(39.0, 42.0, 45.0), snapshots=(3, 1, 2, 4), schedule_ls=(4, 4, 8, 8))
+        assert as_list == as_tuple and hash(as_list) == hash(as_tuple)
+        assert config_hash(cfg, as_list) == config_hash(cfg, as_tuple)
+        assert config_hash(cfg, ExperimentPlan(power_list=[39.0, 42.0, 45.0])) == config_hash(cfg, ExperimentPlan())
+
 
 class TestResultTable:
     def test_empty_table_header_only(self, tmp_path):
@@ -447,6 +455,13 @@ class TestExperiments:
         run_experiment(plan, desk_cfg(), desk_codebook)
         assert built == {"ensembles": 4 * ensembles_per_stage, "scenes": 2}
 
+    @pytest.mark.parametrize("kind", ["se-vs-P", "overall-error-vs-P"])
+    def test_one_scene_per_power_point(self, desk_codebook, monkeypatch, kind):
+        powers, make = [], harness.make_scene
+        monkeypatch.setattr(harness, "make_scene", lambda cfg: powers.append(cfg.power) or make(cfg))
+        run_experiment(small_plan(kind=kind, power_list=(39.0, 42.0, 45.0), trials=50), desk_cfg(), desk_codebook)
+        assert powers == [39.0, 42.0, 45.0]
+
     def test_transmission_count_rows(self, oracle_codebook_16):
         cfg = desk_cfg(n_ris=256, grid_size=16)
         plan = small_plan(kind="transmission-count", power_list=(42.0,), snapshots=(36, 1, 1, 1))
@@ -570,7 +585,7 @@ class TestSeSharedDraw:
         cfg, cb, plan, _ = sweep
         cfg_p = cfg.with_power(plan.power_list[p_idx])
         fading = draw_fading(aux_rng(plan.master_seed, plan.kind, p_idx, 200), (plan.trials,))
-        se = [_se_samples(cfg_p, omega, fading) for omega in self.profiles(cfg_p, cb).values()]
+        se = [_se_samples(make_scene(cfg_p), omega, fading) for omega in self.profiles(cfg_p, cb).values()]
         for better, worse in zip(se, se[1:]):
             assert np.all(better >= worse)
 
