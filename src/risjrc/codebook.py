@@ -19,6 +19,12 @@ once, and its canonical fit, with its one residual, is what a stage stores
 (``StageBook.phases``) and what a codebook file holds; ``_stage_book``
 ramps it to the x and y incidences and appends the shared comm block.
 
+The step mu = 1 / sigma_max^2 makes each update a majorization-minimization
+step (Sun, Babu and Palomar, IEEE TSP 2017): it minimizes the squared
+residual's quadratic upper bound of curvature sigma_max^2 over unit-modulus
+vectors and the refit target only lowers it, so a row's residual cannot rise
+beyond rounding.  Each row returns its last iterate; earliest start on ties.
+
 Each iteration runs in Gram form, with no D-wide product.  With the
 weights W^2 = 1 + (w_on - 1) diag(on) and y = A(0) h, the gradient
 W^2 y - W t, taken back through conj(A(0)), is h G + c conj(A_I): G =
@@ -164,20 +170,18 @@ def design_sensing_phases(
     Minimizes || W (A g - t) || subject to |g_m| = 1 with the projected update
     g <- exp(j angle(g + mu A_w^H (t_w - A_w g))), A_w = W A.  The target is L_s in magnitude on the
     partition, its phases refit to the current response each iteration, and zero off it; W^2 weights the
-    on-partition rows by ``auto_on_weight(s)``; the step is mu = 0.5 / sigma_max(A_w)**2 per beam.
+    on-partition rows by ``auto_on_weight(s)``; the step is mu = 1 / sigma_max(A_w)**2 per beam.
 
     Beam k starts from the matched beam toward its partition midpoint plus ``n_starts - 1`` copies whose
     phases are offset by ``START_PERTURBATION`` times standard normals from ``rngs[k]``.  All starts of
-    all beams are rows of one batched solve on the canonical rows A(0), each stopped by its own rule; the
-    best iterate per row, then per beam, wins (earliest on ties).  ``s`` stays the first positional
-    argument: perfbench's tracer reads each span's stage from it.
+    all beams are rows of one batched solve on the canonical rows A(0), each stopped by its own rule at
+    its last iterate, whose residual cannot exceed an earlier one's; per beam the lowest residual wins,
+    the earliest start on ties.  ``s`` stays first: perfbench's tracer reads each span's stage from it.
 
     Each iteration costs one (rows x l_s) @ (l_s x l_s) product with the stage's Gram matrix plus
-    products with each row's b on-partition rows of A(0), gathered once and compacted with the rows
-    (see the module docstring for the algebra).  The best residual and fit of the rows still iterating
-    are compacted with them too, and written out only when a row stops.  Iterates, and so the returned
-    fits, are projected as g (1/|g|), the same values as g / |g|, exact zeros to 1 (``_unit_phase``);
-    the test oracle ``reference_stage_solve`` pins the values this loop returns.
+    products with each row's b on-partition rows of A(0), gathered once and compacted with the rows; the
+    module docstring gives the algebra, the in-loop projection (``_unit_phase``) and the test oracle
+    ``reference_stage_solve`` that pins the values this loop returns.
     """
     if l_s < 1:
         raise ValueError("sensing element count must be >= 1")
@@ -198,7 +202,7 @@ def design_sensing_phases(
     n_starts = params.n_starts
     pert = np.stack([np.vstack([np.zeros(l_s), rng.standard_normal((n_starts - 1, l_s))]) for rng in rngs])
     h = np.exp(1j * (phase0[:, None, :] + START_PERTURBATION * pert)).reshape(-1, l_s)
-    mu = np.repeat(0.5 / sigma_max**2, n_starts)[:, None]
+    mu = np.repeat(1.0 / sigma_max**2, n_starts)[:, None]
     gram = a0.T @ a0.conj()
     a_on = a0[np.repeat([p.indices - 1 for p in specs], n_starts, axis=0)]  # each row's partition rows A_I, n x b x l_s
     a_on_c = a_on.conj()
@@ -213,33 +217,27 @@ def design_sensing_phases(
         return hg, c, np.sqrt(np.maximum(res2, 0.0))
 
     hg, c, res = gram_terms(h, a_on)
-    best_h, best_res, prev = np.empty_like(h), np.empty_like(res), res
-    # rows still iterating, and their best residual and fit so far, written to best_res and best_h when
-    # the row stops or the loop ends
-    ids, br, bh = np.arange(len(h)), res.copy(), h.copy()
+    # ids: rows still iterating; a row's last iterate goes to out_h and out_res when it stops
+    ids, out_h, out_res, prev = np.arange(len(h)), np.empty_like(h), np.empty_like(res), res
     for _ in range(params.max_iters):
         step = (c[:, None, :] @ a_on_c)[:, 0]
         step += hg
         step *= mu
         h = _unit_phase(np.subtract(h, step, out=step))
         hg, c, res = gram_terms(h, a_on)
-        better = res < br  # strict: earliest iterate wins ties
-        np.copyto(br, res, where=better)
-        np.copyto(bh, h, where=better[:, None])
         going = ~(np.abs(prev - res) < params.tol * np.maximum(prev, 1e-300))
         if not going.all():
             done = ~going
-            best_res[ids[done]], best_h[ids[done]] = br[done], bh[done]
-            ids, h, hg, c, a_on, a_on_c, mu, res, br, bh = (
-                x[going] for x in (ids, h, hg, c, a_on, a_on_c, mu, res, br, bh))
+            out_res[ids[done]], out_h[ids[done]] = res[done], h[done]
+            ids, h, hg, c, a_on, a_on_c, mu, res = (x[going] for x in (ids, h, hg, c, a_on, a_on_c, mu, res))
             if not ids.size:
                 break
         prev = res
-    best_res[ids], best_h[ids] = br, bh
+    out_res[ids], out_h[ids] = res, h
 
-    k = np.argmin(best_res.reshape(-1, n_starts), axis=1)  # earliest start wins ties
+    k = np.argmin(out_res.reshape(-1, n_starts), axis=1)  # earliest start wins ties
     best = np.arange(len(specs)) * n_starts + k  # each beam's winning row
-    return best_h[best], best_res[best]
+    return out_h[best], out_res[best]
 
 
 def design_comm_phases(

@@ -127,8 +127,8 @@ def aux_rng(master_seed: int, experiment: str, point_index: int, tag: int) -> np
 
 def wilson_halfwidth(k: int, n: int, z: float = 1.96) -> float:
     """Half-width of the Wilson score interval for k successes in n trials."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 0 <= k <= n or n < 1:
+        raise ValueError(f"need n >= 1 and k in 0..n, got k={k}, n={n}")
     p = k / n
     denom = 1.0 + z**2 / n
     return z * math.sqrt(p * (1.0 - p) / n + z**2 / (4.0 * n**2)) / denom

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,8 +217,9 @@ class SnapshotSchedule:
     t_s: tuple
 
     def __post_init__(self):
-        if not all(is_integer(t) for t in self.t_s):
-            raise ValueError(f"snapshot counts must be integers, got {self.t_s}")
+        if not isinstance(self.t_s, Sequence) or not all(is_integer(t) for t in self.t_s):
+            raise ValueError(f"snapshot counts must be integers in a sequence, got {self.t_s!r}")
+        object.__setattr__(self, "t_s", tuple(self.t_s))  # a list would compare and hash apart from its tuple
         if any(t < 1 for t in self.t_s):
             raise ValueError("snapshot counts must be >= 1")
 

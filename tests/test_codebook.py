@@ -54,7 +54,7 @@ def reference_sensing_fit(s, i, l_s, v_b_axis, grid, params=None, rng=None, spac
     a = response_rows(l_s, v_b_axis, grid, spacing)
     wts = np.where(mask, np.sqrt(auto_on_weight(s)), 1.0)
     a_w = wts[:, None] * a
-    mu = 0.5 / np.linalg.svd(a_w, compute_uv=False)[0] ** 2
+    mu = 1.0 / np.linalg.svd(a_w, compute_uv=False)[0] ** 2
     phase0 = np.angle(matched_axis_beam(v_b_axis, part.midpoint(grid), l_s, spacing))
     n_perturbed = params.n_starts - 1 if rng is not None else 0
     starts = [np.exp(1j * (phase0 + START_PERTURBATION * rng.standard_normal(l_s))) for _ in range(n_perturbed)]
@@ -66,19 +66,16 @@ def reference_sensing_fit(s, i, l_s, v_b_axis, grid, params=None, rng=None, spac
     best_res, best_g = np.inf, None
     for g in starts:
         t_w = target(g)
-        prev = r_opt = np.linalg.norm(a_w @ g - t_w)
-        g_opt = g
+        prev = res = np.linalg.norm(a_w @ g - t_w)
         for _ in range(params.max_iters):
             g = np.exp(1j * np.angle(g + mu * (a_w.conj().T @ (t_w - a_w @ g))))
             t_w = target(g)
             res = np.linalg.norm(a_w @ g - t_w)
-            if res < r_opt:
-                r_opt, g_opt = res, g
             if abs(prev - res) < params.tol * max(prev, 1e-300):
                 break
             prev = res
-        if r_opt < best_res:
-            best_res, best_g = r_opt, g_opt
+        if res < best_res:
+            best_res, best_g = res, g
     return best_g, best_res
 
 
@@ -109,8 +106,8 @@ def divide_phase(g):
 
 
 def reference_stage_solve(s, l_s, parts, grid, params, spacing, rngs):
-    """``design_sensing_phases`` with the straightforward loop: the best residual and fit of every row are
-    gathered and scattered in the full-size arrays on every iteration, the step is formed out of place and
+    """``design_sensing_phases`` with the straightforward loop: the residual and fit of every row still
+    iterating are scattered into the full-size arrays on every iteration, the step is formed out of place and
     iterates are projected by ``divide_phase``.  The solver must return the same values, bit for bit."""
     d = len(grid)
     a0 = response_rows(l_s, 0.0, grid, spacing)
@@ -124,7 +121,7 @@ def reference_stage_solve(s, l_s, parts, grid, params, spacing, rngs):
     n_starts = params.n_starts
     pert = np.stack([np.vstack([np.zeros(l_s), rng.standard_normal((n_starts - 1, l_s))]) for rng in rngs])
     h = np.exp(1j * (phase0[:, None, :] + START_PERTURBATION * pert)).reshape(-1, l_s)
-    mu = np.repeat(0.5 / sigma_max**2, n_starts)[:, None]
+    mu = np.repeat(1.0 / sigma_max**2, n_starts)[:, None]
     gram = a0.T @ a0.conj()
     a_on = a0[np.repeat([p.indices - 1 for p in specs], n_starts, axis=0)]
     a_on_c = a_on.conj()
@@ -138,13 +135,12 @@ def reference_stage_solve(s, l_s, parts, grid, params, spacing, rngs):
         return hg, c, np.sqrt(np.maximum(res2, 0.0))
 
     hg, c, res = gram_terms(h, a_on)
-    best_h, best_res, prev = h.copy(), res.copy(), res
+    last_h, last_res, prev = h.copy(), res.copy(), res
     ids = np.arange(len(h))
     for _ in range(params.max_iters):
         h = divide_phase(h - mu * (hg + (c[:, None, :] @ a_on_c)[:, 0]))
         hg, c, res = gram_terms(h, a_on)
-        better = res < best_res[ids]
-        best_res[ids[better]], best_h[ids[better]] = res[better], h[better]
+        last_res[ids], last_h[ids] = res, h
         going = ~(np.abs(prev - res) < params.tol * np.maximum(prev, 1e-300))
         if not going.all():
             ids, h, hg, c, a_on, a_on_c, mu, res = (x[going] for x in (ids, h, hg, c, a_on, a_on_c, mu, res))
@@ -152,9 +148,9 @@ def reference_stage_solve(s, l_s, parts, grid, params, spacing, rngs):
                 break
         prev = res
 
-    k = np.argmin(best_res.reshape(-1, n_starts), axis=1)
+    k = np.argmin(last_res.reshape(-1, n_starts), axis=1)
     best = np.arange(len(specs)) * n_starts + k
-    return best_h[best], best_res[best]
+    return last_h[best], last_res[best]
 
 
 class TestPartitions:
@@ -298,14 +294,23 @@ class TestSensingDesign:
         assert res == pytest.approx(res_ref, rel=0, abs=1e-10)
 
 
-def assert_stage_solves_match_reference(d, schedule, params, seed, spacing=0.25):
-    """Every stage solve of ``build_codebook(..., seed=seed)`` at grid size d equals ``reference_stage_solve``
-    bit for bit, both fed generators from the same seeds, spawned in ``build_codebook``'s order."""
+# grid size and default schedule of tiny_cfg, desk_cfg and the 64x64-RIS scenario
+SCALES = {"tiny": (8, (4, 4, 4)), "desk": (16, (4, 8, 16, 16)), "full": (32, (4, 8, 16, 16, 16))}
+
+
+def stage_solves(d, schedule, seed):
+    """(s, l_s, parts, grid, seeds) per stage of ``build_codebook(..., seed=seed)`` at grid size d, the
+    generator seeds spawned in its order."""
     grid = direction_grid(d)
     ss = np.random.SeedSequence(seed)
     for s, l_s in enumerate(schedule, start=1):
-        children = ss.spawn(2 * 2**s)[0::2]
-        parts = range(1, 2**s + 1)
+        yield s, l_s, range(1, 2**s + 1), grid, ss.spawn(2 * 2**s)[0::2]
+
+
+def assert_stage_solves_match_reference(d, schedule, params, seed, spacing=0.25):
+    """Every stage solve of ``build_codebook(..., seed=seed)`` at grid size d equals ``reference_stage_solve``
+    bit for bit, both fed generators from the same seeds."""
+    for s, l_s, parts, grid, children in stage_solves(d, schedule, seed):
         got = design_sensing_phases(s, l_s, parts, grid, params, spacing, [np.random.default_rng(c) for c in children])
         want = reference_stage_solve(s, l_s, parts, grid, params, spacing, [np.random.default_rng(c) for c in children])
         for g, w, what in zip(got, want, ("fits", "residuals")):
@@ -316,14 +321,9 @@ class TestStageSolveBits:
     """The solver's loop returns the values of ``reference_stage_solve``, to the bit."""
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize(
-        "d, schedule",
-        [(8, (4, 4, 4)), (16, (4, 8, 16, 16)), (32, (4, 8, 16, 16, 16))],
-        ids=["tiny", "desk", "full"],
-    )
-    def test_codebook_scales(self, d, schedule, seed):
-        # tiny and desk are the default schedules of tiny_cfg and desk_cfg; full is the 64x64-RIS one
-        assert_stage_solves_match_reference(d, schedule, SolverParams(), seed)
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_codebook_scales(self, scale, seed):
+        assert_stage_solves_match_reference(*SCALES[scale], SolverParams(), seed)
 
     @pytest.mark.parametrize("n_starts", [1, 4])
     @pytest.mark.parametrize("tol", [0.0, 1e-3])
@@ -332,6 +332,40 @@ class TestStageSolveBits:
         # rows stop at different iterations and improve on only some of them
         params = SolverParams(max_iters=max_iters, tol=tol, n_starts=n_starts)
         assert_stage_solves_match_reference(16, (4, 8, 16, 16), params, 1)
+
+
+class TestSolverDescent:
+    """At mu = 1 / sigma_max**2 each projected step minimizes a majorizer of the residual, so a row's
+    residual never rises and the solver returns each row's last iterate."""
+
+    @pytest.mark.parametrize("spacing", [0.1, 0.25, 0.5])
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_residual_never_rises(self, scale, spacing):
+        d, schedule = SCALES[scale]
+        for s, l_s, parts, grid, _ in stage_solves(d, schedule, 0):
+            rngs = [np.random.default_rng(0) for _ in parts]  # one start draws nothing
+            res = np.array([
+                design_sensing_phases(s, l_s, parts, grid, SolverParams(max_iters=k, tol=0.0, n_starts=1), spacing, rngs)[1]
+                for k in range(41)
+            ])
+            prev = res[:-1]
+            slack = np.where(prev > 0, 1e-12 * prev, 1e-12 * l_s * math.sqrt(d))
+            rose = np.argwhere(res[1:] > prev + slack)
+            assert not rose.size, f"stage {s}: (iteration, beam) {rose[0]} raised the residual"
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("scale", ["desk", "full"])
+    def test_residual_is_the_returned_fits(self, scale, seed):
+        """Each returned residual is || W (A(0) h - t(h)) || of the fit h returned with it, over all D rows."""
+        spacing = 0.25
+        for s, l_s, parts, grid, children in stage_solves(*SCALES[scale], seed):
+            fits, res = design_sensing_phases(
+                s, l_s, parts, grid, SolverParams(), spacing, [np.random.default_rng(c) for c in children])
+            y = fits @ response_rows(l_s, 0.0, grid, spacing).T
+            masks = np.array([partition_indices(s, i, len(grid)).mask(len(grid)) for i in parts])
+            w = np.where(masks, math.sqrt(auto_on_weight(s)), 1.0)
+            want = np.linalg.norm(w * (y - l_s * masks * unit_modulus_projection(y)), axis=1)
+            np.testing.assert_allclose(res, want, rtol=1e-9, atol=0, err_msg=f"stage {s}")
 
 
 class TestSolverParams:

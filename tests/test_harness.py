@@ -303,6 +303,11 @@ class TestWilson:
         assert 0 < wilson_halfwidth(0, 50) < 0.11
         assert wilson_halfwidth(50, 50) == pytest.approx(wilson_halfwidth(0, 50), rel=1e-12)
 
+    @pytest.mark.parametrize("k, n", [(5, 3), (-1, 3), (0, 0)])
+    def test_count_outside_trials_rejected(self, k, n):
+        with pytest.raises(ValueError, match=rf"^need n >= 1 and k in 0\.\.n, got k={k}, n={n}$"):
+            wilson_halfwidth(k, n)
+
 
 class TestConfigHash:
     def test_sensitive_to_every_field(self):
@@ -506,26 +511,26 @@ class TestExperiments:
 _DESK_PIN = {
     1: (
         [
-            [(1, True, 102, 0.05), (2, True, 4, 0.0495), (3, True, 1, 0.00575), (4, True, 1, 0.00675)],
-            [(1, True, 51, 0.05), (2, True, 2, 0.0495), (3, True, 1, 0.005), (4, True, 1, 0.005)],
-            [(1, True, 26, 0.04975), (2, True, 1, 0.05), (3, True, 1, 0.004), (4, True, 1, 0.004)],
+            [(1, True, 101, 0.05), (2, True, 4, 0.0495), (3, True, 1, 0.006), (4, True, 1, 0.007)],
+            [(1, True, 51, 0.0495), (2, True, 2, 0.04975), (3, True, 1, 0.00525), (4, True, 1, 0.005)],
+            [(1, True, 26, 0.04925), (2, True, 1, 0.05), (3, True, 1, 0.00425), (4, True, 1, 0.004)],
         ],
         [
             (0.076, [0.052, 0.02531645569620253, 0.0, 0.0]),
-            (0.071, [0.051, 0.02107481559536354, 0.0, 0.0]),
-            (0.068, [0.046, 0.023060796645702306, 0.0, 0.0]),
+            (0.075, [0.054, 0.022198731501057084, 0.0, 0.0]),
+            (0.07, [0.052, 0.0189873417721519, 0.0, 0.0]),
         ],
     ),
     2: (
         [
-            [(1, True, 245, 0.05), (2, True, 4, 0.049), (3, True, 1, 0.009), (4, True, 1, 0.0075)],
-            [(1, True, 123, 0.05), (2, True, 2, 0.04925), (3, True, 1, 0.00525), (4, True, 1, 0.0045)],
-            [(1, True, 62, 0.05), (2, True, 1, 0.04925), (3, True, 1, 0.0035), (4, True, 1, 0.003)],
+            [(1, True, 154, 0.05), (2, True, 4, 0.047), (3, True, 1, 0.009), (4, True, 1, 0.0075)],
+            [(1, True, 78, 0.05), (2, True, 2, 0.047), (3, True, 1, 0.00525), (4, True, 1, 0.0045)],
+            [(1, True, 39, 0.05), (2, True, 1, 0.0475), (3, True, 1, 0.0035), (4, True, 1, 0.003)],
         ],
         [
-            (0.065, [0.04, 0.023958333333333335, 0.0, 0.0021344717182497333]),
-            (0.069, [0.037, 0.033229491173416406, 0.0, 0.0]),
-            (0.073, [0.046, 0.027253668763102725, 0.0, 0.0010775862068965517]),
+            (0.07, [0.044, 0.027196652719665274, 0.0, 0.0]),
+            (0.066, [0.036, 0.03112033195020747, 0.0, 0.0]),
+            (0.071, [0.047, 0.024134312696747113, 0.0, 0.001075268817204301]),
         ],
     ),
 }

@@ -597,6 +597,16 @@ class TestInputRanges:
     def test_schedule_accepts_numpy_integers(self):
         assert SnapshotSchedule((np.int64(2), np.int32(1), 3)).t_s == (2, 1, 3)
 
+    def test_schedule_from_a_list_is_the_tuple_schedule(self):
+        sched = SnapshotSchedule([3, 1])
+        assert sched.t_s == (3, 1) and sched == SnapshotSchedule((3, 1))
+        assert hash(sched) == hash(SnapshotSchedule((3, 1)))
+
+    @pytest.mark.parametrize("t_s", [5, None, {3, 1}])
+    def test_schedule_rejects_a_non_sequence(self, t_s):
+        with pytest.raises(ValueError, match="snapshot counts must be integers in a sequence"):
+            SnapshotSchedule(t_s)
+
     @pytest.mark.parametrize("trials", [0, -1])
     def test_ensemble_rejects_no_trials(self, trials):
         cfg = tiny_cfg()
