@@ -30,7 +30,7 @@ for p in (36.0, 39.0, 42.0, 45.0):
     scene = make_scene(cfg_at(p))
     for s in (1, 2, 3, 4):
         err1 = stage_error(scene, cb, s, 1, 4000, np.random.default_rng((7, s)))
-        cal = calibrate_snapshots(StageEnsemble(cb, s, 20_000, np.random.default_rng((8, s))), scene, DELTA)
+        cal = calibrate_snapshots(StageEnsemble(cb, 20_000, np.random.default_rng((8, s))), scene, s, DELTA)
         t_star = cal.t_s if cal.feasible else f">{cal.t_max}"
         print(f"  {p:5.1f} |   {s}   |    {err1:.3f}     |  {t_star}")
     print()

@@ -5,11 +5,11 @@ experiment id and the power-point index.  The localization trials of a
 sweep point read one counter-based Philox stream in which trial t owns a
 fixed range of words, so a block of trials is one draw and any trial
 reproduces alone (:func:`trial_rng`).  Calibration, stage-error and SE draws
-come from tagged :func:`aux_rng` streams; calibration's are keyed by stage
-only, so the power points of a sweep search one ensemble per stage
-(:func:`resolve_schedules`), and the SE scenarios of a power point read one
-fading draw.  Results are bit-reproducible and independent of the
-parallelism degree.
+come from tagged :func:`aux_rng` streams; calibration's is one stream whatever
+the kind, power point or stage, so a configuration's calibrated kinds, power
+points and stages search one ensemble (:func:`resolve_schedules`), and the SE
+scenarios of a power point read one fading draw.  Results are bit-reproducible
+and independent of the parallelism degree.
 """
 
 from __future__ import annotations
@@ -358,11 +358,11 @@ def resolve_schedules(scenes: list[Scene], plan: ExperimentPlan, cb: Codebook) -
 
     Returns one ``(schedule, calibs)`` per scene, ``calibs`` being the list of
     CalibrationResults (empty unless calibrated).  The manual source takes
-    ``plan.snapshots``, or 1 at every stage when unset.  Calibration goes
-    stage by stage: one :class:`StageEnsemble` per stage on
-    ``aux_rng(seed, kind, 0, stage)``, which every power point searches with
-    its own scene and which is dropped before the next stage is drawn, so one
-    ensemble is held at a time.
+    ``plan.snapshots``, or 1 at every stage when unset.  Calibration draws one
+    :class:`StageEnsemble` on ``aux_rng(seed, "snapshots-vs-P", 0, 1)``, whatever
+    the plan's kind, and searches it scene by scene and stage by stage; it is
+    dropped on return.  So every calibrated kind, power point and stage of a
+    configuration reads one draw, and the kinds report one schedule.
     """
     n_stages = scenes[0].cfg.n_stages
     if plan.schedule_source == "manual":
@@ -370,25 +370,19 @@ def resolve_schedules(scenes: list[Scene], plan: ExperimentPlan, cb: Codebook) -
         if len(t_s) != n_stages:
             raise ValueError(f"snapshots must have {n_stages} entries, got {len(t_s)}")
         return [(SnapshotSchedule(tuple(t_s)), []) for _ in scenes]
-    # calibrated; streams keyed by stage only so power points share draws,
-    # which keeps the calibrated counts smoothly monotone across the sweep
-    calibs = [[] for _ in scenes]
-    for s in range(1, n_stages + 1):
-        ens = StageEnsemble(cb, s, plan.calib_trials, aux_rng(plan.master_seed, plan.kind, 0, s))
-        for scene, point in zip(scenes, calibs):
-            point.append(calibrate_snapshots(ens, scene, plan.delta, plan.t_max))
-        del ens  # drawn stage by stage: the next stage's ensemble replaces this one rather than joining it
-    return [
-        (SnapshotSchedule(tuple(r.t_s if r.feasible else plan.t_max for r in point)), point)
-        for point in calibs
-    ]
+    # calibrated: common random numbers across kinds, power points and stages, which keeps the calibrated
+    # counts smoothly monotone across the sweep
+    ens = StageEnsemble(cb, plan.calib_trials, aux_rng(plan.master_seed, "snapshots-vs-P", 0, 1))
+    stages = range(1, n_stages + 1)
+    calibs = [[calibrate_snapshots(ens, scene, s, plan.delta, plan.t_max) for s in stages] for scene in scenes]
+    return [(SnapshotSchedule(tuple(r.t_s if r.feasible else plan.t_max for r in point)), point) for point in calibs]
 
 
 def resolve_schedule(cfg: ScenarioConfig, plan: ExperimentPlan, cb: Codebook) -> tuple[SnapshotSchedule, list]:
     """Schedule and CalibrationResults of one power point: :func:`resolve_schedules` on a one-point sweep.
 
     A point resolves alone as it does inside any sweep, because every point
-    reads the same per-stage draws.
+    reads the same draws.
     """
     return resolve_schedules([make_scene(cfg)], plan, cb)[0]
 

@@ -18,12 +18,12 @@ the search over a block of trials, and the calibrator's
 through :func:`normals_from_words`, then 64-snapshot chunks of symbol words.
 Both decide through :func:`stage_decision`, in real arithmetic over the terms
 of :func:`stage_terms` (c coh, c cross, the noise and its std), built once per stage
-by :func:`descend` and once per scene by the ensemble, so a probe only counts
-sign bits and forms four statistics.  Its decisions, not its bits, are those
-of :func:`decision_statistic`, the complex form of the law that the
+by :func:`descend` and once per (scene, stage) by the ensemble, so a probe only
+counts sign bits and forms four statistics.  Its decisions, not its bits, are
+those of :func:`decision_statistic`, the complex form of the law that the
 exhaustive baseline uses.  The ensemble holds only draws and takes the scene
-per call, so one ensemble serves every power point.  The search result is
-:func:`descend`'s per-stage arrays, one row per trial.
+and the stage per call, so one ensemble serves every power point and stage.
+The search result is :func:`descend`'s per-stage arrays, one row per trial.
 
 A power point's :class:`Scene` holds the fading-free terms of both links: the
 search's RIS products, chi and noise scale, and the user link's SE factors that
@@ -385,37 +385,40 @@ class StageEnsemble:
     candidate, 4 real parts then 4 imaginary parts), then symbol words in 64-snapshot chunks of shape
     (trials, 4, 2), chunk k being the k-th drawn after the block.  A chunk is drawn when a count first
     needs it and kept as (2, 4, trials) words beside their set-bit counts, so the ensemble holds
-    trials x 72 B per 64 snapshots of the largest count probed, and ``error_rate(scene, t_s)`` reads
-    chunks 0..ceil(t_s/64) - 1 whatever counts were probed before.
+    trials x 72 B per 64 snapshots of the largest count probed, and ``error_rate(scene, stage, t_s)``
+    reads chunks 0..ceil(t_s/64) - 1 whatever was probed before.
 
-    None of these draws depends on the scene, so one ensemble serves every power point of a sweep:
-    the scene is an argument of :meth:`error_rate`, which builds its :func:`stage_terms` once per
-    scene, so that a probe only masks and counts its last chunk, adds the counts before it and decides.
+    None of these draws depends on the scene or the stage, so one ensemble serves every (power point,
+    stage) pair of a sweep: both are arguments of :meth:`error_rate`, which builds the trial
+    coefficients once per scene and its :func:`stage_terms` once per (scene, stage), so that a probe
+    only masks and counts its last chunk, adds the counts before it and decides.
     """
 
-    def __init__(self, cb: Codebook, stage: int, trials: int, rng: np.random.Generator):
+    def __init__(self, cb: Codebook, trials: int, rng: np.random.Generator):
         check_count("trials", trials)
-        cb.stage(stage)  # rejects a stage out of range before any draw
-        self.cb, self.stage, self.trials = cb, stage, trials
+        self.cb, self.trials = cb, trials
         self.bits = rng.bit_generator
         normals = normals_from_words(self.bits.random_raw((trials, 16)))
         self.fading = fading_from_normals(normals)
         self.noise = normals[:, 8:].reshape(trials, 2, 4).transpose(1, 2, 0).copy()  # (2, 4, trials)
         self.words = np.empty((0, 2, 4, trials), np.uint64)  # the symbol chunks drawn so far, (2, 4, trials) each
         self.counts = np.empty((0, 2, 4, trials), np.uint8)  # the set bits of each whole chunk
-        self.scene = None  # the scene that error_rate last built terms and truth for
+        self.scene = self.stage = None  # the scene and stage that error_rate last built terms and truth for
 
-    def error_rate(self, scene: Scene, t_s: int) -> float:
-        """Empirical stage error probability at ``scene`` and t_s snapshots per beam."""
+    def error_rate(self, scene: Scene, stage: int, t_s: int) -> float:
+        """Empirical error probability of ``stage`` at ``scene`` and t_s snapshots per beam."""
         if not is_integer(t_s) or t_s < 1:
             raise ValueError(f"snapshot count must be an integer >= 1, got {t_s!r}")
-        if scene is not self.scene:
-            self.scene = self.terms = None  # the last scene's terms go before the next scene's are built
-            cell, d, stage = true_cell(scene.cfg), self.cb.d, self.stage  # stage_terms rejects another D
+        if scene is not self.scene or stage != self.stage:
+            self.cb.stage(stage)  # rejects a stage out of range
+            self.stage = self.terms = None  # the last terms go before the next are built
+            if scene is not self.scene:
+                self.coefficients, self.scene = trial_coefficients(scene, self.fading), scene
+            cell, d = true_cell(scene.cfg), self.cb.d  # stage_terms rejects another D
             parent = np.array([(1, 1) if stage == 1 else true_stage_pair(cell, stage - 1, d)])  # shared by all trials
-            self.terms = stage_terms(scene, self.cb, stage, parent, *trial_coefficients(scene, self.fading), self.noise)
+            self.terms = stage_terms(scene, self.cb, stage, parent, *self.coefficients, self.noise)
             a, b = true_stage_pair(cell, stage, d)
-            self.truth, self.scene = _CHILDREN.index(((a - 1) % 2, (b - 1) % 2)), scene  # the true child's position
+            self.truth, self.stage = _CHILDREN.index(((a - 1) % 2, (b - 1) % 2)), stage  # the true child's position
         k = -(-t_s // 64)  # the symbol chunks t_s snapshots read
         if (missing := k - len(self.words)) > 0:
             new = self.bits.random_raw((missing, self.trials, 4, 2)).transpose(0, 3, 2, 1)
@@ -431,7 +434,7 @@ def stage_error(
     scene: Scene, cb: Codebook, stage: int, t_s: int, trials: int, rng: np.random.Generator
 ) -> float:
     """Isolated stage-error probability at a fixed snapshot count."""
-    return StageEnsemble(cb, stage, trials, rng).error_rate(scene, t_s)
+    return StageEnsemble(cb, trials, rng).error_rate(scene, stage, t_s)
 
 
 @dataclass(frozen=True)
@@ -445,28 +448,30 @@ class CalibrationResult:
     error_at_t: float | None
 
 
-def calibrate_snapshots(ens: StageEnsemble, scene: Scene, delta: float, t_max: int = 512) -> CalibrationResult:
-    """Smallest snapshot count at which the ensemble's stage error at ``scene`` is <= delta.
+def calibrate_snapshots(
+    ens: StageEnsemble, scene: Scene, stage: int, delta: float, t_max: int = 512
+) -> CalibrationResult:
+    """Smallest snapshot count at which the ensemble's error of ``stage`` at ``scene`` is <= delta.
 
     Doubles the snapshot count until the target is met (every count reads
-    the ensemble's one set of draws), then bisects.  Reports infeasibility
-    at t_max instead of raising.
+    the ensemble's one set of draws, which every scene and stage share), then
+    bisects.  Reports infeasibility at t_max instead of raising.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
     check_count("t_max", t_max)
 
     t_lo, t = 0, 1  # t_lo: highest failing count
-    while (err := ens.error_rate(scene, t)) > delta:
+    while (err := ens.error_rate(scene, stage, t)) > delta:
         if t >= t_max:
-            return CalibrationResult(ens.stage, delta, ens.trials, t_max, False, None, err)
+            return CalibrationResult(stage, delta, ens.trials, t_max, False, None, err)
         t_lo, t = t, min(2 * t, t_max)
     t_hi, err_hi = t, err
     while t_hi - t_lo > 1:
         mid = (t_lo + t_hi) // 2
-        err = ens.error_rate(scene, mid)
+        err = ens.error_rate(scene, stage, mid)
         if err <= delta:
             t_hi, err_hi = mid, err
         else:
             t_lo = mid
-    return CalibrationResult(ens.stage, delta, ens.trials, t_max, True, t_hi, err_hi)
+    return CalibrationResult(stage, delta, ens.trials, t_max, True, t_hi, err_hi)

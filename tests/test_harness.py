@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import risjrc
 from risjrc import cli, harness
 from risjrc.channels import ScenarioConfig, draw_fading
-from risjrc.codebook import SolverParams
+from risjrc.codebook import SolverParams, save_codebook
 from risjrc.comms import _se_samples, average_se, comm_phase_profile, stage_phase_profile
 from risjrc.geometry import DirectionCosine, FieldError
 from risjrc.harness import (
@@ -433,16 +433,56 @@ class TestExperiments:
         resolved = resolve_schedules(scenes, plan, get_codebook(cfg, plan))
         assert [[r.feasible for r in calibs] for _, calibs in resolved] == [[True] * 5] * 3
 
+    def test_calibrated_kinds_report_one_schedule(self, desk_codebook, tmp_path, capsys):
+        # one config and seed: every calibrated kind, resolve_schedule and the localize trace give one schedule
+        # per power, because calibration reads one stream whatever the kind
+        powers = (39.0, 42.0, 45.0)
+        config, book = tmp_path / "desk.cfg", tmp_path / "desk.riscb"
+        config.write_text(
+            "[arrays]\nn_ris = 1024\n[grid]\ngrid_size = 16\n[experiment]\n"
+            "power_list = 39, 42, 45\ntrials = 50\nmaster_seed = 77\ncalib_trials = 1000\n"
+        )
+        save_codebook(desk_codebook, str(book))
+
+        def rows(command) -> list:
+            out = tmp_path / f"{command}.csv"
+            assert cli.main([command, "--config", str(config), "--codebook", str(book), "--out", str(out)]) == 0
+            with open(out, newline="") as f:
+                return list(csv.DictReader(f))
+
+        def details(rows_, metric) -> dict:
+            by = {}
+            for r in rows_:
+                if r["metric"] == metric:
+                    by.setdefault(float(r["power"]), []).append(dict(kv.split("=") for kv in r["detail"].split(";")))
+            return by
+
+        def joined(t_s) -> str:
+            return "/".join(str(t) for t in t_s)
+
+        cfg, plan = load_config(str(config))
+        expected = {p: joined(resolve_schedule(cfg.with_power(p), plan, desk_codebook)[0].t_s) for p in powers}
+        whole = (("overall-error", "overall_error"), ("count-transmissions", "transmissions_hierarchical"))
+        per_stage = (("calibrate", "stage_error_at_calibrated_T"), ("stage-error", "stage_error"))
+        schedules = [{p: d["schedule"] for p, (d,) in details(rows(c), m).items()} for c, m in whole]
+        schedules += [{p: joined(d["T"] for d in ds) for p, ds in details(rows(c), m).items()} for c, m in per_stage]
+        assert schedules == [expected] * 4
+        assert len(set(expected.values())) > 1  # the powers calibrate to different counts
+        capsys.readouterr()
+        assert cli.main(["localize", "--config", str(config), "--codebook", str(book)]) == 0
+        printed = [line.split("(T=")[1].rstrip(")") for line in capsys.readouterr().out.splitlines() if "(T=" in line]
+        assert "/".join(printed) == expected[powers[0]]
+
     @pytest.mark.parametrize(
-        "kind, ensembles_per_stage",
+        "kind, ensembles",
         [
             ("overall-error-vs-P", 1),
             ("snapshots-vs-P", 1),
             ("transmission-count", 1),
-            ("stage-error-vs-P", 1 + 2),  # plus one stage_error ensemble per power point
+            ("stage-error-vs-P", 1 + 2 * 4),  # plus one stage_error ensemble per power point and stage
         ],
     )
-    def test_calibrated_sweep_draws_once_per_stage(self, desk_codebook, monkeypatch, kind, ensembles_per_stage):
+    def test_calibrated_sweep_draws_once_per_sweep(self, desk_codebook, monkeypatch, kind, ensembles):
         built = {"ensembles": 0, "scenes": 0}
         init, make = StageEnsemble.__init__, harness.make_scene
 
@@ -458,7 +498,7 @@ class TestExperiments:
         monkeypatch.setattr(harness, "make_scene", counting_make)
         plan = small_plan(kind=kind, power_list=(39.0, 45.0), trials=50, schedule_source="calibrated", calib_trials=200)
         run_experiment(plan, desk_cfg(), desk_codebook)
-        assert built == {"ensembles": 4 * ensembles_per_stage, "scenes": 2}
+        assert built == {"ensembles": ensembles, "scenes": 2}
 
     @pytest.mark.parametrize("kind", ["se-vs-P", "overall-error-vs-P"])
     def test_one_scene_per_power_point(self, desk_codebook, monkeypatch, kind):
@@ -511,26 +551,26 @@ class TestExperiments:
 _DESK_PIN = {
     1: (
         [
-            [(1, True, 101, 0.05), (2, True, 4, 0.0495), (3, True, 1, 0.006), (4, True, 1, 0.007)],
-            [(1, True, 51, 0.0495), (2, True, 2, 0.04975), (3, True, 1, 0.00525), (4, True, 1, 0.005)],
-            [(1, True, 26, 0.04925), (2, True, 1, 0.05), (3, True, 1, 0.00425), (4, True, 1, 0.004)],
+            [(1, True, 127, 0.05), (2, True, 5, 0.04825), (3, True, 1, 0.00425), (4, True, 1, 0.0065)],
+            [(1, True, 64, 0.05), (2, True, 3, 0.04275), (3, True, 1, 0.003), (4, True, 1, 0.00475)],
+            [(1, True, 32, 0.05), (2, True, 2, 0.0375), (3, True, 1, 0.00275), (4, True, 1, 0.00325)],
         ],
         [
-            (0.076, [0.052, 0.02531645569620253, 0.0, 0.0]),
-            (0.075, [0.054, 0.022198731501057084, 0.0, 0.0]),
-            (0.07, [0.052, 0.0189873417721519, 0.0, 0.0]),
+            (0.067, [0.047, 0.02098635886673662, 0.0, 0.0]),
+            (0.063, [0.047, 0.016789087093389297, 0.0, 0.0]),
+            (0.062, [0.047, 0.015739769150052464, 0.0, 0.0]),
         ],
     ),
     2: (
         [
-            [(1, True, 154, 0.05), (2, True, 4, 0.047), (3, True, 1, 0.009), (4, True, 1, 0.0075)],
-            [(1, True, 78, 0.05), (2, True, 2, 0.047), (3, True, 1, 0.00525), (4, True, 1, 0.0045)],
-            [(1, True, 39, 0.05), (2, True, 1, 0.0475), (3, True, 1, 0.0035), (4, True, 1, 0.003)],
+            [(1, True, 125, 0.05), (2, True, 4, 0.0485), (3, True, 1, 0.00575), (4, True, 1, 0.00775)],
+            [(1, True, 63, 0.05), (2, True, 2, 0.0485), (3, True, 1, 0.00425), (4, True, 1, 0.00625)],
+            [(1, True, 32, 0.05), (2, True, 1, 0.04875), (3, True, 1, 0.003), (4, True, 1, 0.005)],
         ],
         [
-            (0.07, [0.044, 0.027196652719665274, 0.0, 0.0]),
-            (0.066, [0.036, 0.03112033195020747, 0.0, 0.0]),
-            (0.071, [0.047, 0.024134312696747113, 0.0, 0.001075268817204301]),
+            (0.075, [0.05, 0.02526315789473684, 0.0010799136069114472, 0.0]),
+            (0.077, [0.054, 0.023255813953488372, 0.0, 0.0010822510822510823]),
+            (0.077, [0.056, 0.0211864406779661, 0.0, 0.0010822510822510823]),
         ],
     ),
 }

@@ -425,20 +425,24 @@ class TestOverallBound:
         assert overall_error_bound(0.0, 7) == 0.0
 
 
+# every (power, stage, count) of a grid, for the probe-order test to shuffle
+_GRID_PROBES = [(p, s, t) for p in (39.0, 42.0, 45.0) for s in (1, 2, 3, 4) for t in (1, 2, 7, 64, 65, 130, 200)]
+
+
 class TestCalibration:
     def test_noiseless_calibrates_to_one(self, desk_codebook):
         cfg = desk_cfg(sigma_b2_dbm=-math.inf)
         scene = make_scene(cfg)
         for s in range(1, cfg.n_stages + 1):
-            ens = StageEnsemble(desk_codebook, s, 1000, np.random.default_rng(s))
-            res = calibrate_snapshots(ens, scene, 0.05, t_max=8)
+            ens = StageEnsemble(desk_codebook, 1000, np.random.default_rng(s))
+            res = calibrate_snapshots(ens, scene, s, 0.05, t_max=8)
             assert res.feasible and res.t_s == 1
 
     def test_error_monotone_in_snapshots(self, desk_codebook):
         cfg = desk_cfg(36.0)
         scene = make_scene(cfg)
-        ens = StageEnsemble(desk_codebook, 1, 10_000, np.random.default_rng(0))
-        errs = [ens.error_rate(scene, t) for t in (1, 4, 16, 64)]
+        ens = StageEnsemble(desk_codebook, 10_000, np.random.default_rng(0))
+        errs = [ens.error_rate(scene, 1, t) for t in (1, 4, 16, 64)]
         hw = 2 * 1.96 * math.sqrt(0.25 / 10_000)
         for lo, hi in zip(errs[1:], errs[:-1]):
             assert lo <= hi + hw
@@ -446,7 +450,7 @@ class TestCalibration:
     def test_infeasible_reported(self, desk_codebook):
         cfg = desk_cfg(20.0)  # far too little power for one-snapshot accuracy
         scene = make_scene(cfg)
-        res = calibrate_snapshots(StageEnsemble(desk_codebook, 1, 500, np.random.default_rng(1)), scene, 0.05, t_max=2)
+        res = calibrate_snapshots(StageEnsemble(desk_codebook, 500, np.random.default_rng(1)), scene, 1, 0.05, t_max=2)
         assert not res.feasible
         assert res.t_s is None
 
@@ -465,13 +469,13 @@ class TestCalibration:
         seen = []
         error_rate = StageEnsemble.error_rate
 
-        def recording(self, scene, t_s):
+        def recording(self, scene, stage, t_s):
             seen.append(t_s)
-            return error_rate(self, scene, t_s)
+            return error_rate(self, scene, stage, t_s)
 
         monkeypatch.setattr(StageEnsemble, "error_rate", recording)
-        ens = StageEnsemble(desk_codebook, stage, 500, np.random.default_rng(3))
-        calibrate_snapshots(ens, make_scene(cfg), 0.05, t_max=t_max)
+        ens = StageEnsemble(desk_codebook, 500, np.random.default_rng(3))
+        calibrate_snapshots(ens, make_scene(cfg), stage, 0.05, t_max=t_max)
         assert seen == expected
 
     @settings(max_examples=20, deadline=None)
@@ -482,27 +486,33 @@ class TestCalibration:
     )
     def test_error_rate_does_not_depend_on_probe_order(self, desk_codebook, counts, stage, seed):
         scene = desk_scene(33.0)
-        shared = StageEnsemble(desk_codebook, stage, 300, np.random.default_rng(seed))
+        shared = StageEnsemble(desk_codebook, 300, np.random.default_rng(seed))
         for t in counts:
-            alone = StageEnsemble(desk_codebook, stage, 300, np.random.default_rng(seed))
-            assert shared.error_rate(scene, t) == alone.error_rate(scene, t)
+            alone = StageEnsemble(desk_codebook, 300, np.random.default_rng(seed))
+            assert shared.error_rate(scene, stage, t) == alone.error_rate(scene, stage, t)
 
     @settings(max_examples=20, deadline=None)
     @given(
-        probes=st.lists(st.tuples(st.sampled_from((39.0, 42.0, 45.0)), st.integers(1, 200)), min_size=1, max_size=5),
-        stage=st.integers(1, 4),
+        probes=st.lists(
+            st.tuples(st.sampled_from((39.0, 42.0, 45.0)), st.integers(1, 4), st.integers(1, 200)),
+            min_size=1,
+            max_size=8,
+        ),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(probes=[(39.0, 200), (45.0, 10)], stage=1, seed=5)
-    def test_power_views_read_the_draws_of_a_fresh_ensemble(self, desk_codebook, probes, stage, seed):
-        # one ensemble probed at several powers: a count probed at any scene reads what a fresh
-        # ensemble at that scene reads, whichever scene's probe drew the chunks first
-        ens = StageEnsemble(desk_codebook, stage, 300, np.random.default_rng(seed))
+    @example(probes=[(39.0, 1, 200), (45.0, 1, 10)], seed=5)
+    @example(probes=[(42.0, 3, 1), (39.0, 1, 130), (42.0, 3, 70), (45.0, 2, 5), (42.0, 1, 2)], seed=6)
+    @example(probes=[_GRID_PROBES[i] for i in np.random.default_rng(0).permutation(len(_GRID_PROBES))], seed=9)
+    def test_power_views_read_the_draws_of_a_fresh_ensemble(self, desk_codebook, probes, seed):
+        # one ensemble probed at several powers and stages, in any order (the last example: stages 1-4 at three
+        # scenes, counts shuffled): a count probed at any (scene, stage) reads what a fresh ensemble there reads,
+        # whichever probe drew the chunks first
+        ens = StageEnsemble(desk_codebook, 300, np.random.default_rng(seed))
         scenes = {p: desk_scene(p) for p in (39.0, 42.0, 45.0)}
-        for p, t in probes:
-            fresh = StageEnsemble(desk_codebook, stage, 300, np.random.default_rng(seed))
-            assert ens.error_rate(scenes[p], t) == fresh.error_rate(scenes[p], t)
-        assert len(ens.words) == -(-max(t for _, t in probes) // 64)
+        for p, stage, t in probes:
+            fresh = StageEnsemble(desk_codebook, 300, np.random.default_rng(seed))
+            assert ens.error_rate(scenes[p], stage, t) == fresh.error_rate(scenes[p], stage, t)
+        assert len(ens.words) == -(-max(t for *_, t in probes) // 64)
 
     def test_ensemble_layout_rebuilt_from_raw_words(self, desk_codebook, monkeypatch):
         # per trial 16 words of normals (fading, then 4 real and 4 imaginary noise parts), then
@@ -516,9 +526,9 @@ class TestCalibration:
             return decisions[-1]
 
         monkeypatch.setattr(localization, "stage_decision", recording)
-        ens = StageEnsemble(desk_codebook, stage, trials, np.random.default_rng(4))
-        ens.error_rate(scene, 1)  # draws chunk 0; chunks 1 and 2 follow when t needs them
-        err = ens.error_rate(scene, t)
+        ens = StageEnsemble(desk_codebook, trials, np.random.default_rng(4))
+        ens.error_rate(scene, stage, 1)  # draws chunk 0; chunks 1 and 2 follow when t needs them
+        err = ens.error_rate(scene, stage, t)
         _, stats, chosen, _ = decisions[-1]
 
         words = np.random.default_rng(4).bit_generator.random_raw(16 * trials + 3 * 8 * trials)
@@ -574,14 +584,14 @@ class TestInputRanges:
         with pytest.raises(ValueError, match=r"stage must be in 1\.\.3"):
             stage_error(make_scene(cfg), cb, stage, 1, 10, np.random.default_rng(0))
         with pytest.raises(ValueError, match=r"stage must be in 1\.\.3"):
-            calibrate_snapshots(StageEnsemble(cb, stage, 10, np.random.default_rng(0)), make_scene(cfg), 0.05)
+            calibrate_snapshots(StageEnsemble(cb, 10, np.random.default_rng(0)), make_scene(cfg), stage, 0.05)
 
     @pytest.mark.parametrize("delta", [math.nan, 0.0, 1.0, 1.5])
     def test_calibration_rejects_delta_out_of_range(self, delta):
         cfg = tiny_cfg()
-        ens = StageEnsemble(build_matched_codebook(cfg), 1, 10, np.random.default_rng(0))
+        ens = StageEnsemble(build_matched_codebook(cfg), 10, np.random.default_rng(0))
         with pytest.raises(ValueError, match=r"delta must be in \(0, 1\)"):
-            calibrate_snapshots(ens, make_scene(cfg), delta)
+            calibrate_snapshots(ens, make_scene(cfg), 1, delta)
 
     @pytest.mark.parametrize("t_s", [(1.5, 2, 3), (2.0, 2, 3), (np.float64(2), 2, 3), (True, 2, 3), ("2", 2, 3)])
     def test_schedule_rejects_non_integer_counts(self, t_s):
@@ -614,7 +624,7 @@ class TestInputRanges:
         with pytest.raises(ValueError, match="trials must be >= 1"):
             stage_error(make_scene(cfg), cb, 1, 1, trials, np.random.default_rng(0))
         with pytest.raises(ValueError, match="trials must be >= 1"):
-            StageEnsemble(cb, 1, trials, np.random.default_rng(0))
+            StageEnsemble(cb, trials, np.random.default_rng(0))
         with pytest.raises(ValueError, match="trials must be >= 1"):
             average_se(cfg, None, trials, np.random.default_rng(0))
 
@@ -622,7 +632,7 @@ class TestInputRanges:
     def test_ensemble_rejects_non_integer_trials(self, trials):
         cfg = tiny_cfg()
         with pytest.raises(ValueError, match="trials must be an integer, got"):
-            StageEnsemble(build_matched_codebook(cfg), 1, trials, np.random.default_rng(0))
+            StageEnsemble(build_matched_codebook(cfg), trials, np.random.default_rng(0))
         with pytest.raises(ValueError, match="trials must be an integer, got"):
             average_se(cfg, None, trials, np.random.default_rng(0))
 
@@ -631,9 +641,9 @@ class TestInputRanges:
     )
     def test_calibration_rejects_bad_t_max(self, t_max, message):
         cfg = tiny_cfg()
-        ens = StageEnsemble(build_matched_codebook(cfg), 1, 10, np.random.default_rng(0))
+        ens = StageEnsemble(build_matched_codebook(cfg), 10, np.random.default_rng(0))
         with pytest.raises(ValueError, match=f"t_max must be {message}, got"):
-            calibrate_snapshots(ens, make_scene(cfg), 0.05, t_max=t_max)
+            calibrate_snapshots(ens, make_scene(cfg), 1, 0.05, t_max=t_max)
 
     @pytest.mark.parametrize("scenario", [dict(grid_size=4), dict(grid_size=8), dict(grid_size=32), dict(n_ris=256)])
     def test_codebook_of_another_geometry_rejected(self, desk_codebook, scenario):
@@ -643,7 +653,7 @@ class TestInputRanges:
         message = f"codebook has {name}={16 if name == 'D' else 1024}, scenario needs {name}={wanted}"
         for stage in (1, 3, 4):
             with pytest.raises(ValueError, match=message):
-                StageEnsemble(desk_codebook, stage, 10, np.random.default_rng(0)).error_rate(scene, 4)
+                StageEnsemble(desk_codebook, 10, np.random.default_rng(0)).error_rate(scene, stage, 4)
         sched = SnapshotSchedule((1,) * scene.cfg.n_stages)
         # a D mismatch fails descend's stage count first
         with pytest.raises(ValueError, match=message if name == "N_r" else "codebook has 4 stages"):
