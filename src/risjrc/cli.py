@@ -12,7 +12,6 @@ from .codebook import load_codebook, save_codebook
 from .harness import (
     ExperimentPlan,
     beampattern_csv,
-    config_hash,
     emit_csv,
     get_codebook,
     load_config,
@@ -86,7 +85,7 @@ def _experiment(args, kind):
     table = run_experiment(plan, cfg, cb)
     out = args.out or f"{plan.kind}.csv"
     emit_csv(table, out)
-    print(f"wrote {out} ({len(table.rows)} rows, config {config_hash(cfg, plan)})")
+    print(f"wrote {out} ({len(table.rows)} rows, config {table.rows[0]['config_hash']})")
 
 
 def _write_config(args, kind):

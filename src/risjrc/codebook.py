@@ -251,8 +251,6 @@ def design_comm_phases(
     """
     if c_s < 0:
         raise ValueError("comm element count must be >= 0")
-    if c_s == 0:
-        return np.zeros(0, dtype=complex)
     n = np.arange(offset, offset + c_s)
     phase = 2.0 * np.pi * spacing * n * (v_u_axis - v_b_axis)
     return np.exp(1j * phase)
@@ -297,6 +295,16 @@ class Codebook:
         if not 1 <= s <= self.n_stages:
             raise ValueError(f"stage must be in 1..{self.n_stages}, got {s}")
         return self.stages[s - 1]
+
+    def check_fits(self, cfg: ScenarioConfig, schedule: Sequence[int] | None = None):
+        """Raise unless designed for ``cfg``'s D (so its stage count), N_r, spacing, v_b and v_u, and ``schedule`` when
+        given: each sensing fit is ramped to v_b at one spacing and each comm block steers v_b toward v_u."""
+        checks = [("D", self.d, cfg.grid_size), ("N_r", self.n_ris, cfg.n_ris)]
+        checks += [("spacing", self.spacing, cfg.ris_spacing), ("v_b", self.v_b, cfg.v_b), ("v_u", self.v_u, cfg.v_u)]
+        checks += [("schedule", tuple(self.schedule), tuple(schedule))] if schedule is not None else []
+        for name, designed, wanted in checks:
+            if designed != wanted:
+                raise ValueError(f"codebook designed for {name}={designed!r}; scenario has {name}={wanted!r}")
 
 
 def assemble_stage(w_x: np.ndarray, w_y: np.ndarray) -> np.ndarray:
@@ -447,12 +455,14 @@ def save_codebook(cb: Codebook, path: str):
     The axis beams are not stored: ``load_codebook`` ramps them from the fits with the header's v_b, v_u
     and spacing.
     """
-    header = dict(d=cb.d, n_ris=cb.n_ris, spacing=cb.spacing, schedule=list(cb.schedule), v_b=[cb.v_b.vx, cb.v_b.vy],
-                  v_u=[cb.v_u.vx, cb.v_u.vy], residuals=[b.residuals.tolist() for b in cb.stages],
+    # Python numbers only (json rejects numpy integers, which a config may hold), serialized before the file opens
+    header = dict(d=int(cb.d), n_ris=int(cb.n_ris), spacing=float(cb.spacing), schedule=[int(l) for l in cb.schedule],
+                  v_b=[float(cb.v_b.vx), float(cb.v_b.vy)], v_u=[float(cb.v_u.vx), float(cb.v_u.vy)],
+                  residuals=[b.residuals.tolist() for b in cb.stages],
                   quality_warnings=[b.quality_warnings for b in cb.stages])
+    line = (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
     with open(path, "wb") as f:
-        f.write(CODEBOOK_MAGIC)
-        f.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
+        f.write(CODEBOOK_MAGIC + line)
         for b in cb.stages:
             f.write(b.phases.astype("<c16").tobytes())
 

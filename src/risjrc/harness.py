@@ -264,8 +264,8 @@ def write_default_config(path: str):
 def config_hash(cfg: ScenarioConfig, plan: ExperimentPlan) -> str:
     """Short digest over every result-affecting config and plan field.
 
-    The parallelism degree is excluded: outputs are independent of it.  An
-    unset codebook schedule is hashed as the default it resolves to.
+    The parallelism degree is excluded: outputs are independent of it.  An unset codebook schedule is
+    hashed as the default it resolves to; :func:`run_experiment` hashes the schedule of the codebook it ran.
     """
     if plan.schedule_ls is None:
         plan = replace(plan, schedule_ls=default_schedule(cfg.grid_size, cfg.n_axis))
@@ -343,13 +343,7 @@ def get_codebook(cfg: ScenarioConfig, plan: ExperimentPlan, cb: Codebook | None 
     """``cb`` after checking it was designed for this scenario, else a new design."""
     if cb is None:
         return build_codebook(cfg, schedule=plan.schedule_ls, solver=plan.solver, seed=plan.design_seed)
-    checks = [("D", cb.d, cfg.grid_size), ("N_r", cb.n_ris, cfg.n_ris), ("spacing", cb.spacing, cfg.ris_spacing)]
-    checks += [("v_b", cb.v_b, cfg.v_b), ("v_u", cb.v_u, cfg.v_u)]
-    if plan.schedule_ls is not None:
-        checks.append(("schedule", tuple(cb.schedule), tuple(plan.schedule_ls)))
-    for name, designed, wanted in checks:
-        if designed != wanted:
-            raise ValueError(f"codebook designed for {name}={designed!r}; scenario has {name}={wanted!r}")
+    cb.check_fits(cfg, plan.schedule_ls)
     return cb
 
 
@@ -560,16 +554,16 @@ _PLAN_RULES = (
 
 
 def run_experiment(plan: ExperimentPlan, cfg: ScenarioConfig, cb: Codebook | None = None) -> ResultTable:
-    """Execute the planned sweep and return the result table."""
-    table = ResultTable()
+    """Execute the planned sweep and return the result table, whose config hash covers the schedule that ran."""
+    book, table = get_codebook(cfg, plan, cb), ResultTable()
     add = functools.partial(
         table.add,
         experiment=plan.kind,
         trials=plan.trials,
         master_seed=plan.master_seed,
-        config_hash=config_hash(cfg, plan),
+        config_hash=config_hash(cfg, replace(plan, schedule_ls=book.schedule)),
     )
-    _EXPERIMENTS[plan.kind](cfg, plan, get_codebook(cfg, plan, cb), add)
+    _EXPERIMENTS[plan.kind](cfg, plan, book, add)
     return table
 
 

@@ -172,10 +172,7 @@ def stage_terms(scene: Scene, cb: Codebook, stage: int, parents, coh, cross, noi
     """What :func:`stage_decision` reads besides the symbol counts: from (N, 2) 1-based parent axis pairs
     (or one row that all trials share), (N,) ``coh``/``cross`` and (2, 4, N) unit noise pairs, the candidate
     pairs (rows of ``parents``, 4, 2), a (4, 4, N) block, candidate k in row k, of the real and imaginary
-    parts of c coh and c cross, the noise and the scene's noise_scale."""
-    for name, designed, wanted in (("D", cb.d, scene.cfg.grid_size), ("N_r", cb.n_ris, scene.cfg.n_ris)):
-        if designed != wanted:
-            raise ValueError(f"codebook has {name}={designed}, scenario needs {name}={wanted}")
+    parts of c coh and c cross, the noise and the scene's noise_scale.  Callers check that ``cb`` fits the scene."""
     book = cb.stage(stage)
     pairs = 2 * parents[:, None, :] - 1 + np.array(_CHILDREN)
     gain_x, gain_y = scene.q_x @ book.w_x, scene.q_y @ book.w_y
@@ -267,11 +264,10 @@ def descend(scene: Scene, cb: Codebook, schedule: SnapshotSchedule, words) -> li
     words that :func:`qpsk_product_sum` would draw for that stage's four symbol sums.  A (0, W)
     block gives empty arrays.
     Returns the search result: per stage ``stage_decision``'s four arrays ``(pairs, stats, chosen, pair)``
-    and ``correct``, whether each trial's chosen pair holds the true cell.
+    and ``correct``, whether each trial's chosen pair holds the true cell.  ``cb`` must fit the scene.
     """
     cfg = scene.cfg
-    if cb.n_stages != cfg.n_stages:
-        raise ValueError(f"codebook has {cb.n_stages} stages, scenario needs {cfg.n_stages}")
+    cb.check_fits(cfg)
     if len(schedule.t_s) != cfg.n_stages:
         raise ValueError(f"schedule has {len(schedule.t_s)} entries, scenario needs {cfg.n_stages}")
     width, words = trial_width(schedule), np.asarray(words)
@@ -410,11 +406,12 @@ class StageEnsemble:
         if not is_integer(t_s) or t_s < 1:
             raise ValueError(f"snapshot count must be an integer >= 1, got {t_s!r}")
         if scene is not self.scene or stage != self.stage:
-            self.cb.stage(stage)  # rejects a stage out of range
+            self.cb.check_fits(scene.cfg)  # rejects a codebook designed for another scenario
+            self.cb.stage(stage)  # and a stage out of range
             self.stage = self.terms = None  # the last terms go before the next are built
             if scene is not self.scene:
                 self.coefficients, self.scene = trial_coefficients(scene, self.fading), scene
-            cell, d = true_cell(scene.cfg), self.cb.d  # stage_terms rejects another D
+            cell, d = true_cell(scene.cfg), self.cb.d
             parent = np.array([(1, 1) if stage == 1 else true_stage_pair(cell, stage - 1, d)])  # shared by all trials
             self.terms = stage_terms(scene, self.cb, stage, parent, *self.coefficients, self.noise)
             a, b = true_stage_pair(cell, stage, d)

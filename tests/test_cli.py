@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 
 from risjrc import cli
@@ -85,3 +87,20 @@ def test_missing_output_directory_fails_before_the_run(tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert err.startswith("risjrc: error: ") and err.count("\n") == 1
     assert str(out) in err
+
+
+def test_experiment_prints_the_hash_its_rows_carry(tmp_path, capsys):
+    # the config leaves the schedule unset, so a run on a 2/2/4 codebook hashes 2/2/4, not the default 4/4/4
+    config, book, out = tmp_path / "tiny.cfg", tmp_path / "book.riscb", tmp_path / "t.csv"
+    config.write_text(TINY_CONFIG.replace("schedule = 4, 4, 4", "schedule = 2, 2, 4"))
+    cli.main(["design-codebook", "--config", str(config), "--out", str(book)])
+    config.write_text(TINY_CONFIG.replace("schedule = 4, 4, 4\n", ""))
+    hashes = []
+    for given in ([], ["--codebook", str(book)]):
+        capsys.readouterr()
+        cli.main(["count-transmissions", "--config", str(config), "--out", str(out), *given])
+        printed = capsys.readouterr().out.rstrip().removesuffix(")").rsplit(" ", 1)[1]
+        with open(out, newline="") as f:
+            assert {row["config_hash"] for row in csv.DictReader(f)} == {printed}
+        hashes.append(printed)
+    assert hashes[0] != hashes[1]

@@ -557,6 +557,7 @@ class TestSerialization:
             assert (b2.stage, b2.l_s, b2.c_s, b2.quality_warnings) == (b1.stage, b1.l_s, b1.c_s, b1.quality_warnings)
             for key in ("phases", "residuals", "w_x", "w_y"):
                 np.testing.assert_array_equal(getattr(b2, key), getattr(b1, key), err_msg=key)
+        return loaded
 
     def test_roundtrip(self, tmp_path, desk_codebook):
         self.assert_roundtrip(desk_codebook, tmp_path / "book.riscb")
@@ -582,7 +583,19 @@ class TestSerialization:
         solver = SolverParams(max_iters=max_iters, n_starts=n_starts, residual_ceiling_factor=ceiling)
         cb = build_codebook(cfg, schedule=schedule, solver=solver, seed=seed)
         with tempfile.TemporaryDirectory() as tmp:
-            self.assert_roundtrip(cb, Path(tmp) / "book.riscb")
+            loaded = self.assert_roundtrip(cb, Path(tmp) / "book.riscb")
+        # the engines check a codebook against its scenario: a file round trip must keep it fitting
+        loaded.check_fits(cfg, schedule)
+
+    def test_roundtrip_with_numpy_integers(self, tmp_path):
+        # ScenarioConfig and build_codebook accept numpy integers, so save_codebook must write them
+        cfg = desk_cfg(n_ris=np.int64(16), grid_size=np.int64(8))
+        schedule = (np.int64(2), np.int64(4), np.int64(4))
+        path = tmp_path / "book.riscb"
+        loaded = self.assert_roundtrip(build_codebook(cfg, schedule=schedule, solver=SolverParams(max_iters=5)), path)
+        loaded.check_fits(cfg, schedule)
+        header, _ = _header_and_payload(path.read_bytes())
+        assert (header["d"], header["n_ris"], header["schedule"]) == (8, 16, [2, 4, 4])
 
     def test_payload_is_canonical_fits(self, tmp_path, five_stage_codebook):
         # 2**s x l_s complex128 fits per stage, 936 phases for 4/8/16/16/16, and no axis beams

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import risjrc
 from risjrc import cli, harness
 from risjrc.channels import ScenarioConfig, draw_fading
-from risjrc.codebook import SolverParams, save_codebook
+from risjrc.codebook import SolverParams, build_codebook, save_codebook
 from risjrc.comms import _se_samples, average_se, comm_phase_profile, stage_phase_profile
 from risjrc.geometry import DirectionCosine, FieldError
 from risjrc.harness import (
@@ -325,6 +325,19 @@ class TestConfigHash:
         assert as_list == as_tuple and hash(as_list) == hash(as_tuple)
         assert config_hash(cfg, as_list) == config_hash(cfg, as_tuple)
         assert config_hash(cfg, ExperimentPlan(power_list=[39.0, 42.0, 45.0])) == config_hash(cfg, ExperimentPlan())
+
+    def test_run_hashes_the_schedule_that_ran(self):
+        # a plan that leaves the schedule unset hashes the schedule of the codebook it runs; the default-schedule
+        # book keeps the hash it had before, so the golden file stays byte-identical
+        cfg = desk_cfg(n_ris=16, grid_size=8)
+        plan = ExperimentPlan(kind="transmission-count", power_list=(42.0,), schedule_source="manual")
+
+        def hashes(cb=None):
+            return {row["config_hash"] for row in run_experiment(plan, cfg, cb).rows}
+
+        default, other = (build_codebook(cfg, schedule=schedule) for schedule in ((4, 4, 4), (2, 2, 4)))
+        assert hashes() == hashes(default) == {config_hash(cfg, plan)}
+        assert hashes(other) == {config_hash(cfg, replace(plan, schedule_ls=(2, 2, 4)))} != hashes()
 
 
 class TestResultTable:

@@ -1,6 +1,7 @@
 import csv
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -645,19 +646,37 @@ class TestInputRanges:
         with pytest.raises(ValueError, match=f"t_max must be {message}, got"):
             calibrate_snapshots(ens, make_scene(cfg), 1, 0.05, t_max=t_max)
 
-    @pytest.mark.parametrize("scenario", [dict(grid_size=4), dict(grid_size=8), dict(grid_size=32), dict(n_ris=256)])
-    def test_codebook_of_another_geometry_rejected(self, desk_codebook, scenario):
-        # the desk codebook is designed for D=16 and N_r=1024; stage 4 is past the last stage of a D=4 scene
-        scene = make_scene(desk_cfg(**scenario))
-        name, wanted = ("D", scene.cfg.grid_size) if "grid_size" in scenario else ("N_r", scene.cfg.n_ris)
-        message = f"codebook has {name}={16 if name == 'D' else 1024}, scenario needs {name}={wanted}"
+    @pytest.mark.parametrize(
+        "field, name, value",
+        [
+            ("grid_size", "D", 4),
+            ("grid_size", "D", 8),
+            ("grid_size", "D", 32),
+            ("n_ris", "N_r", 256),
+            ("ris_spacing", "spacing", 0.5),
+            ("v_b", "v_b", DirectionCosine(-0.6, 0.4)),
+            ("v_u", "v_u", DirectionCosine(-0.6, 0.4)),
+        ],
+    )
+    def test_codebook_of_another_geometry_rejected(self, desk_codebook, field, name, value):
+        # the desk codebook fits desk_cfg() only; stage 4 is past the last stage of a D=4 scene
+        scene, fitting = make_scene(desk_cfg(**{field: value})), make_scene(desk_cfg())
+        designed = {"D": 16, "N_r": 1024, "spacing": 0.25, "v_b": fitting.cfg.v_b, "v_u": fitting.cfg.v_u}[name]
+        message = re.escape(f"codebook designed for {name}={designed!r}; scenario has {name}={value!r}")
         for stage in (1, 3, 4):
             with pytest.raises(ValueError, match=message):
                 StageEnsemble(desk_codebook, 10, np.random.default_rng(0)).error_rate(scene, stage, 4)
+        ens = StageEnsemble(desk_codebook, 10, np.random.default_rng(0))
+        ens.error_rate(fitting, 1, 4)
+        with pytest.raises(ValueError, match=message):  # a new scene is checked, not only the first
+            calibrate_snapshots(ens, scene, 1, 0.05)
+        with pytest.raises(ValueError, match=message):
+            stage_error(scene, desk_codebook, 1, 4, 10, np.random.default_rng(0))
         sched = SnapshotSchedule((1,) * scene.cfg.n_stages)
-        # a D mismatch fails descend's stage count first
-        with pytest.raises(ValueError, match=message if name == "N_r" else "codebook has 4 stages"):
+        with pytest.raises(ValueError, match=message):
             descend(scene, desk_codebook, sched, np.zeros((2, trial_width(sched)), np.uint64))
+        with pytest.raises(ValueError, match=message):
+            hierarchical_localize(scene, desk_codebook, sched, np.random.default_rng(0))
 
     @pytest.mark.parametrize("t_per_beam", [0, -1, 1.5, 2.0, np.float64(3), True])
     def test_exhaustive_rejects_no_snapshots(self, t_per_beam):
