@@ -22,6 +22,7 @@ from .geometry import (
     is_real,
     ris_axis_steering,
     ris_full_steering,
+    store_python_numbers,
     ula_steering,
 )
 
@@ -39,7 +40,8 @@ class ScenarioConfig:
 
     The total transmit power is stored once, in the configured units
     (``power_units``), and split by ``radar_share``, the radar stream's
-    fraction of it; the user stream has the rest.  All internal math is in
+    fraction of it; the user stream has the rest.  An experiment sets it to
+    each entry of its plan's ``power_list`` in turn.  All internal math is in
     linear watts: ``p_r_watts`` and ``p_u_watts`` derive the two stream
     powers from the total, so ``replace(cfg, power=P)`` keeps the split.
     ``pathloss_model`` names the one pathloss law, ``standard_power``.
@@ -94,6 +96,7 @@ class ScenarioConfig:
                 raise FieldError((f.name,), f"{f.name} must be finite, got {value!r}")
         check_fields(self, _SCENARIO_RULES)
         axis_size(self.n_ris)
+        store_python_numbers(self)
 
     @property
     def n_axis(self) -> int:

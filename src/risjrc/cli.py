@@ -25,37 +25,33 @@ from .harness import (
 from .localization import hierarchical_localize, hierarchical_transmissions, make_scene, trial_width, true_cell
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="scenario/experiment config file (defaults apply if omitted)")
-    p.add_argument("--seed", type=int, help="master seed override")
-    p.add_argument("--trials", type=int, help="trials-per-point override")
-    p.add_argument("--out", help="output file path")
-    p.add_argument("--codebook", help="load a previously designed codebook file")
-    p.add_argument("--parallel", type=int, help="worker thread count")
+# path flag -> help; each subcommand takes the paths it reads, and every other value of a run is in its config
+PATHS = {
+    "config": "scenario/experiment config file (defaults apply if omitted)",
+    "out": "output file path",
+    "codebook": "load a previously designed codebook file",
+}
 
 
 def _load(args, kind: str):
+    """The run's config and plan, and the codebook the run reads: the ``--codebook`` file, else a new design."""
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         raise ValueError(f"{args.out}: output directory does not exist")  # else found only when the run writes
     cfg, plan = load_config(args.config) if args.config else (ScenarioConfig(), ExperimentPlan())
-    overrides = {"master_seed": args.seed, "trials": args.trials, "parallel": args.parallel}
-    plan = replace(plan, kind=kind, **{attr: value for attr, value in overrides.items() if value is not None})
-    cb = load_codebook(args.codebook) if args.codebook else None
-    return cfg, plan, cb
+    cb = load_codebook(args.codebook) if getattr(args, "codebook", None) else None
+    return cfg, replace(plan, kind=kind), get_codebook(cfg, plan, cb)
 
 
 def _design_codebook(args, kind):
-    cfg, plan, _ = _load(args, kind)
+    _, _, book = _load(args, kind)
     out = args.out or "codebook.riscb"
-    book = get_codebook(cfg, plan)
     save_codebook(book, out)
     warn = sum(len(b.quality_warnings) for b in book.stages)
     print(f"wrote {out} (D={book.d}, N_r={book.n_ris}, schedule={book.schedule}, warnings={warn})")
 
 
 def _localize(args, kind):
-    cfg, plan, cb = _load(args, kind)
-    book = get_codebook(cfg, plan, cb)
+    cfg, plan, book = _load(args, kind)
     power = plan.power_list[0]
     scene = make_scene(cfg.with_power(power))
     schedule, _ = resolve_schedules([scene], plan, book)[0]
@@ -74,18 +70,18 @@ def _localize(args, kind):
 
 
 def _beampattern(args, kind):
-    cfg, plan, cb = _load(args, kind)
+    _, _, book = _load(args, kind)
     out = args.out or "beampattern.csv"
-    beampattern_csv(get_codebook(cfg, plan, cb), out)
+    beampattern_csv(book, out)
     print(f"wrote {out}")
 
 
 def _experiment(args, kind):
-    cfg, plan, cb = _load(args, kind)
-    table = run_experiment(plan, cfg, cb)
+    cfg, plan, book = _load(args, kind)
+    table = run_experiment(plan, cfg, book)
     out = args.out or f"{plan.kind}.csv"
     emit_csv(table, out)
-    print(f"wrote {out} ({len(table.rows)} rows, config {table.rows[0]['config_hash']})")
+    print(f"wrote {out} ({len(table.rows)} rows, config {table.config_hash})")
 
 
 def _write_config(args, kind):
@@ -94,27 +90,31 @@ def _write_config(args, kind):
     print(f"wrote {path}")
 
 
-# subcommand -> (help, experiment kind, handler(args, kind))
+# subcommand -> (help, experiment kind, handler(args, kind), the PATHS it reads)
 COMMANDS = {
-    "design-codebook": ("design the hierarchical codebook and write it to a file", "codebook-report", _design_codebook),
-    "localize": ("run one localization trial and write its verbose trace", "overall-error-vs-P", _localize),
-    "stage-error": ("isolated per-stage error probabilities over the power sweep", "stage-error-vs-P", _experiment),
-    "calibrate": ("calibrated per-stage snapshot counts over the power sweep", "snapshots-vs-P", _experiment),
-    "overall-error": ("full-run localization error over the power sweep", "overall-error-vs-P", _experiment),
-    "se-sweep": ("average user spectral efficiency per scenario over the sweep", "se-vs-P", _experiment),
-    "count-transmissions": ("hierarchical vs exhaustive transmission counts", "transmission-count", _experiment),
-    "beampattern": ("dump per-beam axis response magnitudes over the grid", "codebook-report", _beampattern),
-    "write-config": ("write the default config file", None, _write_config),
+    "design-codebook": (
+        "design the hierarchical codebook and write it to a file", "codebook-report", _design_codebook, ("config", "out")
+    ),
+    "localize": ("run one localization trial and write its verbose trace", "overall-error-vs-P", _localize, PATHS),
+    "stage-error": ("isolated per-stage error probabilities over the power sweep", "stage-error-vs-P", _experiment, PATHS),
+    "calibrate": ("calibrated per-stage snapshot counts over the power sweep", "snapshots-vs-P", _experiment, PATHS),
+    "overall-error": ("full-run localization error over the power sweep", "overall-error-vs-P", _experiment, PATHS),
+    "se-sweep": ("average user spectral efficiency per scenario over the sweep", "se-vs-P", _experiment, PATHS),
+    "count-transmissions": ("hierarchical vs exhaustive transmission counts", "transmission-count", _experiment, PATHS),
+    "beampattern": ("dump per-beam axis response magnitudes over the grid", "codebook-report", _beampattern, PATHS),
+    "write-config": ("write the default config file", None, _write_config, ("out",)),
 }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="risjrc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in COMMANDS.items():
-        _add_common(sub.add_parser(name, help=help_text))
+    for name, (help_text, _, _, paths) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for path in paths:
+            command.add_argument(f"--{path}", help=PATHS[path])
     args = parser.parse_args(argv)
-    _, kind, handler = COMMANDS[args.command]
+    _, kind, handler, _ = COMMANDS[args.command]
     handler(args, kind)
     return 0
 

@@ -51,7 +51,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ScenarioConfig
-from .geometry import DirectionCosine, check_fields, direction_grid, is_integer, is_real, ris_axis_steering
+from .geometry import (
+    DirectionCosine, check_fields, direction_grid, is_integer, is_real, ris_axis_steering, store_python_numbers
+)
 
 CODEBOOK_MAGIC = b"RISCB2\n"
 START_PERTURBATION = 0.3  # standard deviation, in radians, of the phase offsets of perturbed solver starts
@@ -102,6 +104,7 @@ class SolverParams:
 
     def __post_init__(self):
         check_fields(self, _SOLVER_RULES)
+        store_python_numbers(self)
 
 
 # (field, rule, check); chained comparisons with math.inf also reject nan
@@ -342,6 +345,7 @@ def build_codebook(
     for l in schedule:
         if not is_integer(l) or not 1 <= l <= n_axis:
             raise ValueError(f"schedule entries must be integers in 1..{n_axis}, got {l!r}")
+    schedule = tuple(map(int, schedule))  # Python ints, which save_codebook's json writes
     solver = solver or SolverParams()
     grid = direction_grid(d)
     ss = np.random.SeedSequence(seed)
@@ -455,9 +459,9 @@ def save_codebook(cb: Codebook, path: str):
     The axis beams are not stored: ``load_codebook`` ramps them from the fits with the header's v_b, v_u
     and spacing.
     """
-    # Python numbers only (json rejects numpy integers, which a config may hold), serialized before the file opens
-    header = dict(d=int(cb.d), n_ris=int(cb.n_ris), spacing=float(cb.spacing), schedule=[int(l) for l in cb.schedule],
-                  v_b=[float(cb.v_b.vx), float(cb.v_b.vy)], v_u=[float(cb.v_u.vx), float(cb.v_u.vy)],
+    # serialized before the file opens; json takes the Python numbers that the config types and build_codebook store
+    header = dict(d=cb.d, n_ris=cb.n_ris, spacing=cb.spacing, schedule=list(cb.schedule),
+                  v_b=[cb.v_b.vx, cb.v_b.vy], v_u=[cb.v_u.vx, cb.v_u.vy],
                   residuals=[b.residuals.tolist() for b in cb.stages],
                   quality_warnings=[b.quality_warnings for b in cb.stages])
     line = (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")

@@ -13,7 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,6 +44,14 @@ def is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+def store_python_numbers(obj):
+    """Store the checked ``int`` and ``float`` fields of frozen dataclass ``obj`` as Python numbers, as a config
+    file loads them, so that a numpy or integer spelling of one value hashes and prints as one value."""
+    for f in fields(obj):
+        if f.type in ("int", "float"):
+            object.__setattr__(obj, f.name, (int if f.type == "int" else float)(getattr(obj, f.name)))
+
+
 def check_count(name: str, value):
     """Raise a ValueError naming ``name`` unless ``value`` is an integer >= 1."""
     if not is_integer(value) or value < 1:
@@ -64,6 +72,7 @@ class DirectionCosine:
             raise FieldError(bad, "direction cosines must be finite")
         if bad := [c for c in ("vx", "vy") if abs(getattr(self, c)) > 1.0]:
             raise FieldError(bad, f"direction cosines must lie in [-1, 1], got ({self.vx}, {self.vy})")
+        store_python_numbers(self)
 
 
 def ula_steering(theta_deg: float, n_elems: int) -> np.ndarray:

@@ -35,7 +35,7 @@ from .codebook import (
     mask_fidelity,
     sensing_responses,
 )
-from .geometry import DirectionCosine, check_fields, direction_grid, is_integer, is_real
+from .geometry import DirectionCosine, check_fields, direction_grid, is_integer, is_real, store_python_numbers
 from .localization import (
     Scene,
     SnapshotSchedule,
@@ -99,9 +99,10 @@ class ExperimentPlan:
 
     def __post_init__(self):
         check_fields(self, _PLAN_RULES)
-        for name in ("power_list", "snapshots", "schedule_ls"):  # a list would hash apart from its tuple
+        store_python_numbers(self)
+        for name, number in (("power_list", float), ("snapshots", int), ("schedule_ls", int)):  # as a file loads them
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, tuple(getattr(self, name)))
+                object.__setattr__(self, name, tuple(number(v) for v in getattr(self, name)))
 
 
 def trial_rng(master_seed: int, experiment: str, point_index: int, trial: int, width: int) -> np.random.Generator:
@@ -175,7 +176,6 @@ CONFIG_FIELDS = (
     ("pathloss", "model", ScenarioConfig, "pathloss_model", str),
     ("noise_dbm", "sigma_b2", ScenarioConfig, "sigma_b2_dbm", float),
     ("noise_dbm", "sigma_u2", ScenarioConfig, "sigma_u2_dbm", float),
-    ("power", "total", ScenarioConfig, "power", float),
     ("power", "units", ScenarioConfig, "power_units", str),
     ("power", "radar_share", ScenarioConfig, "radar_share", float),
     ("ris", "spacing_wavelengths", ScenarioConfig, "ris_spacing", float),
@@ -284,9 +284,10 @@ def config_hash(cfg: ScenarioConfig, plan: ExperimentPlan) -> str:
 
 @dataclass
 class ResultTable:
-    """Append-only experiment results, sorted before emission."""
+    """Append-only experiment results, sorted before emission, and the config hash their rows carry."""
 
     rows: list = field(default_factory=list)
+    config_hash: str = ""
 
     def add(self, **kwargs):
         row = {c: kwargs.get(c, "") for c in CSV_COLUMNS}
@@ -456,8 +457,8 @@ def _snapshots_vs_p(cfg, plan, book, add):
 def _overall_error_vs_p(cfg, plan, book, add):
     for p_idx, scene, schedule, _, add_p in _scheduled_points(cfg, plan, book, add):
         correct = run_localization_trials(scene, book, schedule, plan, p_idx)  # (N, stages)
-        # alive[s]: trials right at every stage up to s; alive[0] is every trial
-        alive = [len(correct), *np.logical_and.accumulate(correct, axis=1).sum(axis=0).tolist()]
+        # alive[s]: trials right at every stage up to s, as no child of a wrong pair holds the cell; alive[0]: all
+        alive = [len(correct), *correct.sum(axis=0).tolist()]
         n, wrong = alive[0], alive[0] - alive[-1]
         add_p(
             metric="overall_error",
@@ -481,11 +482,10 @@ def _se_vs_p(cfg, plan, book, add):
     for p_idx, scene, add_p in _power_points(cfg, plan, add):
         scenarios = [
             ("benchmark", comms.comm_phase_profile(scene.cfg)),
-            ("stage-1", comms.stage_phase_profile(book, 1)),
-            (f"stage-{book.n_stages}", comms.stage_phase_profile(book, book.n_stages)),
+            *((f"stage-{s}", comms.stage_phase_profile(book, s)) for s in sorted({1, book.n_stages})),  # 1 stage at D=2
             ("no-ris", None),
         ]
-        # one draw for all four scenarios (common random numbers), so their differences are paired
+        # one draw for all the scenarios (common random numbers), so their differences are paired
         fading = draw_fading(aux_rng(plan.master_seed, plan.kind, p_idx, 200), (plan.trials,))
         for tag, omega in scenarios:
             est = comms._se_estimate(comms._se_samples(scene, omega, fading))
@@ -555,13 +555,10 @@ _PLAN_RULES = (
 
 def run_experiment(plan: ExperimentPlan, cfg: ScenarioConfig, cb: Codebook | None = None) -> ResultTable:
     """Execute the planned sweep and return the result table, whose config hash covers the schedule that ran."""
-    book, table = get_codebook(cfg, plan, cb), ResultTable()
+    book = get_codebook(cfg, plan, cb)
+    table = ResultTable(config_hash=config_hash(cfg, replace(plan, schedule_ls=book.schedule)))
     add = functools.partial(
-        table.add,
-        experiment=plan.kind,
-        trials=plan.trials,
-        master_seed=plan.master_seed,
-        config_hash=config_hash(cfg, replace(plan, schedule_ls=book.schedule)),
+        table.add, experiment=plan.kind, trials=plan.trials, master_seed=plan.master_seed, config_hash=table.config_hash
     )
     _EXPERIMENTS[plan.kind](cfg, plan, book, add)
     return table

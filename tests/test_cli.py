@@ -1,9 +1,12 @@
 import csv
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
 from risjrc import cli
-from risjrc.geometry import FieldError
+from risjrc.harness import CSV_COLUMNS
 
 TINY_CONFIG = """[arrays]
 n_ris = 16
@@ -20,17 +23,18 @@ calib_trials = 40
 t_max = 64
 """
 
-SUBCOMMANDS = (
-    "design-codebook",
-    "localize",
-    "stage-error",
-    "calibrate",
-    "overall-error",
-    "se-sweep",
-    "count-transmissions",
-    "beampattern",
-    "write-config",
-)
+# subcommand -> the paths it reads; every other value of a run is set in its config file
+SUBCOMMANDS = {
+    "design-codebook": ("--config", "--out"),
+    "localize": ("--config", "--out", "--codebook"),
+    "stage-error": ("--config", "--out", "--codebook"),
+    "calibrate": ("--config", "--out", "--codebook"),
+    "overall-error": ("--config", "--out", "--codebook"),
+    "se-sweep": ("--config", "--out", "--codebook"),
+    "count-transmissions": ("--config", "--out", "--codebook"),
+    "beampattern": ("--config", "--out", "--codebook"),
+    "write-config": ("--out",),
+}
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)
@@ -38,20 +42,25 @@ def test_subcommand_writes_output(tmp_path, command):
     config = tmp_path / "tiny.cfg"
     config.write_text(TINY_CONFIG)
     out = tmp_path / "out"
-    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
+    given = ["--config", str(config)] if "--config" in SUBCOMMANDS[command] else []
+    assert cli.main([command, *given, "--out", str(out)]) == 0
     assert out.stat().st_size > 0
 
 
-@pytest.mark.parametrize(
-    "flag, value, field",
-    [("--seed", "-1", "master_seed"), ("--trials", "0", "trials"), ("--parallel", "0", "parallel")],
-)
-def test_bad_override_names_its_field(tmp_path, flag, value, field):
-    config = tmp_path / "tiny.cfg"
-    config.write_text(TINY_CONFIG)
-    with pytest.raises(FieldError) as raised:
-        cli.main(["localize", "--config", str(config), flag, value])
-    assert raised.value.fields == (field,)
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_subcommand_takes_only_the_paths_it_reads(capsys, command):
+    with pytest.raises(SystemExit) as raised:
+        cli.main([command, "--help"])
+    assert raised.value.code == 0
+    assert set(re.findall(r"--\w+", capsys.readouterr().out)) == {"--help", *SUBCOMMANDS[command]}
+    # the config keys master_seed, trials and parallel set these; a path a subcommand does not read is refused
+    # rather than ignored
+    refused = {"--seed", "--trials", "--parallel", "--config", "--codebook"} - set(SUBCOMMANDS[command])
+    for flag in refused:
+        with pytest.raises(SystemExit) as raised:
+            cli.run([command, flag, "1"])
+        assert raised.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -62,8 +71,9 @@ def test_bad_override_names_its_field(tmp_path, flag, value, field):
         ("mu = auto\n", "malformed config"),
         (TINY_CONFIG + "[experiment]\ntrials = 5\n", "malformed config"),
         (TINY_CONFIG + "schedule_source = literal-rule\n", "[experiment] schedule_source"),
+        (TINY_CONFIG + "[power]\ntotal = 50\n", "unknown key 'total'"),  # each point runs at its power_list entry
     ],
-    ids=["missing-file", "unknown-key", "no-section-header", "duplicate-section", "literal-rule"],
+    ids=["missing-file", "unknown-key", "no-section-header", "duplicate-section", "literal-rule", "power-total"],
 )
 def test_rejected_config_is_one_error_line(tmp_path, capsys, text, names):
     """``run`` reports a config it cannot read or accept as one stderr line and exit status 2."""
@@ -104,3 +114,22 @@ def test_experiment_prints_the_hash_its_rows_carry(tmp_path, capsys):
             assert {row["config_hash"] for row in csv.DictReader(f)} == {printed}
         hashes.append(printed)
     assert hashes[0] != hashes[1]
+
+
+def test_manual_schedule_calibrate_prints_its_hash(tmp_path, capsys):
+    # a manual schedule calibrates nothing: the CSV is its header, and the run still names the hash it ran under
+    config, out = tmp_path / "manual.cfg", tmp_path / "c.csv"
+    config.write_text(TINY_CONFIG + "schedule_source = manual\n")
+    assert cli.run(["calibrate", "--config", str(config), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert re.fullmatch(rf"wrote {re.escape(str(out))} \(0 rows, config [0-9a-f]{{16}}\)\n", printed)
+    assert out.read_text().splitlines() == [",".join(CSV_COLUMNS)]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is in the standard library from Python 3.11")
+def test_installed_script_is_run():
+    """The ``risjrc`` command is ``run``, which turns a rejected input into one error line and exit status 2."""
+    import tomllib
+
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as f:
+        assert tomllib.load(f)["project"]["scripts"]["risjrc"] == "risjrc.cli:run"

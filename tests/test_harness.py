@@ -69,19 +69,18 @@ class TestConfigIO:
         assert replace(plan, schedule_ls=None) == ExperimentPlan()
         assert config_hash(cfg, plan) == config_hash(ScenarioConfig(), ExperimentPlan())
 
-    @pytest.mark.parametrize("power, units", [(40.0, "dBm"), (27.5, "dBm"), (6.0, "dB")])
-    def test_default_split_is_the_loaders(self, tmp_path, power, units):
+    @pytest.mark.parametrize("units", ["dBm", "dB"])
+    def test_default_split_is_the_loaders(self, tmp_path, units):
         path = tmp_path / "power.cfg"
-        path.write_text(f"[power]\ntotal = {power}\nunits = {units}\n")
+        path.write_text(f"[power]\nunits = {units}\n")
         cfg, _ = load_config(str(path))
-        want = ScenarioConfig(power=power, power_units=units)
+        want = ScenarioConfig(power_units=units)
         assert vars(cfg) == vars(want)
         assert want.p_r_watts == want.p_u_watts == want.p_total_watts / 2
-        # a written default file with only its total and units edited loads with the same split
+        # a written default file with only its units edited loads with the same split
         written = tmp_path / "written.cfg"
         write_default_config(str(written))
-        text = written.read_text().replace("total = 36.0\n", f"total = {power}\n")
-        written.write_text(text.replace("units = dBm\n", f"units = {units}\n"))
+        written.write_text(written.read_text().replace("units = dBm\n", f"units = {units}\n"))
         assert load_config(str(written))[0] == want
 
     @pytest.mark.parametrize(
@@ -325,6 +324,36 @@ class TestConfigHash:
         assert as_list == as_tuple and hash(as_list) == hash(as_tuple)
         assert config_hash(cfg, as_list) == config_hash(cfg, as_tuple)
         assert config_hash(cfg, ExperimentPlan(power_list=[39.0, 42.0, 45.0])) == config_hash(cfg, ExperimentPlan())
+
+    @pytest.mark.parametrize(
+        "cfg_fields, plan_fields",
+        [
+            ({}, {"power_list": (42,)}),
+            ({}, {"power_list": (np.float64(42.0),)}),
+            ({}, {"delta": np.float64(0.05)}),
+            ({}, {"schedule_ls": (np.int64(4), 4, 4)}),
+            ({}, {"snapshots": (np.int64(2), 1, 3)}),
+            ({}, {"solver": SolverParams(tol=np.float64(1e-8), n_starts=np.int64(4))}),
+            ({"power": 36, "n_ris": np.int64(16)}, {}),
+            ({"v_t": DirectionCosine(np.float64(-0.4127), np.float64(0.5397))}, {}),
+        ],
+        ids=["int-power", "numpy-power", "delta", "schedule", "snapshots", "solver", "scenario", "direction"],
+    )
+    def test_number_spellings_hash_and_print_alike(self, tmp_path, cfg_fields, plan_fields):
+        # a value spelled as a Python int or a numpy number hashes and prints as the config file's Python number
+        def run(cfg, plan, name):
+            table = run_experiment(plan, cfg)
+            emit_csv(table, str(tmp_path / name))
+            return table.config_hash, config_hash(cfg, plan), (tmp_path / name).read_bytes()
+
+        cfg = desk_cfg(36.0, n_ris=16, grid_size=8)
+        plan = ExperimentPlan(
+            kind="transmission-count", power_list=(42.0,), schedule_ls=(4, 4, 4), schedule_source="manual",
+            snapshots=(2, 1, 3),
+        )
+        want = run(cfg, plan, "want.csv")
+        assert run(replace(cfg, **cfg_fields), replace(plan, **plan_fields), "got.csv") == want
+        assert b",42.0," in want[2]
 
     def test_run_hashes_the_schedule_that_ran(self):
         # a plan that leaves the schedule unset hashes the schedule of the codebook it runs; the default-schedule
@@ -646,6 +675,13 @@ class TestSeSharedDraw:
         se = [_se_samples(make_scene(cfg_p), omega, fading) for omega in self.profiles(cfg_p, cb).values()]
         for better, worse in zip(se, se[1:]):
             assert np.all(better >= worse)
+
+    def test_one_stage_grid_lists_each_scenario_once(self):
+        # at D = 2 the last stage is stage 1: one row each for benchmark, stage-1 and no-ris
+        cfg = desk_cfg(n_ris=16, grid_size=2)
+        plan = ExperimentPlan(kind="se-vs-P", power_list=(42.0,), trials=50)
+        details = [row["detail"] for row in run_experiment(plan, cfg).rows]
+        assert sorted(details) == ["scenario=benchmark", "scenario=no-ris", "scenario=stage-1"]
 
     def test_mean_gap_matches_the_exact_gap(self, sweep):
         # on one draw the benchmark - stage-1 gap is nearly the same on every trial, so its mean is exact to

@@ -160,6 +160,18 @@ class TestDescent:
                     for x, y in zip(in_batch, by_itself, strict=True):
                         np.testing.assert_array_equal(x[k], y[0])
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_a_wrong_stage_is_never_righted(self, desk_codebook, seed):
+        # the children of a wrong pair never hold the true cell, so each trial's correct columns run True, then
+        # False: the overall-error sweep counts the trials right up to stage s as column s's True entries
+        scene = make_scene(desk_cfg(20.0))  # about 2/3 of the trials fail at stage 1, and a few at each later stage
+        sched = SnapshotSchedule((1, 1, 1, 1))
+        words = np.random.Philox(key=seed).random_raw((2000, trial_width(sched)))
+        correct = np.stack([c for *_, c in descend(scene, desk_codebook, sched, words)], axis=1)
+        assert not np.any(correct[:, 1:] & ~correct[:, :-1])
+        lost = np.count_nonzero(correct[:, :-1] & ~correct[:, 1:], axis=0)  # trials first wrong at stages 2-4
+        assert np.all(lost > 0) and 0 < np.count_nonzero(~correct[:, 0]) < len(correct)
+
     def test_zero_trials_give_empty_stages(self, desk_codebook):
         sched = SnapshotSchedule((3, 1, 1, 1))
         stages = descend(make_scene(desk_cfg()), desk_codebook, sched, np.zeros((0, trial_width(sched)), np.uint64))
