@@ -7,9 +7,9 @@ partition and dark elsewhere; the remaining elements of the axis profile
 steer a closed-form pencil beam at the user.  Two-dimensional stage beams
 are Kronecker products of the two axis books.
 
-The sensing fits of a stage run as one batched projected-gradient solve,
-``design_sensing_phases``, one row per (partition, start): the matched
-start plus n_starts - 1 perturbed starts per beam, on the canonical rows
+The sensing fits of a stage run as one batched solve,
+``design_sensing_phases``, one row per (partition, start): the matched start
+plus n_starts - 1 perturbed starts per beam, on the canonical rows
 A(0) = response_rows(l_s, 0, grid).  response_rows(v_b) = A(0) diag(r(v_b)),
 and the unit-modulus projection, the free-phase target and the matched
 start all commute with that diagonal, so the fit for incidence v_b is
@@ -19,11 +19,22 @@ once, and its canonical fit, with its one residual, is what a stage stores
 (``StageBook.phases``) and what a codebook file holds; ``_stage_book``
 ramps it to the x and y incidences and appends the shared comm block.
 
-The step mu = 1 / sigma_max^2 makes each update a majorization-minimization
-step (Sun, Babu and Palomar, IEEE TSP 2017): it minimizes the squared
-residual's quadratic upper bound of curvature sigma_max^2 over unit-modulus
-vectors and the refit target only lowers it, so a row's residual cannot rise
-beyond rounding.  Each row returns its last iterate; earliest start on ties.
+The step mu = 1 / sigma_max^2 makes the projected update a
+majorization-minimization (MM) step (Sun, Babu and Palomar, IEEE TSP 2017):
+it minimizes the squared residual's quadratic upper bound of curvature
+sigma_max^2 over unit-modulus vectors and the refit target only lowers it.
+The loop accelerates it.  Each step is taken from the Nesterov extrapolation
+z = h + beta_k (h - h_prev), beta_k = (k - 1) / (k + 2) (Beck and Teboulle,
+SIAM J. Imaging Sci. 2009), which is not projected: z is linear in h and
+h_prev, so its Gram terms below are the same combination of theirs, and an
+iteration evaluates the terms once, at the new iterate.  Where the new
+residual exceeds the last, the row restarts (function-value adaptive restart,
+O'Donoghue and Candes, Found. Comput. Math. 2015): it takes the plain MM step
+from h instead and k returns to 1.  Where that step does not lower the
+residual either, as on the rounding floor of an exact fit, the row keeps h.
+So a row's accepted residual never rises, and the stop rule compares
+consecutive accepted residuals.  Each row returns its last iterate; earliest
+start on ties.
 
 Each iteration runs in Gram form, with no D-wide product.  With the
 weights W^2 = 1 + (w_on - 1) diag(on) and y = A(0) h, the gradient
@@ -31,8 +42,9 @@ W^2 y - W t, taken back through conj(A(0)), is h G + c conj(A_I): G =
 A(0)^T conj(A(0)) is one l_s x l_s matrix per stage, A_I holds the b =
 D / 2**s rows of the row's partition, and c = (w_on - 1) y_I - w_on l_s u_I
 with u_I the target phases.  The squared residual is
-Re sum conj(h) (h G) - sum |y_I|^2 + w_on sum |y_I - l_s u_I|^2.  Inside the
-loop the iterate is projected as g (1/|g|), the same values as g / |g|: numpy
+Re sum conj(h) (h G) - sum |y_I|^2 + w_on sum |y_I - l_s u_I|^2.  Each row
+keeps h G and y_I of h and h_prev, from which z's are formed.  Inside the loop
+the iterate is projected as g (1/|g|), the same values as g / |g|: numpy
 divides a complex number by a real one as its parts times the reciprocal.
 The ramped axis beams go through ``unit_modulus_projection``, exp(j angle(g)).
 Neither is bit-idempotent: a second pass moves about 2% of exp(j angle(g))'s
@@ -95,7 +107,8 @@ def partition_indices(s: int, i: int, d: int) -> PartitionSpec:
 @dataclass(frozen=True)
 class SolverParams:
     """Stopping rule, start count and residual warning ceiling of the masked-response fit; its objective,
-    step, row weights and start spread are fixed (see ``design_sensing_phases``)."""
+    step, extrapolation, restart, row weights and start spread are fixed (see ``design_sensing_phases``).
+    At the default ``tol`` every row of the desk and full-scale designs stops before ``max_iters``."""
 
     max_iters: int = 500
     tol: float = 1e-8
@@ -170,21 +183,25 @@ def design_sensing_phases(
     residual per beam, shaped (len(parts),).  The fit for incidence v_b is
     ``unit_modulus_projection(conj(r(v_b)) * fit)``, with the same residual (see the module docstring).
 
-    Minimizes || W (A g - t) || subject to |g_m| = 1 with the projected update
-    g <- exp(j angle(g + mu A_w^H (t_w - A_w g))), A_w = W A.  The target is L_s in magnitude on the
-    partition, its phases refit to the current response each iteration, and zero off it; W^2 weights the
-    on-partition rows by ``auto_on_weight(s)``; the step is mu = 1 / sigma_max(A_w)**2 per beam.
+    Minimizes || W (A g - t) || subject to |g_m| = 1 with accelerated MM steps
+    g <- exp(j angle(z + mu A_w^H (t_w(z) - A_w z))), A_w = W A, from the extrapolation
+    z = g + (k - 1) / (k + 2) (g - g_prev).  A step that raises the residual is replaced by the plain step
+    from g (z = g), or by g itself where that does not lower it either, and k restarts at 1.  The target is
+    L_s in magnitude on the partition, its phases refit to the response at the point stepped from, and zero
+    off it; W^2 weights the on-partition rows by ``auto_on_weight(s)``; the step is
+    mu = 1 / sigma_max(A_w)**2 per beam.
 
     Beam k starts from the matched beam toward its partition midpoint plus ``n_starts - 1`` copies whose
     phases are offset by ``START_PERTURBATION`` times standard normals from ``rngs[k]``.  All starts of
     all beams are rows of one batched solve on the canonical rows A(0), each stopped by its own rule at
-    its last iterate, whose residual cannot exceed an earlier one's; per beam the lowest residual wins,
+    its last iterate, whose residual does not exceed an earlier one's; per beam the lowest residual wins,
     the earliest start on ties.  ``s`` stays first: perfbench's tracer reads each span's stage from it.
 
     Each iteration costs one (rows x l_s) @ (l_s x l_s) product with the stage's Gram matrix plus
-    products with each row's b on-partition rows of A(0), gathered once and compacted with the rows; the
-    module docstring gives the algebra, the in-loop projection (``_unit_phase``) and the test oracle
-    ``reference_stage_solve`` that pins the values this loop returns.
+    products with each row's b on-partition rows of A(0), gathered once and compacted with the rows, and
+    a second such evaluation for the rows that restart; the module docstring gives the algebra, the
+    acceleration, the in-loop projection (``_unit_phase``) and the test oracle ``reference_stage_solve``
+    that pins the values this loop returns.
     """
     if l_s < 1:
         raise ValueError("sensing element count must be >= 1")
@@ -211,31 +228,50 @@ def design_sensing_phases(
     a_on_c = a_on.conj()
 
     def gram_terms(h, a_on):
-        """h G, the on-partition gradient weights c and the residual of rows h, with no n x D product."""
+        """h G, the on-partition responses y = A_I h and the residual of rows h, with no n x D product."""
         hg = h @ gram
-        y = np.einsum("nbl,nl->nb", a_on, h)  # on-partition responses A_I h
+        y = np.einsum("nbl,nl->nb", a_on, h)
         mag = np.abs(y)
-        c = (w_on - 1.0) * y - w_on * l_s * _unit_phase(y, mag)
         res2 = np.vecdot(h, hg).real + (w_on * (mag - l_s) ** 2 - mag**2).sum(axis=1)  # vecdot conjugates h
-        return hg, c, np.sqrt(np.maximum(res2, 0.0))
+        return hg, y, np.sqrt(np.maximum(res2, 0.0))
 
-    hg, c, res = gram_terms(h, a_on)
-    # ids: rows still iterating; a row's last iterate goes to out_h and out_res when it stops
-    ids, out_h, out_res, prev = np.arange(len(h)), np.empty_like(h), np.empty_like(res), res
-    for _ in range(params.max_iters):
+    def mm_step(h, hg, y, a_on_c, mu):
+        """The MM step from h (or an extrapolated point) given its h G and A_I h: the gradient is
+        h G + c conj(A_I), with c the on-partition weights of the refit target."""
+        c = (w_on - 1.0) * y - w_on * l_s * _unit_phase(y)
         step = (c[:, None, :] @ a_on_c)[:, 0]
         step += hg
         step *= mu
-        h = _unit_phase(np.subtract(h, step, out=step))
-        hg, c, res = gram_terms(h, a_on)
-        going = ~(np.abs(prev - res) < params.tol * np.maximum(prev, 1e-300))
+        return _unit_phase(np.subtract(h, step, out=step))
+
+    hg, y, res = gram_terms(h, a_on)
+    # ids: rows still iterating; a row's last iterate goes to out_h and out_res when it stops.  (h_p, hg_p, y_p)
+    # is the previous accepted iterate and k the steps since the last restart
+    ids, out_h, out_res = np.arange(len(h)), np.empty_like(h), np.empty_like(res)
+    h_p, hg_p, y_p, k = h, hg, y, np.ones(len(h))
+    for _ in range(params.max_iters):
+        beta = ((k - 1.0) / (k + 2.0))[:, None]
+        z, hg_z, y_z = (x + beta * (x - x_p) for x, x_p in ((h, h_p), (hg, hg_p), (y, y_p)))
+        h_new = mm_step(z, hg_z, y_z, a_on_c, mu)
+        hg_new, y_new, res_new = gram_terms(h_new, a_on)
+        k += 1.0
+        back = np.flatnonzero(res_new > res)
+        if back.size:
+            # restart: the plain MM step from h, or h itself where that step does not lower the residual either
+            h_b = mm_step(h[back], hg[back], y[back], a_on_c[back], mu[back])
+            hg_b, y_b, res_b = gram_terms(h_b, a_on[back])
+            keep = ~(res_b < res[back])
+            h_b[keep], hg_b[keep], y_b[keep], res_b[keep] = (x[back[keep]] for x in (h, hg, y, res))
+            h_new[back], hg_new[back], y_new[back], res_new[back], k[back] = h_b, hg_b, y_b, res_b, 1.0
+        going = ~(np.abs(res - res_new) < params.tol * np.maximum(res, 1e-300))
+        h_p, hg_p, y_p, h, hg, y, res = h, hg, y, h_new, hg_new, y_new, res_new
         if not going.all():
             done = ~going
             out_res[ids[done]], out_h[ids[done]] = res[done], h[done]
-            ids, h, hg, c, a_on, a_on_c, mu, res = (x[going] for x in (ids, h, hg, c, a_on, a_on_c, mu, res))
+            state = (ids, h, hg, y, h_p, hg_p, y_p, k, res, a_on, a_on_c, mu)
+            ids, h, hg, y, h_p, hg_p, y_p, k, res, a_on, a_on_c, mu = (x[going] for x in state)
             if not ids.size:
                 break
-        prev = res
     out_res[ids], out_h[ids] = res, h
 
     k = np.argmin(out_res.reshape(-1, n_starts), axis=1)  # earliest start wins ties

@@ -1,7 +1,8 @@
 """The default scenario (64x64 RIS, D=32, schedule 4/8/16/16/16) end to end through the CLI.
 
 One default config and one codebook designed for it are written per module; every command then runs in
-process through ``cli.main`` with ``--codebook``, so each reads that one design.
+process through ``cli.main`` with ``--codebook``, so each reads that one design.  The design-seed pin at the
+end runs the library on the default config with other design seeds.
 """
 
 import contextlib
@@ -11,6 +12,10 @@ import io
 import pytest
 
 from risjrc import cli
+from risjrc.channels import ScenarioConfig
+from risjrc.codebook import SolverParams, build_codebook
+from risjrc.harness import ExperimentPlan, resolve_schedules, run_experiment
+from risjrc.localization import make_scene
 
 
 def run(*argv) -> str:
@@ -94,3 +99,33 @@ def test_default_config_se_ordering(workdir):
     for power, by in se.items():
         values = [by[f"scenario={s}"] for s in ("benchmark", "stage-1", "stage-5", "no-ris")]
         assert values == sorted(values, reverse=True), (power, values)
+
+
+# The default config at 39 dBm, per design seed: the calibrated T of stages 1-5 (None where a stage misses the
+# error target within t_max, so the search runs t_max = 512 snapshots there) and the overall error.  The seed
+# only drives the perturbed solver starts, yet it decides whether stage 5 is feasible; "n_starts=1" designs
+# from the matched starts alone and draws nothing.  The default seed, 0, was not chosen for its numbers.
+_DESIGN_SEED_PIN = {
+    0: ((88, 3, 1, 1, 2), 0.0825),
+    1: ((70, 3, 1, 1, None), 0.997),
+    2: ((82, 3, 1, 1, 2), 0.082),
+    3: ((108, 3, 1, 1, None), 1.0),
+    4: ((79, 3, 1, 1, 7), 0.087),
+    5: ((73, 3, 1, 1, None), 0.999),
+    6: ((90, 3, 1, 1, 103), 0.094),
+    7: ((83, 3, 1, 1, 16), 0.0885),
+    "n_starts=1": ((82, 3, 1, 1, 39), 0.089),
+}
+
+
+@pytest.mark.parametrize("design", list(_DESIGN_SEED_PIN))
+def test_design_seed_decides_stage_5(design):
+    cfg = ScenarioConfig()
+    solver, seed = (SolverParams(n_starts=1), 0) if design == "n_starts=1" else (SolverParams(), design)
+    plan = ExperimentPlan(power_list=(39.0,), design_seed=seed, solver=solver)
+    cb = build_codebook(cfg, solver=solver, seed=seed)
+    ((_, calibs),) = resolve_schedules([make_scene(cfg.with_power(39.0))], plan, cb)
+    overall = [r["value"] for r in run_experiment(plan, cfg, cb).rows if r["metric"] == "overall_error"]
+    schedule, error = _DESIGN_SEED_PIN[design]
+    assert [c.t_s if c.feasible else None for c in calibs] == list(schedule)
+    assert overall == [error]

@@ -593,26 +593,26 @@ class TestExperiments:
 _DESK_PIN = {
     1: (
         [
-            [(1, True, 127, 0.05), (2, True, 5, 0.04825), (3, True, 1, 0.00425), (4, True, 1, 0.0065)],
-            [(1, True, 64, 0.05), (2, True, 3, 0.04275), (3, True, 1, 0.003), (4, True, 1, 0.00475)],
-            [(1, True, 32, 0.05), (2, True, 2, 0.0375), (3, True, 1, 0.00275), (4, True, 1, 0.00325)],
+            [(1, True, 93, 0.05), (2, True, 5, 0.049), (3, True, 1, 0.004), (4, True, 1, 0.0065)],
+            [(1, True, 47, 0.05), (2, True, 3, 0.04325), (3, True, 1, 0.003), (4, True, 1, 0.00475)],
+            [(1, True, 24, 0.0495), (2, True, 2, 0.03775), (3, True, 1, 0.00225), (4, True, 1, 0.0035)],
         ],
         [
-            (0.067, [0.047, 0.02098635886673662, 0.0, 0.0]),
-            (0.063, [0.047, 0.016789087093389297, 0.0, 0.0]),
-            (0.062, [0.047, 0.015739769150052464, 0.0, 0.0]),
+            (0.065, [0.046, 0.019916142557651992, 0.0, 0.0]),
+            (0.067, [0.051, 0.01685985247629083, 0.0, 0.0]),
+            (0.064, [0.048, 0.01680672268907563, 0.0, 0.0]),
         ],
     ),
     2: (
         [
-            [(1, True, 125, 0.05), (2, True, 4, 0.0485), (3, True, 1, 0.00575), (4, True, 1, 0.00775)],
-            [(1, True, 63, 0.05), (2, True, 2, 0.0485), (3, True, 1, 0.00425), (4, True, 1, 0.00625)],
-            [(1, True, 32, 0.05), (2, True, 1, 0.04875), (3, True, 1, 0.003), (4, True, 1, 0.005)],
+            [(1, True, 132, 0.05), (2, True, 4, 0.04775), (3, True, 1, 0.00575), (4, True, 1, 0.00825)],
+            [(1, True, 67, 0.04925), (2, True, 2, 0.048), (3, True, 1, 0.00425), (4, True, 1, 0.00575)],
+            [(1, True, 34, 0.04925), (2, True, 1, 0.04875), (3, True, 1, 0.003), (4, True, 1, 0.005)],
         ],
         [
-            (0.075, [0.05, 0.02526315789473684, 0.0010799136069114472, 0.0]),
-            (0.077, [0.054, 0.023255813953488372, 0.0, 0.0010822510822510823]),
-            (0.077, [0.056, 0.0211864406779661, 0.0, 0.0010822510822510823]),
+            (0.072, [0.048, 0.025210084033613446, 0.0, 0.0]),
+            (0.069, [0.039, 0.031217481789802288, 0.0, 0.0]),
+            (0.076, [0.054, 0.023255813953488372, 0.0, 0.0]),
         ],
     ),
 }
