@@ -24,15 +24,16 @@ majorization-minimization (MM) step (Sun, Babu and Palomar, IEEE TSP 2017):
 it minimizes the squared residual's quadratic upper bound of curvature
 sigma_max^2 over unit-modulus vectors and the refit target only lowers it.
 The loop accelerates it.  Each step is taken from the Nesterov extrapolation
-z = h + beta_k (h - h_prev), beta_k = (k - 1) / (k + 2) (Beck and Teboulle,
-SIAM J. Imaging Sci. 2009), which is not projected: z is linear in h and
-h_prev, so its Gram terms below are the same combination of theirs, and an
-iteration evaluates the terms once, at the new iterate.  Where the new
-residual exceeds the last, the row restarts (function-value adaptive restart,
-O'Donoghue and Candes, Found. Comput. Math. 2015): it takes the plain MM step
-from h instead and k returns to 1.  Where that step does not lower the
-residual either, as on the rounding floor of an exact fit, the row keeps h.
-So a row's accepted residual never rises, and the stop rule compares
+z = h + beta_k (h - h_prev), beta_k = max(k - 1, 0) / (k + 2) (Beck and
+Teboulle, SIAM J. Imaging Sci. 2009), which is not projected: z is linear in
+h and h_prev, so its Gram terms below are the same combination of theirs, and
+an iteration evaluates the terms once, at the new iterate.  Where the new
+residual exceeds the last, the step is rejected and the row keeps h with its
+terms and residual (function-value adaptive restart, O'Donoghue and Candes,
+Found. Comput. Math. 2015).  k returns to 0, so the next two iterations take
+plain MM steps (beta = 0), the first from h, before momentum resumes.  A
+rejected plain step stops the row at h, as on the rounding floor of an exact
+fit.  So a row's accepted residual never rises, and the stop rule compares
 consecutive accepted residuals.  Each row returns its last iterate; earliest
 start on ties.
 
@@ -42,10 +43,11 @@ W^2 y - W t, taken back through conj(A(0)), is h G + c conj(A_I): G =
 A(0)^T conj(A(0)) is one l_s x l_s matrix per stage, A_I holds the b =
 D / 2**s rows of the row's partition, and c = (w_on - 1) y_I - w_on l_s u_I
 with u_I the target phases.  The squared residual is
-Re sum conj(h) (h G) - sum |y_I|^2 + w_on sum |y_I - l_s u_I|^2.  Each row
-keeps h G and y_I of h and h_prev, from which z's are formed.  Inside the loop
-the iterate is projected as g (1/|g|), the same values as g / |g|: numpy
-divides a complex number by a real one as its parts times the reciprocal.
+Re sum conj(h) (h G) - sum |y_I|^2 + w_on sum |y_I - l_s u_I|^2.  A row's
+state [h | h G | y_I] is one row of a stacked array, kept for h and h_prev, so
+z's state is one extrapolation of the stacked rows.  Inside the loop the
+iterate is projected as g (1/|g|), the same values as g / |g|: numpy divides
+a complex number by a real one as its parts times the reciprocal.
 The ramped axis beams go through ``unit_modulus_projection``, exp(j angle(g)).
 Neither is bit-idempotent: a second pass moves about 2% of exp(j angle(g))'s
 entries by one ulp, and about a third of g / |g|'s.  The test oracle
@@ -108,7 +110,8 @@ def partition_indices(s: int, i: int, d: int) -> PartitionSpec:
 class SolverParams:
     """Stopping rule, start count and residual warning ceiling of the masked-response fit; its objective,
     step, extrapolation, restart, row weights and start spread are fixed (see ``design_sensing_phases``).
-    At the default ``tol`` every row of the desk and full-scale designs stops before ``max_iters``."""
+    ``max_iters`` caps the steps a row evaluates, rejected ones included.  At the default ``tol`` every row
+    of the desk and full-scale designs stops before ``max_iters``."""
 
     max_iters: int = 500
     tol: float = 1e-8
@@ -185,10 +188,10 @@ def design_sensing_phases(
 
     Minimizes || W (A g - t) || subject to |g_m| = 1 with accelerated MM steps
     g <- exp(j angle(z + mu A_w^H (t_w(z) - A_w z))), A_w = W A, from the extrapolation
-    z = g + (k - 1) / (k + 2) (g - g_prev).  A step that raises the residual is replaced by the plain step
-    from g (z = g), or by g itself where that does not lower it either, and k restarts at 1.  The target is
-    L_s in magnitude on the partition, its phases refit to the response at the point stepped from, and zero
-    off it; W^2 weights the on-partition rows by ``auto_on_weight(s)``; the step is
+    z = g + max(k - 1, 0) / (k + 2) (g - g_prev).  A step that raises the residual is rejected: the row keeps g
+    and k returns to 0, so the next step is the plain one from g (z = g); a rejected plain step stops the row.
+    The target is L_s in magnitude on the partition, its phases refit to the response at the point stepped
+    from, and zero off it; W^2 weights the on-partition rows by ``auto_on_weight(s)``; the step is
     mu = 1 / sigma_max(A_w)**2 per beam.
 
     Beam k starts from the matched beam toward its partition midpoint plus ``n_starts - 1`` copies whose
@@ -197,11 +200,11 @@ def design_sensing_phases(
     its last iterate, whose residual does not exceed an earlier one's; per beam the lowest residual wins,
     the earliest start on ties.  ``s`` stays first: perfbench's tracer reads each span's stage from it.
 
-    Each iteration costs one (rows x l_s) @ (l_s x l_s) product with the stage's Gram matrix plus
-    products with each row's b on-partition rows of A(0), gathered once and compacted with the rows, and
-    a second such evaluation for the rows that restart; the module docstring gives the algebra, the
-    acceleration, the in-loop projection (``_unit_phase``) and the test oracle ``reference_stage_solve``
-    that pins the values this loop returns.
+    Each iteration, rejected steps included, evaluates the Gram terms once: one (rows x l_s) @ (l_s x l_s)
+    product with the stage's Gram matrix plus products with each row's b on-partition rows of A(0), gathered
+    once and compacted with the rows.  The module docstring gives the algebra, the acceleration, the in-loop
+    projection (``_unit_phase``) and the test oracle ``reference_stage_solve`` that pins the values this loop
+    returns.
     """
     if l_s < 1:
         raise ValueError("sensing element count must be >= 1")
@@ -228,51 +231,51 @@ def design_sensing_phases(
     a_on_c = a_on.conj()
 
     def gram_terms(h, a_on):
-        """h G, the on-partition responses y = A_I h and the residual of rows h, with no n x D product."""
-        hg = h @ gram
-        y = np.einsum("nbl,nl->nb", a_on, h)
+        """The row state [h | h G | y], y = A_I h, and the residual of rows h, with no n x D product."""
+        x = np.empty((len(h), 2 * l_s + a_on.shape[1]), complex)
+        x[:, :l_s] = h
+        hg, y = x[:, l_s : 2 * l_s], x[:, 2 * l_s :]
+        np.matmul(h, gram, out=hg)
+        y[...] = np.einsum("nbl,nl->nb", a_on, h)
         mag = np.abs(y)
         res2 = np.vecdot(h, hg).real + (w_on * (mag - l_s) ** 2 - mag**2).sum(axis=1)  # vecdot conjugates h
-        return hg, y, np.sqrt(np.maximum(res2, 0.0))
+        return x, np.sqrt(np.maximum(res2, 0.0))
 
-    def mm_step(h, hg, y, a_on_c, mu):
-        """The MM step from h (or an extrapolated point) given its h G and A_I h: the gradient is
+    def mm_step(z, a_on_c, mu):
+        """The MM step from the row state z = [h | h G | y] of h or an extrapolated point: the gradient is
         h G + c conj(A_I), with c the on-partition weights of the refit target."""
+        h, hg, y = z[:, :l_s], z[:, l_s : 2 * l_s], z[:, 2 * l_s :]
         c = (w_on - 1.0) * y - w_on * l_s * _unit_phase(y)
         step = (c[:, None, :] @ a_on_c)[:, 0]
         step += hg
         step *= mu
         return _unit_phase(np.subtract(h, step, out=step))
 
-    hg, y, res = gram_terms(h, a_on)
-    # ids: rows still iterating; a row's last iterate goes to out_h and out_res when it stops.  (h_p, hg_p, y_p)
-    # is the previous accepted iterate and k the steps since the last restart
+    x, res = gram_terms(h, a_on)
+    # ids: rows still iterating; a row's last iterate goes to out_h and out_res when it stops.  x_p is the state of
+    # the previous kept iterate and k indexes beta_k = max(k - 1, 0) / (k + 2)
     ids, out_h, out_res = np.arange(len(h)), np.empty_like(h), np.empty_like(res)
-    h_p, hg_p, y_p, k = h, hg, y, np.ones(len(h))
+    steps = np.arange(params.max_iters + 2.0)
+    betas = np.maximum(steps - 1.0, 0.0) / (steps + 2.0)
+    x_p, k = x, np.ones(len(h), dtype=int)
     for _ in range(params.max_iters):
-        beta = ((k - 1.0) / (k + 2.0))[:, None]
-        z, hg_z, y_z = (x + beta * (x - x_p) for x, x_p in ((h, h_p), (hg, hg_p), (y, y_p)))
-        h_new = mm_step(z, hg_z, y_z, a_on_c, mu)
-        hg_new, y_new, res_new = gram_terms(h_new, a_on)
-        k += 1.0
+        beta = betas[k][:, None]
+        x_new, res_new = gram_terms(mm_step(x + beta * (x - x_p), a_on_c, mu), a_on)
+        going = ~(np.abs(res - res_new) < params.tol * np.maximum(res, 1e-300))
+        k += 1
         back = np.flatnonzero(res_new > res)
         if back.size:
-            # restart: the plain MM step from h, or h itself where that step does not lower the residual either
-            h_b = mm_step(h[back], hg[back], y[back], a_on_c[back], mu[back])
-            hg_b, y_b, res_b = gram_terms(h_b, a_on[back])
-            keep = ~(res_b < res[back])
-            h_b[keep], hg_b[keep], y_b[keep], res_b[keep] = (x[back[keep]] for x in (h, hg, y, res))
-            h_new[back], hg_new[back], y_new[back], res_new[back], k[back] = h_b, hg_b, y_b, res_b, 1.0
-        going = ~(np.abs(res - res_new) < params.tol * np.maximum(res, 1e-300))
-        h_p, hg_p, y_p, h, hg, y, res = h, hg, y, h_new, hg_new, y_new, res_new
+            # a row whose step raises the residual keeps h; a rejected extrapolation is retried as the plain step
+            # from h (k = 0), and a rejected plain step stops the row
+            x_new[back], res_new[back], going[back], k[back] = x[back], res[back], beta[back, 0] > 0, 0
+        x_p, x, res = x, x_new, res_new
         if not going.all():
             done = ~going
-            out_res[ids[done]], out_h[ids[done]] = res[done], h[done]
-            state = (ids, h, hg, y, h_p, hg_p, y_p, k, res, a_on, a_on_c, mu)
-            ids, h, hg, y, h_p, hg_p, y_p, k, res, a_on, a_on_c, mu = (x[going] for x in state)
+            out_res[ids[done]], out_h[ids[done]] = res[done], x[done, :l_s]
+            ids, x, x_p, k, res, a_on, a_on_c, mu = (a[going] for a in (ids, x, x_p, k, res, a_on, a_on_c, mu))
             if not ids.size:
                 break
-    out_res[ids], out_h[ids] = res, h
+    out_res[ids], out_h[ids] = res, x[:, :l_s]
 
     k = np.argmin(out_res.reshape(-1, n_starts), axis=1)  # earliest start wins ties
     best = np.arange(len(specs)) * n_starts + k  # each beam's winning row
