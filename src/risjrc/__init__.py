@@ -2,37 +2,33 @@
 
 Submodules
 ----------
-geometry      steering vectors and direction-cosine transforms
-channels      LoS channel synthesis and received-signal models
+geometry      steering vectors, direction cosines and the search grid
+channels      scenario config, pathloss, fading draws and link matrices
 codebook      hierarchical unit-modulus phase-shift codebook design
 localization  multi-stage target search and snapshot budgeting
-comms         user-link precoding and spectral efficiency
+comms         user-link RIS profiles and spectral efficiency
 harness       experiment orchestration, config files, CSV output
+
+The search and the user link run on exact rank-1 scalar laws.  The dense
+matrix model of both links, which the tests check those laws against, is
+in ``tests/reference.py`` and is not part of the package.
 """
 
 from .channels import (
-    ChannelSet,
     FadingDraw,
+    LinkMatrices,
     PhaseProfile,
     ScenarioConfig,
-    TransmitBlock,
-    build_channels,
+    build_link_matrices,
     draw_fading,
-    make_transmit_block,
     pathloss,
-    radar_receive,
-    squared_spatial_response,
-    target_response,
-    ue_receive,
 )
 from .codebook import (
     Codebook,
     PartitionSpec,
     SolverParams,
     StageBook,
-    assemble_stage,
     build_codebook,
-    build_matched_codebook,
     design_comm_phases,
     design_sensing_phases,
     load_codebook,
@@ -40,19 +36,10 @@ from .codebook import (
     partition_indices,
     save_codebook,
 )
-from .comms import (
-    LinkMatrices,
-    average_se,
-    build_link_matrices,
-    comm_phase_profile,
-    effective_channel,
-    spectral_efficiency,
-    stage_phase_profile,
-)
+from .comms import average_se, comm_phase_profile, spectral_efficiency, stage_phase_profile
 from .geometry import (
     DirectionCosine,
     FieldError,
-    direction_cosines,
     direction_grid,
     ris_axis_steering,
     ris_full_steering,
@@ -70,12 +57,10 @@ from .localization import (
     CalibrationResult,
     SnapshotSchedule,
     StageEnsemble,
-    beam_statistic,
     calibrate_snapshots,
     exhaustive_localize,
     hierarchical_localize,
     make_scene,
-    overall_error_bound,
     snapshot_rule_literal,
     stage_error,
 )

@@ -1,8 +1,10 @@
-"""LoS mmWave channel synthesis and received-signal models.
+"""Scenario configuration, pathloss, fading draws and the link matrices of the LoS mmWave model.
 
-All channels are rank-1 line-of-sight outer products; the receive
-operations exploit that structure so nothing of size N_r x N_r is ever
-materialized, while remaining algebraically exact.
+All channels are rank-1 line-of-sight outer products, so the library never
+forms a channel matrix: the target search and the user link are simulated
+from exact scalar laws (``localization.make_scene``, ``comms._se_samples``).
+The dense model of the same physics, the channel matrices and the
+received-signal blocks, is the test oracle in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from .geometry import (
     direction_grid,
     is_integer,
     is_real,
-    ris_axis_steering,
-    ris_full_steering,
     store_python_numbers,
     ula_steering,
 )
@@ -234,40 +234,6 @@ def draw_fading(rng: np.random.Generator, size: tuple = ()) -> FadingDraw:
 
 
 @dataclass
-class ChannelSet:
-    """The three rank-1 LoS channels plus the target scattering coefficient."""
-
-    h_bu: np.ndarray  # N_u x N_b
-    h_br: np.ndarray  # N_r x N_b
-    h_ru: np.ndarray  # N_u x N_r
-    g_bu: complex
-    g_br: complex
-    g_ru: complex
-    gamma: complex
-
-
-def build_channels(cfg: ScenarioConfig, fading: FadingDraw) -> ChannelSet:
-    """Assemble the LoS channel matrices from geometry, pathloss, and fading."""
-    eta = path_gains(cfg)
-    g_bu = fading.beta_bu * eta.eta_bu
-    g_br = fading.beta_br * eta.eta_br
-    g_ru = fading.beta_ru * eta.eta_ru
-    gamma = fading.rho * eta.eta_rt**2
-
-    b_r = ula_steering(cfg.theta_r_deg, cfg.n_b)
-    b_u = ula_steering(cfg.theta_u_deg, cfg.n_b)
-    u_b = ula_steering(cfg.zeta_b_deg, cfg.n_u)
-    u_r = ula_steering(cfg.zeta_r_deg, cfg.n_u)
-    r_b = ris_full_steering(cfg.v_b, cfg.n_ris, cfg.ris_spacing)
-    r_u = ris_full_steering(cfg.v_u, cfg.n_ris, cfg.ris_spacing)
-
-    h_bu = g_bu * np.outer(u_b, b_u.conj())
-    h_br = g_br * np.outer(r_b, b_r.conj())
-    h_ru = g_ru * np.outer(u_r, r_u.conj())
-    return ChannelSet(h_bu=h_bu, h_br=h_br, h_ru=h_ru, g_bu=g_bu, g_br=g_br, g_ru=g_ru, gamma=gamma)
-
-
-@dataclass
 class LinkMatrices:
     """Transmit precoder, receive combiner, and power allocation."""
 
@@ -287,14 +253,6 @@ def build_link_matrices(cfg: ScenarioConfig) -> LinkMatrices:
     return LinkMatrices(f=f, c=c, p=p)
 
 
-def target_response(
-    v_t: DirectionCosine, gamma: complex, n_ris: int, spacing_wavelengths: float = 0.25
-) -> np.ndarray:
-    """Target response matrix gamma * conj(r(v_t)) r(v_t)^H.  N_r x N_r."""
-    r_t = ris_full_steering(v_t, n_ris, spacing_wavelengths)
-    return gamma * np.outer(r_t.conj(), r_t.conj())
-
-
 @dataclass
 class PhaseProfile:
     """Kronecker-factored unit-modulus RIS configuration."""
@@ -305,96 +263,3 @@ class PhaseProfile:
     @property
     def full(self) -> np.ndarray:
         return np.kron(self.omega_x, self.omega_y)
-
-
-@dataclass
-class TransmitBlock:
-    """One block of dual-stream transmit symbols and the radiated signal."""
-
-    s_r: np.ndarray  # T_s radar-stream symbols, unit modulus
-    s_u: np.ndarray  # T_s user-stream symbols, unit modulus
-    x: np.ndarray  # N_b x T_s
-
-
-def qpsk_symbols(rng: np.random.Generator, t_s: int) -> np.ndarray:
-    k = rng.integers(0, 4, size=t_s)
-    return np.exp(1j * (np.pi / 4 + k * np.pi / 2))
-
-
-def make_transmit_block(cfg: ScenarioConfig, t_s: int, rng: np.random.Generator) -> TransmitBlock:
-    """Draw QPSK streams and beamform them toward the RIS and the user."""
-    if t_s < 1:
-        raise ValueError("snapshot count must be >= 1")
-    s_r = qpsk_symbols(rng, t_s)
-    s_u = qpsk_symbols(rng, t_s)
-    b_r = ula_steering(cfg.theta_r_deg, cfg.n_b)
-    b_u = ula_steering(cfg.theta_u_deg, cfg.n_b)
-    x = np.sqrt(cfg.p_r_watts / cfg.n_b) * np.outer(b_r, s_r) + np.sqrt(
-        cfg.p_u_watts / cfg.n_b
-    ) * np.outer(b_u, s_u)
-    return TransmitBlock(s_r=s_r, s_u=s_u, x=x)
-
-
-def squared_spatial_response(
-    w_axis: np.ndarray, v_scan: float, v_incident: float, spacing_wavelengths: float = 0.25
-) -> complex:
-    """Squared one-axis RIS response toward ``v_scan`` for an incident ``v_incident``.
-
-    Squared because the RIS is traversed on both the forward and echo paths.
-    """
-    n = len(w_axis)
-    r_scan = ris_axis_steering(v_scan, n, spacing_wavelengths)
-    r_inc = ris_axis_steering(v_incident, n, spacing_wavelengths)
-    c = r_scan.conj() @ (w_axis * r_inc)
-    return c**2
-
-
-def radar_receive(
-    x: TransmitBlock,
-    omega: PhaseProfile,
-    v_t: DirectionCosine,
-    gamma: complex,
-    channels: ChannelSet,
-    cfg: ScenarioConfig,
-    sigma_b2: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Echo received at the base station through the RIS, N_b x T_s.
-
-    Evaluates H_br^T diag(w)^T T diag(w) H_br X + noise through the rank-1
-    factors of H_br and T, avoiding any N_r x N_r product.
-    """
-    n_axis = cfg.n_axis
-    rx_t = ris_axis_steering(v_t.vx, n_axis, cfg.ris_spacing)
-    ry_t = ris_axis_steering(v_t.vy, n_axis, cfg.ris_spacing)
-    rx_b = ris_axis_steering(cfg.v_b.vx, n_axis, cfg.ris_spacing)
-    ry_b = ris_axis_steering(cfg.v_b.vy, n_axis, cfg.ris_spacing)
-    # one-axis responses r_ax^H(v_t) diag(w_ax) r_ax(v_b)
-    a_x = rx_t.conj() @ (omega.omega_x * rx_b)
-    a_y = ry_t.conj() @ (omega.omega_y * ry_b)
-    b_r = ula_steering(cfg.theta_r_deg, cfg.n_b)
-    y = gamma * channels.g_br**2 * (a_x * a_y) ** 2 * np.outer(b_r.conj(), b_r.conj() @ x.x)
-    if sigma_b2 > 0:
-        y = y + np.sqrt(sigma_b2) * complex_normal(rng, y.shape)
-    return y
-
-
-def ue_receive(
-    x: TransmitBlock,
-    channels: ChannelSet,
-    omega: PhaseProfile | None,
-    cfg: ScenarioConfig,
-    sigma_u2: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Signal at the user through the direct and RIS-reflected paths, N_u x T_s.
-
-    ``omega=None`` removes the RIS cascade entirely (no-RIS baseline).
-    """
-    y = channels.h_bu @ x.x
-    if omega is not None:
-        w = omega.full
-        y = y + channels.h_ru @ (w[:, None] * (channels.h_br @ x.x))
-    if sigma_u2 > 0:
-        y = y + np.sqrt(sigma_u2) * complex_normal(rng, y.shape)
-    return y

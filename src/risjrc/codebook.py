@@ -349,11 +349,6 @@ class Codebook:
                 raise ValueError(f"codebook designed for {name}={designed!r}; scenario has {name}={wanted!r}")
 
 
-def assemble_stage(w_x: np.ndarray, w_y: np.ndarray) -> np.ndarray:
-    """Two-dimensional stage beams: column (a-1)*2^s + b is w_x[:,a] kron w_y[:,b]."""
-    return np.kron(w_x, w_y)
-
-
 def default_schedule(d: int, n_axis: int) -> tuple:
     """Sensing-element counts per stage: doubling, capped at min(16, n_axis)."""
     n_stages = int(round(math.log2(d)))
@@ -372,8 +367,9 @@ def build_codebook(
     Sensing parts are fitted once per partition, a whole stage in one
     batched solve, and each fit is ramped to the x and y incident cosines,
     so both axes share one residual per beam; comm parts are closed-form
-    and shared by all beams of a stage.  Deterministic for fixed (cfg,
-    schedule, solver, seed).
+    and shared by all beams of a stage.  A residual above
+    ``solver.residual_ceiling_factor * l_s * sqrt(D)`` warns once per beam.
+    Deterministic for fixed (cfg, schedule, solver, seed).
     """
     n_axis = cfg.n_axis
     d = cfg.grid_size
@@ -388,43 +384,16 @@ def build_codebook(
     solver = solver or SolverParams()
     grid = direction_grid(d)
     ss = np.random.SeedSequence(seed)
-
-    def stage(s, l_s):
+    stages = []
+    for s, l_s in enumerate(schedule, start=1):
         n_beams = 2**s
         # two children per beam, the first seeding the beam: x-axis beams match codebooks solved per axis
         rngs = [np.random.default_rng(child) for child in ss.spawn(2 * n_beams)[0::2]]
-        return design_sensing_phases(s, l_s, range(1, n_beams + 1), grid, solver, cfg.ris_spacing, rngs)
-
-    return _assemble_codebook(cfg, schedule, stage, solver.residual_ceiling_factor)
-
-
-def build_matched_codebook(cfg: ScenarioConfig) -> Codebook:
-    """Ideal reference codebook of full-aperture matched beams.
-
-    Every stage uses all axis elements for sensing (no comm split) and
-    each beam is the closed-form matched profile toward its partition
-    midpoint, exact on the grid point at the final stage.  Useful as a
-    noiseless oracle and as an upper-gain reference.
-    """
-    grid = direction_grid(cfg.grid_size)
-
-    def stage(s, l_s):
-        mids = [partition_indices(s, i, cfg.grid_size).midpoint(grid) for i in range(1, 2**s + 1)]
-        return ris_axis_steering(mids, l_s, cfg.ris_spacing), np.zeros(2**s)
-
-    return _assemble_codebook(cfg, (cfg.n_axis,) * cfg.n_stages, stage, math.inf)
-
-
-def _assemble_codebook(cfg: ScenarioConfig, schedule: tuple, stage, ceiling_factor: float) -> Codebook:
-    """Stage books from ``stage(s, l_s) -> (phases, residuals)``: one canonical fit and one residual per
-    beam; a residual above ceiling_factor * l_s * sqrt(D) warns once per beam."""
-    stages = []
-    for s, l_s in enumerate(schedule, start=1):
-        phases, res = stage(s, l_s)
-        ceiling = ceiling_factor * l_s * math.sqrt(cfg.grid_size)
+        phases, res = design_sensing_phases(s, l_s, range(1, n_beams + 1), grid, solver, cfg.ris_spacing, rngs)
+        ceiling = solver.residual_ceiling_factor * l_s * math.sqrt(d)
         warnings = [f"stage {s} beam {i}: residual {r:.3g} above {ceiling:.3g}" for i, r in enumerate(res, 1) if r > ceiling]
-        stages.append(_stage_book(s, cfg.n_axis, phases, res, cfg.v_b, cfg.v_u, cfg.ris_spacing, warnings))
-    return Codebook(cfg.grid_size, cfg.n_ris, cfg.ris_spacing, cfg.v_b, cfg.v_u, schedule, stages)
+        stages.append(_stage_book(s, n_axis, phases, res, cfg.v_b, cfg.v_u, cfg.ris_spacing, warnings))
+    return Codebook(d, cfg.n_ris, cfg.ris_spacing, cfg.v_b, cfg.v_u, schedule, stages)
 
 
 def _stage_book(s, n_axis, phases, residuals, v_b, v_u, spacing, warnings) -> StageBook:

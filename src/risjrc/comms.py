@@ -1,4 +1,9 @@
-"""User-link precoding, effective channel, and spectral efficiency."""
+"""User-link RIS profiles and spectral efficiency.
+
+The Monte Carlo SE runs on the rank-1 closed form of ``_se_samples``; the
+dense 2x2 effective channel that it is checked against, ``effective_channel``,
+is a test oracle in ``tests/reference.py``.
+"""
 
 from __future__ import annotations
 
@@ -7,25 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelSet, FadingDraw, PhaseProfile, ScenarioConfig, draw_fading
-from .channels import LinkMatrices, build_link_matrices  # build_link_matrices: re-exported beside effective_channel
+from .channels import FadingDraw, PhaseProfile, ScenarioConfig, draw_fading
 from .codebook import Codebook, matched_axis_beam
 from .geometry import check_count
 from .localization import Scene, make_scene
-
-
-def effective_channel(
-    channels: ChannelSet, omega: PhaseProfile | None, link: LinkMatrices
-) -> np.ndarray:
-    """Combined 2x2 downlink channel C^H (H_bu + H_ru diag(w) H_br) F P.
-
-    ``omega=None`` drops the RIS cascade (no-RIS baseline).
-    """
-    h = channels.h_bu
-    if omega is not None:
-        w = omega.full
-        h = h + channels.h_ru @ (w[:, None] * channels.h_br)
-    return link.c.conj().T @ h @ link.f @ link.p
 
 
 def spectral_efficiency(h_eff: np.ndarray, sigma_u2: float) -> float:
@@ -115,9 +105,9 @@ def average_se(
     cross-section plays no role in the user link.  All trials are drawn
     in one ``draw_fading`` call, the same stream as one call per trial,
     and evaluated by the rank-1 closed form of ``_se_samples`` on the scene
-    of ``cfg``; ``spectral_efficiency`` of ``effective_channel`` is its
-    oracle.  A sweep that compares profiles on one draw calls the same two
-    pieces on its power point's one scene.
+    of ``cfg``; ``spectral_efficiency`` of the dense effective channel of
+    ``tests/reference.py`` is its oracle.  A sweep that compares profiles
+    on one draw calls the same two pieces on its power point's one scene.
     """
     check_count("trials", trials)
     return _se_estimate(_se_samples(make_scene(cfg), omega, draw_fading(rng, (trials,))))

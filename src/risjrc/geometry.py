@@ -1,4 +1,4 @@
-"""Array steering vectors and direction-cosine transforms.
+"""Array steering vectors, direction cosines and the search grid.
 
 Conventions used throughout the package:
 
@@ -87,15 +87,6 @@ def ula_steering(theta_deg: float, n_elems: int) -> np.ndarray:
     theta = math.radians(theta_deg)
     n = np.arange(n_elems)
     return np.exp(1j * n * np.pi * math.sin(theta))
-
-
-def direction_cosines(azimuth_deg: float, elevation_deg: float) -> DirectionCosine:
-    """Direction cosines (sin(el)*sin(az), sin(el)*cos(az)) of a direction."""
-    if not (math.isfinite(azimuth_deg) and math.isfinite(elevation_deg)):
-        raise ValueError("angles must be finite")
-    az = math.radians(azimuth_deg)
-    el = math.radians(elevation_deg)
-    return DirectionCosine(math.sin(el) * math.sin(az), math.sin(el) * math.cos(az))
 
 
 def ris_axis_steering(v, n_axis: int, spacing_wavelengths: float = 0.25) -> np.ndarray:

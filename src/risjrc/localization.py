@@ -12,7 +12,7 @@ chi the transmit-side beam cross-correlation, u_bar the average of the
 de-rotated user-stream symbols, and n_bar the averaged beamformed noise
 (variance N_b sigma_b^2 / T).  The engines simulate z_bar directly from
 that law, which is algebraically exact; the full matrix pipeline in
-:mod:`risjrc.channels` is the test-suite's oracle for it.  :func:`descend`,
+``tests/reference.py`` is the test-suite's oracle for it.  :func:`descend`,
 the search over a block of trials, and the calibrator's
 :class:`StageEnsemble` read their draws from raw words by one layout: normals
 through :func:`normals_from_words`, then 64-snapshot chunks of symbol words.
@@ -53,17 +53,6 @@ from .channels import (
 )
 from .codebook import Codebook
 from .geometry import check_count, is_integer, nearest_grid_index, ris_axis_steering, ula_steering
-
-
-def beam_statistic(y_r: np.ndarray, s_r: np.ndarray, theta_r_deg: float) -> float:
-    """Average-power statistic of one received block.
-
-    Beamforms with conj(b(theta_r)), de-rotates by the radar symbols, and
-    returns |mean|^2 over the snapshots.
-    """
-    b = ula_steering(theta_r_deg, y_r.shape[0])
-    z = (b @ y_r) * s_r.conj()
-    return float(np.abs(z.mean()) ** 2)
 
 
 @dataclass
@@ -365,11 +354,6 @@ def snapshot_rule_literal(
         product_magnitude=product_mag,
         t_magnitude=t_magnitude,
     )
-
-
-def overall_error_bound(delta: float, n_s: int) -> float:
-    """Union bound on the final localization error probability."""
-    return n_s * delta
 
 
 class StageEnsemble:

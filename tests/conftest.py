@@ -1,7 +1,9 @@
 import pytest
 
 from risjrc.channels import ScenarioConfig
-from risjrc.codebook import build_codebook, build_matched_codebook
+from risjrc.codebook import build_codebook
+
+from reference import build_matched_codebook
 
 
 def desk_cfg(

@@ -7,17 +7,9 @@ import time
 import numpy as np
 import pytest
 
-from risjrc.channels import (
-    PhaseProfile,
-    build_channels,
-    draw_fading,
-    make_transmit_block,
-    radar_receive,
-    target_response,
-)
+from risjrc.channels import PhaseProfile, draw_fading
 from risjrc.codebook import (
     build_codebook,
-    build_matched_codebook,
     design_comm_phases,
     half_power_width,
     mask_fidelity,
@@ -44,11 +36,17 @@ from risjrc.localization import (
     hierarchical_localize,
     hierarchical_transmissions,
     make_scene,
-    overall_error_bound,
     snapshot_rule_literal,
 )
 
 from conftest import desk_cfg
+from reference import (
+    build_channels,
+    make_transmit_block,
+    overall_error_bound,
+    radar_receive,
+    target_response,
+)
 
 
 def report(n, name, ok, extra=""):

@@ -10,21 +10,23 @@ from risjrc.channels import (
     FadingDraw,
     PhaseProfile,
     ScenarioConfig,
-    build_channels,
     complex_normal,
     draw_fading,
-    make_transmit_block,
     normals_from_words,
     pathloss,
     path_gains,
+)
+from risjrc.geometry import DirectionCosine, ris_axis_steering, ris_full_steering, ula_steering
+
+from conftest import desk_cfg, tiny_cfg
+from reference import (
+    build_channels,
+    make_transmit_block,
     radar_receive,
     squared_spatial_response,
     target_response,
     ue_receive,
 )
-from risjrc.geometry import DirectionCosine, ris_axis_steering, ris_full_steering, ula_steering
-
-from conftest import desk_cfg, tiny_cfg
 
 
 class TestPathloss:

@@ -15,10 +15,8 @@ from risjrc.codebook import (
     START_PERTURBATION,
     SolverParams,
     _unit_phase,
-    assemble_stage,
     auto_on_weight,
     build_codebook,
-    build_matched_codebook,
     design_comm_phases,
     design_sensing_phases,
     load_codebook,
@@ -34,6 +32,7 @@ from risjrc.localization import make_scene, trial_coefficients
 from risjrc.channels import draw_fading
 
 from conftest import desk_cfg, tiny_cfg
+from reference import assemble_stage, build_matched_codebook
 
 
 def fit_one_beam(s, i, l_s, v_b_axis, grid, params=None, rng=None, spacing=0.25):

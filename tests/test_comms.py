@@ -8,19 +8,17 @@ from scipy.special import exp1
 from risjrc.channels import (
     FadingDraw,
     PhaseProfile,
-    build_channels,
+    build_link_matrices,
     complex_from_parts,
     draw_fading,
     fading_from_normals,
     path_gains,
 )
-from risjrc.codebook import build_codebook, build_matched_codebook, matched_axis_beam
+from risjrc.codebook import build_codebook, matched_axis_beam
 from risjrc.comms import (
     _se_samples,
     average_se,
-    build_link_matrices,
     comm_phase_profile,
-    effective_channel,
     spectral_efficiency,
     stage_phase_profile,
 )
@@ -28,6 +26,7 @@ from risjrc.geometry import ula_steering
 from risjrc.localization import make_scene
 
 from conftest import desk_cfg, tiny_cfg
+from reference import build_channels, build_matched_codebook, effective_channel
 
 
 class TestLinkMatrices:

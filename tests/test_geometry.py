@@ -7,13 +7,14 @@ from risjrc.geometry import (
     DirectionCosine,
     FieldError,
     axis_size,
-    direction_cosines,
     direction_grid,
     nearest_grid_index,
     ris_axis_steering,
     ris_full_steering,
     ula_steering,
 )
+
+from reference import direction_cosines
 
 
 class TestUlaSteering:

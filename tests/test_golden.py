@@ -32,9 +32,9 @@ from pathlib import Path
 import pytest
 
 from risjrc import cli
-from risjrc.codebook import build_matched_codebook
 from risjrc.harness import EXPERIMENT_KINDS, SCHEDULE_SOURCES, emit_csv, get_codebook, load_config, run_experiment
 
+from reference import build_matched_codebook
 from test_cli import TINY_CONFIG
 
 GOLDEN = Path(__file__).with_name("golden") / "tiny.json"

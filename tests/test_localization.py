@@ -11,22 +11,17 @@ from hypothesis.extra.numpy import arrays
 from risjrc.channels import (
     FadingDraw,
     PhaseProfile,
-    build_channels,
     complex_normal,
     draw_fading,
-    make_transmit_block,
     path_gains,
-    radar_receive,
 )
 from risjrc import localization
-from risjrc.codebook import build_matched_codebook
 from risjrc.comms import average_se
 from risjrc.geometry import DirectionCosine, direction_grid, ula_steering
 from risjrc.harness import trial_trace_csv
 from risjrc.localization import (
     SnapshotSchedule,
     StageEnsemble,
-    beam_statistic,
     calibrate_snapshots,
     decision_statistic,
     descend,
@@ -35,7 +30,6 @@ from risjrc.localization import (
     hierarchical_localize,
     hierarchical_transmissions,
     make_scene,
-    overall_error_bound,
     qpsk_product_sum,
     snapshot_rule_literal,
     stage_decision,
@@ -48,6 +42,14 @@ from risjrc.localization import (
 )
 
 from conftest import desk_cfg, tiny_cfg
+from reference import (
+    beam_statistic,
+    build_channels,
+    build_matched_codebook,
+    make_transmit_block,
+    overall_error_bound,
+    radar_receive,
+)
 
 
 def _scalar_normals(words) -> list:
