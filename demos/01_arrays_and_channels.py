@@ -20,7 +20,7 @@ from risjrc import (
     ris_axis_steering,
     ula_steering,
 )
-from risjrc.codebook import matched_axis_beam
+from risjrc.codebook import response_rows
 from risjrc.localization import decision_statistic, qpsk_product_mean, trial_coefficients, true_cell
 
 print("=== steering vectors ===")
@@ -70,13 +70,13 @@ print()
 print("=== scalar decision statistic ===")
 # Each probed beam's statistic is |c (coh + cross u_bar) + n_bar|^2: coh and cross carry the fading and
 # the stream powers, u_bar is the mean of T de-rotated user symbols and n_bar the averaged beamformed
-# noise.  Probe the matched pencil beam of every grid cell, T = 16 snapshots each.
+# noise.  Probe the matched pencil beam of every grid cell, T = 16 snapshots each.  The beam toward cell j
+# is conj(r_ax(v_b)) * r_ax(v_j), row j of conj(response_rows), and its gain at the target is beam @ q.
 t = 16
 coh, cross = trial_coefficients(scene, draw_fading(rng))
 grid = direction_grid(cfg.grid_size)
 g_x, g_y = (
-    np.array([q @ matched_axis_beam(v_b, v, n_axis, sp) for v in grid])
-    for q, v_b in ((scene.q_x, cfg.v_b.vx), (scene.q_y, cfg.v_b.vy))
+    response_rows(n_axis, v_b, grid, sp).conj() @ q for q, v_b in ((scene.q_x, cfg.v_b.vx), (scene.q_y, cfg.v_b.vy))
 )
 c = np.outer(g_x, g_y) ** 2
 u_bar = qpsk_product_mean(rng, t, c.shape)

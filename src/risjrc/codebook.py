@@ -4,8 +4,9 @@ Each stage s splits the direction-cosine grid into 2**s contiguous
 partitions per axis.  For every partition a unit-modulus sensing beam is
 fitted so that the one-axis RIS response is flat (value L_s) on the
 partition and dark elsewhere; the remaining elements of the axis profile
-steer a closed-form pencil beam at the user.  Two-dimensional stage beams
-are Kronecker products of the two axis books.
+steer a closed-form pencil beam at the user: the tail of the SE benchmark
+profile ``comms.comm_phase_profile``, which steers every element so.
+Two-dimensional stage beams are Kronecker products of the two axis books.
 
 The sensing fits of a stage run as one batched solve,
 ``design_sensing_phases``, one row per (partition, start): the matched start
@@ -45,12 +46,11 @@ D / 2**s rows of the row's partition, and c = (w_on - 1) y_I - w_on l_s u_I
 with u_I the target phases.  The squared residual is
 Re sum conj(h) (h G) - sum |y_I|^2 + w_on sum |y_I - l_s u_I|^2.  A row's
 state [h | h G | y_I] is one row of a stacked array, kept for h and h_prev, so
-z's state is one extrapolation of the stacked rows.  Inside the loop the
-iterate is projected as g (1/|g|), the same values as g / |g|: numpy divides
-a complex number by a real one as its parts times the reciprocal.
-The ramped axis beams go through ``unit_modulus_projection``, exp(j angle(g)).
-Neither is bit-idempotent: a second pass moves about 2% of exp(j angle(g))'s
-entries by one ulp, and about a third of g / |g|'s.  The test oracle
+z's state is one extrapolation of the stacked rows.  The iterates and the
+ramped axis beams go through one projection, ``unit_modulus_projection``,
+g (1/|g|): the same values as g / |g|, since numpy divides a complex number by
+a real one as its parts times the reciprocal.  It is not bit-idempotent: a
+second pass can move an entry by one ulp.  The test oracle
 ``reference_stage_solve`` (tests/test_codebook.py), the loop written out
 plainly with g / |g|, pins the solver's values to the bit.
 """
@@ -74,6 +74,7 @@ START_PERTURBATION = 0.3  # standard deviation, in radians, of the phase offsets
 _JSON_KINDS = {"an integer": int, "a number": (int, float), "a list": list}
 _HEADER_KEYS = dict(d="an integer", n_ris="an integer", spacing="a number", schedule="a list")
 _HEADER_KEYS.update(v_b="a list", v_u="a list", residuals="a list", quality_warnings="a list")
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -143,28 +144,22 @@ def response_rows(l_s: int, v_b_axis: float, grid: np.ndarray, spacing: float) -
 
 
 def unit_modulus_projection(g: np.ndarray) -> np.ndarray:
-    return np.exp(1j * np.angle(g))
+    """g / |g| with exact zeros of either sign mapped to 1: the one unit-modulus projection, of the solver's
+    iterates and of the ramped axis beams.
 
-
-def _unit_phase(g: np.ndarray, mag: np.ndarray | None = None) -> np.ndarray:
-    """g / |g| with exact zeros mapped to 1, as exp(j angle(0)) gives: the solver's in-loop projection.
-    ``mag``, when given, is |g|.
-
-    With no zero magnitude it is formed as g * (1/|g|): numpy divides a complex number by a real one as
-    its parts times 1/|g|, so the values are those of g / |g|, and only the sign of an exactly-zero part
-    can differ.  The ramped axis beams go through ``unit_modulus_projection``, whose second pass moves
-    fewer entries (see the module docstring).
+    Where every |g| is at least the smallest normal float it is formed as g * (1/|g|): numpy divides a complex
+    number by a real one as its parts times 1/|g|, so the values are those of g / |g|, and only the sign of an
+    exactly-zero part can differ.  Below that magnitude 1/|g| overflows or holds few bits, so those entries map
+    to exp(j angle(g)).
     """
-    if mag is None:
-        mag = np.abs(g)
-    if mag.all():
+    mag = np.abs(g)
+    if mag.min(initial=np.inf) >= _TINY:  # one reduction decides the fast path
         return g * np.reciprocal(mag)
-    return np.divide(g, mag, out=np.ones_like(g), where=mag > 0)
-
-
-def matched_axis_beam(v_incident: float, v_out: float, n: int, spacing: float) -> np.ndarray:
-    """Closed-form profile steering an incident plane wave toward ``v_out``."""
-    return ris_axis_steering(v_incident, n, spacing).conj() * ris_axis_steering(v_out, n, spacing)
+    out = np.exp(1j * np.angle(g))
+    out[mag == 0] = 1  # a nan stays nan
+    big = mag >= _TINY
+    out[big] = g[big] * np.reciprocal(mag[big])
+    return out
 
 
 def auto_on_weight(s: int) -> float:
@@ -202,9 +197,8 @@ def design_sensing_phases(
 
     Each iteration, rejected steps included, evaluates the Gram terms once: one (rows x l_s) @ (l_s x l_s)
     product with the stage's Gram matrix plus products with each row's b on-partition rows of A(0), gathered
-    once and compacted with the rows.  The module docstring gives the algebra, the acceleration, the in-loop
-    projection (``_unit_phase``) and the test oracle ``reference_stage_solve`` that pins the values this loop
-    returns.
+    once and compacted with the rows.  The module docstring gives the algebra, the acceleration, the projection
+    and the test oracle ``reference_stage_solve`` that pins the values this loop returns.
     """
     if l_s < 1:
         raise ValueError("sensing element count must be >= 1")
@@ -245,11 +239,11 @@ def design_sensing_phases(
         """The MM step from the row state z = [h | h G | y] of h or an extrapolated point: the gradient is
         h G + c conj(A_I), with c the on-partition weights of the refit target."""
         h, hg, y = z[:, :l_s], z[:, l_s : 2 * l_s], z[:, 2 * l_s :]
-        c = (w_on - 1.0) * y - w_on * l_s * _unit_phase(y)
+        c = (w_on - 1.0) * y - w_on * l_s * unit_modulus_projection(y)
         step = (c[:, None, :] @ a_on_c)[:, 0]
         step += hg
         step *= mu
-        return _unit_phase(np.subtract(h, step, out=step))
+        return unit_modulus_projection(np.subtract(h, step, out=step))
 
     x, res = gram_terms(h, a_on)
     # ids: rows still iterating; a row's last iterate goes to out_h and out_res when it stops.  x_p is the state of

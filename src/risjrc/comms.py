@@ -1,5 +1,8 @@
 """User-link RIS profiles and spectral efficiency.
 
+The SE benchmark, ``comm_phase_profile``, is the codebook's comm block
+(``design_comm_phases``) over all elements of each axis.
+
 The Monte Carlo SE runs on the rank-1 closed form of ``_se_samples``; the
 dense 2x2 effective channel that it is checked against, ``effective_channel``,
 is a test oracle in ``tests/reference.py``.
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import FadingDraw, PhaseProfile, ScenarioConfig, draw_fading
-from .codebook import Codebook, matched_axis_beam
+from .codebook import Codebook, design_comm_phases
 from .geometry import check_count
 from .localization import Scene, make_scene
 
@@ -28,11 +31,12 @@ def spectral_efficiency(h_eff: np.ndarray, sigma_u2: float) -> float:
 
 
 def comm_phase_profile(cfg: ScenarioConfig) -> PhaseProfile:
-    """Full-RIS profile steering the base-station beam at the user (benchmark)."""
+    """Full-RIS profile steering the base-station beam at the user: the paper's "RIS-assisted MIMO system
+    without sensing" benchmark."""
     n_axis = cfg.n_axis
     return PhaseProfile(
-        omega_x=matched_axis_beam(cfg.v_b.vx, cfg.v_u.vx, n_axis, cfg.ris_spacing),
-        omega_y=matched_axis_beam(cfg.v_b.vy, cfg.v_u.vy, n_axis, cfg.ris_spacing),
+        omega_x=design_comm_phases(n_axis, cfg.v_b.vx, cfg.v_u.vx, cfg.ris_spacing),
+        omega_y=design_comm_phases(n_axis, cfg.v_b.vy, cfg.v_u.vy, cfg.ris_spacing),
     )
 
 

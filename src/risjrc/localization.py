@@ -27,13 +27,11 @@ The search result is :func:`descend`'s per-stage arrays, one row per trial.
 
 A power point's :class:`Scene` holds the fading-free terms of both links: the
 search's RIS products, chi and noise scale, and the user link's SE factors that
-:func:`risjrc.comms._se_samples` reads.  The exhaustive baseline's grid
-correlations are built on first use.
+:func:`risjrc.comms._se_samples` reads.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -51,7 +49,7 @@ from .channels import (
     normals_from_words,
     path_gains,
 )
-from .codebook import Codebook
+from .codebook import Codebook, response_rows
 from .geometry import check_count, is_integer, nearest_grid_index, ris_axis_steering, ula_steering
 
 
@@ -71,14 +69,6 @@ class Scene:
     p: np.ndarray  # P, 2x2 diagonal sqrt powers
     r_u: tuple  # r_x(v_u), r_y(v_u)
     r_b: tuple  # r_x(v_b), r_y(v_b)
-
-    @functools.cached_property
-    def grid_corr(self) -> tuple:
-        """(corr_x, corr_y): r(v_t)^H r(v_j) over the grid per axis, full axis aperture.  Built on first use:
-        only the exhaustive baseline reads them, and they cost most of what a scene would cost otherwise."""
-        n_axis, sp, grid = self.cfg.n_axis, self.cfg.ris_spacing, self.cfg.grid
-        r_t = (ris_axis_steering(v_t, n_axis, sp) for v_t in (self.cfg.v_t.vx, self.cfg.v_t.vy))
-        return tuple(np.array([r.conj() @ ris_axis_steering(v, n_axis, sp) for v in grid]) for r in r_t)
 
 
 def make_scene(cfg: ScenarioConfig) -> Scene:
@@ -293,9 +283,15 @@ def exhaustive_localize(scene: Scene, rng: np.random.Generator, t_per_beam: int 
     """Scan all D x D matched pencil beams and return the 1-based cell (i, j) of the argmax statistic."""
     if not is_integer(t_per_beam) or t_per_beam < 1:
         raise ValueError(f"t_per_beam must be an integer >= 1, got {t_per_beam!r}")
-    d = scene.cfg.grid_size
+    cfg = scene.cfg
+    d = cfg.grid_size
     coh, cross = trial_coefficients(scene, draw_fading(rng))
-    c = np.outer(*scene.grid_corr) ** 2  # D x D squared responses
+    # row j of conj(response_rows(v_b)) is the matched beam toward cell j, so its gain is that row @ q, as in the search
+    gain_x, gain_y = (
+        response_rows(cfg.n_axis, v_b, cfg.grid, cfg.ris_spacing).conj() @ q
+        for v_b, q in ((cfg.v_b.vx, scene.q_x), (cfg.v_b.vy, scene.q_y))
+    )
+    c = np.outer(gain_x, gain_y) ** 2  # D x D squared responses
     u_bar = qpsk_product_mean(rng, t_per_beam, (d, d))
     # the sum of t_per_beam unit complex Gaussian samples is one draw scaled by sqrt(t_per_beam)
     n_sum = complex_from_parts(rng.standard_normal((d, d)), rng.standard_normal((d, d)), math.sqrt(t_per_beam / 2))

@@ -1,4 +1,3 @@
-import contextlib
 import json
 import math
 import tempfile
@@ -14,22 +13,21 @@ from risjrc.codebook import (
     CODEBOOK_MAGIC,
     START_PERTURBATION,
     SolverParams,
-    _unit_phase,
     auto_on_weight,
     build_codebook,
     design_comm_phases,
     design_sensing_phases,
     load_codebook,
     mask_fidelity,
-    matched_axis_beam,
     partition_indices,
     response_rows,
     save_codebook,
     unit_modulus_projection,
 )
+from risjrc.comms import comm_phase_profile
 from risjrc.geometry import DirectionCosine, direction_grid, ris_axis_steering
 from risjrc.localization import make_scene, trial_coefficients
-from risjrc.channels import draw_fading
+from risjrc.channels import ScenarioConfig, draw_fading
 
 from conftest import desk_cfg, tiny_cfg
 from reference import assemble_stage, build_matched_codebook
@@ -55,7 +53,8 @@ def reference_sensing_fit(s, i, l_s, v_b_axis, grid, params=None, rng=None, spac
     wts = np.where(mask, np.sqrt(auto_on_weight(s)), 1.0)
     a_w = wts[:, None] * a
     mu = 1.0 / np.linalg.svd(a_w, compute_uv=False)[0] ** 2
-    phase0 = np.angle(matched_axis_beam(v_b_axis, part.midpoint(grid), l_s, spacing))
+    r_b, r_mid = (ris_axis_steering(v, l_s, spacing) for v in (v_b_axis, part.midpoint(grid)))
+    phase0 = np.angle(r_b.conj() * r_mid)
     n_perturbed = params.n_starts - 1 if rng is not None else 0
     starts = [np.exp(1j * (phase0 + START_PERTURBATION * rng.standard_normal(l_s))) for _ in range(n_perturbed)]
     starts = [np.exp(1j * phase0)] + starts
@@ -221,49 +220,39 @@ class TestSensingDesign:
             for w in (book.w_x, book.w_y):
                 np.testing.assert_allclose(np.abs(w), 1.0, atol=1e-12)
 
-    def test_projection_idempotent(self):
-        grid = direction_grid(16)
-        g, _ = fit_one_beam(2, 1, 8, 0.133, grid, rng=np.random.default_rng(2))
-        np.testing.assert_array_equal(unit_modulus_projection(g), g)
-
-    def test_in_loop_projection_maps_zero_to_one(self):
-        g = np.array([0j, 3 - 4j, -2 + 0j, 1e-300j])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            u = _unit_phase(g)
-        assert u[0] == 1
-        np.testing.assert_allclose(u, unit_modulus_projection(g), rtol=0, atol=1e-15)
-
     @settings(max_examples=200, deadline=None)
     @given(
         parts=st.lists(
-            st.tuples(*[st.sampled_from([0.0, -0.0, 5e-324, -4e-320, 3e-310, 2.2e-308, 1e-300, -1e300, 3e300])
+            st.tuples(*[st.sampled_from([0.0, -0.0, 5e-324, -4e-320, 3e-310, 2.2e-308, 1e-300, 1e300, -1e300, 3e300])
                         | st.floats(-1e300, 1e300)] * 2),
             min_size=1,
             max_size=24,
         )
     )
-    def test_in_loop_projection_is_the_division(self, parts):
-        """The in-loop projection has the values of numpy's g / |g|, exact zeros to 1.
-
-        Bytes may differ only in the sign of an exactly-zero part: numpy's complex division computes the
-        real part as (re + im * 0) / |g| and the imaginary part as (im - re * 0) / |g|, so it gives -0-1j for
-        -0-1j, where re * (1/|g|) gives 0-1j.  Below about 5.6e-309, 1/|g| overflows, in the division as well.
-        """
+    def test_projection_contract(self, parts):
+        """Exact zeros map to 1.  Where |g| is at least the smallest normal float, the projection has the values
+        of numpy's g / |g|.  Bytes may differ only in the sign of an exactly-zero part: numpy's complex division
+        computes the real part as (re + im * 0) / |g| and the imaginary part as (im - re * 0) / |g|, so it gives
+        -0-1j for -0-1j, where re * (1/|g|) gives 0-1j.  Below it, where 1/|g| overflows or holds few bits, the
+        projection is exp(j angle(g)).  No input warns."""
         g = np.empty(len(parts), dtype=complex)
         g.real, g.imag = np.array(parts).T
-        mag = np.abs(g)
-        with np.errstate(over="ignore"):
-            overflows = bool(np.isinf(np.reciprocal(mag[mag > 0])).any())  # the divisor numpy's division forms
-        # an overflowed 1/|g| times a zero part is 0 * inf, invalid in both forms
-        quiet = np.errstate(over="ignore", invalid="ignore") if overflows else contextlib.nullcontext()
-        with quiet:
-            want = np.divide(g, mag, out=np.ones_like(g), where=mag > 0)
-            got = _unit_phase(g)
-        np.testing.assert_array_equal(got, want)
+        mag, tiny = np.abs(g), np.finfo(float).tiny
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = unit_modulus_projection(g)
         assert np.all(got[mag == 0] == 1)
+        small = (mag > 0) & (mag < tiny)
+        np.testing.assert_allclose(got[small], np.exp(1j * np.angle(g[small])), rtol=0, atol=1e-15)
+        got, want = got[mag >= tiny], g[mag >= tiny] / mag[mag >= tiny]
+        np.testing.assert_array_equal(got, want)
         differ = got.view(np.uint64) != want.view(np.uint64)
         assert np.all(got.view(float)[differ] == 0) and np.all(want.view(float)[differ] == 0)
+
+    def test_projection_keeps_nan(self):
+        # a nan iterate must stay visible, not become the unit entry that zeros map to
+        got = unit_modulus_projection(np.array([complex(np.nan, 0.0), 0j, 1 + 1j]))
+        assert np.isnan(got[0]) and got[1] == 1 and got[2] == (1 + 1j) / abs(1 + 1j)
 
     def test_final_stage_keeps_matched_gain(self):
         # single-cell partition designed with the full aperture
@@ -489,6 +478,16 @@ class TestCommDesign:
     def test_zero_elements_allowed(self):
         assert design_comm_phases(0, 0.1, 0.2).size == 0
 
+    @pytest.mark.parametrize("which", ["desk", "full"])
+    def test_comm_blocks_are_the_benchmark_tail(self, desk_codebook, which):
+        # every stage's comm block is the SE benchmark profile without its first l_s elements, bit for bit
+        cfg = desk_cfg() if which == "desk" else ScenarioConfig()
+        cb = desk_codebook if which == "desk" else build_codebook(cfg)
+        bench = comm_phase_profile(cfg)
+        for book in cb.stages:
+            for w, omega in ((book.w_x, bench.omega_x), (book.w_y, bench.omega_y)):
+                np.testing.assert_array_equal(w[book.l_s :], np.tile(omega[book.l_s :, None], book.n_beams_axis))
+
 
 class TestAssembleStage:
     def test_stage_one_has_four_beams(self, desk_codebook):
@@ -600,7 +599,8 @@ class TestBuildCodebook:
         for book in oracle_codebook_16.stages:
             mids = [partition_indices(book.stage, i, cfg.grid_size).midpoint(grid) for i in range(1, 2**book.stage + 1)]
             for w, v_b in ((book.w_x, cfg.v_b.vx), (book.w_y, cfg.v_b.vy)):
-                want = matched_axis_beam(v_b, mids, cfg.n_axis, cfg.ris_spacing).T
+                r_b, r_mids = (ris_axis_steering(v, cfg.n_axis, cfg.ris_spacing) for v in (v_b, mids))
+                want = (r_b.conj() * r_mids).T
                 np.testing.assert_allclose(w, want, rtol=0, atol=1e-15)
 
     def test_schedule_length_checked(self):

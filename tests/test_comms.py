@@ -14,7 +14,7 @@ from risjrc.channels import (
     fading_from_normals,
     path_gains,
 )
-from risjrc.codebook import build_codebook, matched_axis_beam
+from risjrc.codebook import build_codebook
 from risjrc.comms import (
     _se_samples,
     average_se,
@@ -22,7 +22,7 @@ from risjrc.comms import (
     spectral_efficiency,
     stage_phase_profile,
 )
-from risjrc.geometry import ula_steering
+from risjrc.geometry import ris_axis_steering, ula_steering
 from risjrc.localization import make_scene
 
 from conftest import desk_cfg, tiny_cfg
@@ -164,8 +164,10 @@ class TestAverageSe:
         cfg = desk_cfg(n_ris=256, grid_size=16)
         n_axis = cfg.n_axis
         rng0 = np.random.default_rng(7)
-        comm_x = matched_axis_beam(cfg.v_b.vx, cfg.v_u.vx, n_axis, cfg.ris_spacing)
-        comm_y = matched_axis_beam(cfg.v_b.vy, cfg.v_u.vy, n_axis, cfg.ris_spacing)
+        comm_x, comm_y = (
+            ris_axis_steering(v_b, n_axis, cfg.ris_spacing).conj() * ris_axis_steering(v_u, n_axis, cfg.ris_spacing)
+            for v_b, v_u in ((cfg.v_b.vx, cfg.v_u.vx), (cfg.v_b.vy, cfg.v_u.vy))
+        )
         splits = (0, 4, 8, 12, 16)
         means = np.zeros(len(splits))
         n_sensing_draws = 40
