@@ -21,7 +21,7 @@ from risjrc import (
     ula_steering,
 )
 from risjrc.codebook import response_rows
-from risjrc.localization import decision_statistic, qpsk_product_mean, trial_coefficients, true_cell
+from risjrc.localization import qpsk_product_mean, trial_coefficients, true_cell
 
 print("=== steering vectors ===")
 b = ula_steering(45.0, 8)
@@ -81,7 +81,7 @@ g_x, g_y = (
 c = np.outer(g_x, g_y) ** 2
 u_bar = qpsk_product_mean(rng, t, c.shape)
 n_bar = scene.noise_scale * (rng.standard_normal(c.shape) + 1j * rng.standard_normal(c.shape)) / math.sqrt(2 * t)
-stats = decision_statistic(c, coh, cross, u_bar, n_bar)
+stats = np.abs(c * (coh + cross * u_bar) + n_bar) ** 2
 i, j = np.unravel_index(np.argmax(stats), stats.shape)
 print(f"strongest of {stats.size} pencil beams: cell ({i + 1}, {j + 1}); true cell {true_cell(cfg)}")
 print(f"strongest / median statistic: {stats.max() / np.median(stats):.1e}")

@@ -12,17 +12,15 @@ chi the transmit-side beam cross-correlation, u_bar the average of the
 de-rotated user-stream symbols, and n_bar the averaged beamformed noise
 (variance N_b sigma_b^2 / T).  The engines simulate z_bar directly from
 that law, which is algebraically exact; the full matrix pipeline in
-``tests/reference.py`` is the test-suite's oracle for it.  :func:`descend`,
-the search over a block of trials, and the calibrator's
-:class:`StageEnsemble` read their draws from raw words by one layout: normals
-through :func:`normals_from_words`, then 64-snapshot chunks of symbol words.
-Both decide through :func:`stage_decision`, in real arithmetic over the terms
-of :func:`stage_terms` (c coh, c cross, the noise and its std), built once per stage
-by :func:`descend` and once per (scene, stage) by the ensemble, so a probe only
-counts sign bits and forms four statistics.  Its decisions, not its bits, are
-those of :func:`decision_statistic`, the complex form of the law that the
-exhaustive baseline uses.  The ensemble holds only draws and takes the scene
-and the stage per call, so one ensemble serves every power point and stage.
+``tests/reference.py`` is the test-suite's oracle for it.  :func:`descend`
+(the search over a block of trials), the calibrator's :class:`StageEnsemble`
+and :func:`exhaustive_localize` read their draws from raw words by one layout:
+normals through :func:`normals_from_words`, the fading first, then 64-snapshot
+chunks of symbol words.  All three evaluate the statistic by
+:func:`candidate_statistics`, in real arithmetic over the terms that
+:func:`stage_terms` builds once per stage, so a probe only counts sign bits.
+The ensemble holds only draws and takes the scene and the stage per call, so
+one ensemble serves every power point and stage.
 The search result is :func:`descend`'s per-stage arrays, one row per trial.
 
 A power point's :class:`Scene` holds the fading-free terms of both links: the
@@ -43,8 +41,6 @@ from .channels import (
     PathGains,
     ScenarioConfig,
     build_link_matrices,
-    complex_from_parts,
-    draw_fading,
     fading_from_normals,
     normals_from_words,
     path_gains,
@@ -109,11 +105,6 @@ def trial_coefficients(scene: Scene, fading: FadingDraw) -> tuple:
     return coh, cross
 
 
-def decision_statistic(c, coh, cross, u_bar, n_bar):
-    """|z_bar|^2 of one probed beam; broadcasts when any argument is an array."""
-    return np.abs(c * (coh + cross * u_bar) + n_bar) ** 2
-
-
 _CHILDREN = ((0, 0), (0, 1), (1, 0), (1, 1))  # offsets of the four children of an axis pair, in probe order
 _LOW_BITS = np.array([(1 << b) - 1 for b in range(65)], dtype=np.uint64)  # _LOW_BITS[b] keeps a word's low b bits
 
@@ -160,16 +151,11 @@ def stage_terms(scene: Scene, cb: Codebook, stage: int, parents, coh, cross, noi
     return pairs, np.stack([c_coh.real, c_coh.imag, c_cross.real, c_cross.imag]), noise, scene.noise_scale
 
 
-def stage_decision(terms: tuple, ones, t: int) -> tuple:
-    """One search stage over N trials: decide among the four children of each parent axis pair.
-
-    From :func:`stage_terms`' ``terms`` and the (2, 4, N) counts (a, b) of set real and imaginary sign
-    bits among t, :func:`decision_statistic` part by part: |c coh + c cross u_bar + n_bar|^2 with
-    u_bar = ((a + b - t) + j(b - a))/t and n_bar = noise_scale noise sqrt(t/2)/t.  Returns the candidate
-    pairs, their statistics (N, 4), the chosen position (N,) and pair (N, 2); ties go to the lowest position.
-    """
-    pairs, (ar, ai, br, bi), (nr, ni), noise_scale = terms
-    a, b = ones
+def candidate_statistics(block, noise, noise_scale, ones, t: int) -> np.ndarray:
+    """|c coh + c cross u_bar + n_bar|^2 of K candidates over N trials, (K, N), in real arithmetic: from the real and
+    imaginary parts of c coh and c cross (``block``, (4, K, N)), unit noise pairs (2, K, N) and counts (a, b) of set
+    sign bits among t (2, K, N), u_bar = ((a + b - t) + j(b - a))/t and n_bar = noise_scale noise sqrt(t/2)/t."""
+    (ar, ai, br, bi), (nr, ni), (a, b) = block, noise, ones
     sr, si = (a + b - t).astype(float), (b - a).astype(float)  # t u_bar; a cast: an int-float ufunc is slower
     g = noise_scale * math.sqrt(t / 2.0)  # the std of a sum of t beamformed noise samples
     zr, tmp = br * sr, bi * si  # in place from here: fresh temporaries cost as much as the arithmetic
@@ -182,7 +168,14 @@ def stage_decision(terms: tuple, ones, t: int) -> tuple:
     zi += np.multiply(ni, g, out=tmp)
     zi *= 1.0 / t
     zi += ai
-    stats = np.add(np.square(zr, out=zr), np.square(zi, out=zi), out=zr)  # (4, N)
+    return np.add(np.square(zr, out=zr), np.square(zi, out=zi), out=zr)
+
+
+def stage_decision(terms: tuple, ones, t: int) -> tuple:
+    """One search stage over N trials: from :func:`stage_terms`' ``terms`` and (2, 4, N) set-bit counts, the candidate
+    pairs, their :func:`candidate_statistics` (N, 4), the chosen position (N,) and pair (N, 2); ties go to the lowest."""
+    pairs, block, noise, noise_scale = terms
+    stats = candidate_statistics(block, noise, noise_scale, ones, t)  # (4, N)
     best = np.maximum(stats[0], stats[1]), np.maximum(stats[2], stats[3])
     chosen = np.where(best[1] > best[0], 2 + (stats[3] > stats[2]), stats[1] > stats[0])  # first maximum
     return pairs, stats.T, chosen, np.take(pairs.reshape(-1, 2), 4 * np.arange(len(pairs)) + chosen, axis=0)
@@ -238,12 +231,13 @@ def descend(scene: Scene, cb: Codebook, schedule: SnapshotSchedule, words) -> li
 
     Every row has the same layout whatever the trial's decisions, so any subset of trials
     reproduces alone.  Its first 8 + 8 * stages words become standard normals through
-    :func:`normals_from_words`: the fading as :func:`fading_from_normals` reads it, then the real
-    and the imaginary parts of the (stages, 4) noise sums.  The rest holds, stage after stage, the
-    words that :func:`qpsk_product_sum` would draw for that stage's four symbol sums.  A (0, W)
-    block gives empty arrays.
-    Returns the search result: per stage ``stage_decision``'s four arrays ``(pairs, stats, chosen, pair)``
-    and ``correct``, whether each trial's chosen pair holds the true cell.  ``cb`` must fit the scene.
+    :func:`normals_from_words`: the fading as :func:`fading_from_normals` reads it (the 8 words that
+    :func:`exhaustive_localize` reads first too), then the real and the imaginary parts of the (stages, 4)
+    noise sums.  The rest holds, stage after stage, the words that :func:`qpsk_product_sum` would draw for
+    that stage's four symbol sums.  A (0, W) block gives empty arrays.
+    Returns the search result: per stage ``stage_decision``'s four arrays ``(pairs, stats, chosen, pair)``,
+    the stats by :func:`candidate_statistics`, and ``correct``, whether each trial's chosen pair holds the
+    true cell.  ``cb`` must fit the scene.
     """
     cfg = scene.cfg
     cb.check_fits(cfg)
@@ -280,25 +274,28 @@ def hierarchical_localize(scene: Scene, cb: Codebook, schedule: SnapshotSchedule
 
 
 def exhaustive_localize(scene: Scene, rng: np.random.Generator, t_per_beam: int = 1) -> tuple:
-    """Scan all D x D matched pencil beams and return the 1-based cell (i, j) of the argmax statistic."""
+    """Scan all D x D matched pencil beams; the 1-based cell (i, j), candidate (i - 1) D + j - 1, of the first maximum.
+
+    Reads 8 + 2 D^2 (1 + ceil(t/64)) raw words in :func:`descend`'s layout: the same 8 fading words, one unit noise
+    pair per cell (D^2 real parts, then D^2 imaginary), then what ``qpsk_product_sum(rng, t, (D^2,))`` would draw."""
     if not is_integer(t_per_beam) or t_per_beam < 1:
         raise ValueError(f"t_per_beam must be an integer >= 1, got {t_per_beam!r}")
     cfg = scene.cfg
-    d = cfg.grid_size
-    coh, cross = trial_coefficients(scene, draw_fading(rng))
+    d, n, k = cfg.grid_size, 8 + 2 * cfg.grid_size**2, -(-t_per_beam // 64)
+    words = rng.bit_generator.random_raw(n + 2 * d * d * k)
+    normals = normals_from_words(words[:n])
+    coh, cross = trial_coefficients(scene, fading_from_normals(normals))
     # row j of conj(response_rows(v_b)) is the matched beam toward cell j, so its gain is that row @ q, as in the search
     gain_x, gain_y = (
         response_rows(cfg.n_axis, v_b, cfg.grid, cfg.ris_spacing).conj() @ q
         for v_b, q in ((cfg.v_b.vx, scene.q_x), (cfg.v_b.vy, scene.q_y))
     )
-    c = np.outer(gain_x, gain_y) ** 2  # D x D squared responses
-    u_bar = qpsk_product_mean(rng, t_per_beam, (d, d))
-    # the sum of t_per_beam unit complex Gaussian samples is one draw scaled by sqrt(t_per_beam)
-    n_sum = complex_from_parts(rng.standard_normal((d, d)), rng.standard_normal((d, d)), math.sqrt(t_per_beam / 2))
-    n_bar = scene.noise_scale * n_sum / t_per_beam
-    stats = decision_statistic(c, coh, cross, u_bar, n_bar)
-    flat = int(np.argmax(stats))
-    return flat // d + 1, flat % d + 1
+    c = (np.outer(gain_x, gain_y) ** 2).ravel()  # D^2 squared responses
+    block = np.stack([part(c * x) for x in (coh, cross) for part in (np.real, np.imag)])
+    ones = _set_bits(words[n:].reshape(k, d * d, 2).transpose(0, 2, 1), t_per_beam)  # (2, D^2)
+    stats = candidate_statistics(block, normals[8:].reshape(2, d * d), scene.noise_scale, ones, t_per_beam)
+    i, j = divmod(int(np.argmax(stats)), d)
+    return i + 1, j + 1
 
 
 @dataclass(frozen=True)
@@ -316,23 +313,23 @@ class SnapshotRule:
 
 
 def snapshot_rule_literal(
-    delta: float,
-    p_r: float,
-    l_s: int,
-    n_b: int,
-    eta_br: float,
-    eta_rt: float,
-    sigma_b2: float,
+    delta: float, p_r: float, l_s: int, n_b: int, eta_br: float, eta_rt: float, sigma_b2: float
 ) -> SnapshotRule:
     """Evaluate the closed-form stage sizing rule exactly as stated.
 
-    kappa = 2(1 - 2 delta / 3) exceeds 1 for every delta in (0, 1), so the
-    signed product is negative and flagged non-physical; the magnitude
-    variant |kappa/(1-kappa)| is reported alongside as a usable reading.
+    kappa = 2(1 - 2 delta / 3) exceeds 1 for delta < 3/4, where the signed
+    product is negative and flagged non-physical; above 3/4 kappa is below 1
+    and the product positive.  The magnitude variant |kappa/(1-kappa)| is
+    reported alongside as a usable reading.  delta = 3/4 (kappa = 1) raises.
     """
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must be in (0, 1)")
     kappa = 2.0 * (1.0 - 2.0 * delta / 3.0)
+    if not (0.0 < delta < 1.0) or kappa == 1.0:
+        raise ValueError(f"delta must be in (0, 1) and not 3/4, where kappa = 1 divides by zero, got {delta!r}")
+    check_count("l_s", l_s)
+    check_count("n_b", n_b)
+    for name, value in (("p_r", p_r), ("eta_br", eta_br), ("eta_rt", eta_rt), ("sigma_b2", sigma_b2)):
+        if not (0.0 < value < math.inf or name == "sigma_b2" and value == 0.0):
+            raise ValueError(f"{name} must be finite and {'>= 0' if name == 'sigma_b2' else '> 0'}, got {value!r}")
     ratio = kappa / (1.0 - kappa)
     base = sigma_b2 / (n_b**2 * float(l_s) ** 8 * eta_br**2 * eta_rt**2)
     product = ratio * base

@@ -2,11 +2,12 @@
 
 The library simulates the target search and the user link from exact rank-1
 scalar laws (``risjrc.localization.make_scene``, ``stage_terms`` and
-``stage_decision``; ``risjrc.comms._se_samples``).  This module keeps the
+``candidate_statistics``; ``risjrc.comms._se_samples``).  This module keeps the
 second, literal model of the same physics that the tests check those laws
 against: the channel matrices, the N_b x T_s transmit block and the received
-blocks, the 2x2 effective channel, the received-block beam statistic, and
-the full-aperture matched codebook.  Nothing in the package imports it.
+blocks, the 2x2 effective channel, the received-block beam statistic, the
+complex form of the per-beam statistic, and the full-aperture matched
+codebook.  Nothing in the package imports it.
 """
 
 from __future__ import annotations
@@ -188,6 +189,12 @@ def beam_statistic(y_r: np.ndarray, s_r: np.ndarray, theta_r_deg: float) -> floa
     b = ula_steering(theta_r_deg, y_r.shape[0])
     z = (b @ y_r) * s_r.conj()
     return float(np.abs(z.mean()) ** 2)
+
+
+def decision_statistic(c, coh, cross, u_bar, n_bar):
+    """|z_bar|^2 of one probed beam, the complex form of the law that ``localization.candidate_statistics``
+    evaluates in real arithmetic; broadcasts when any argument is an array."""
+    return np.abs(c * (coh + cross * u_bar) + n_bar) ** 2
 
 
 def overall_error_bound(delta: float, n_s: int) -> float:

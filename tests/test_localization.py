@@ -17,13 +17,13 @@ from risjrc.channels import (
 )
 from risjrc import localization
 from risjrc.comms import average_se
-from risjrc.geometry import DirectionCosine, direction_grid, ula_steering
+from risjrc.geometry import DirectionCosine, direction_grid, ris_axis_steering, ula_steering
 from risjrc.harness import trial_trace_csv
 from risjrc.localization import (
     SnapshotSchedule,
     StageEnsemble,
     calibrate_snapshots,
-    decision_statistic,
+    candidate_statistics,
     descend,
     exhaustive_localize,
     exhaustive_transmissions,
@@ -46,6 +46,7 @@ from reference import (
     beam_statistic,
     build_channels,
     build_matched_codebook,
+    decision_statistic,
     make_transmit_block,
     overall_error_bound,
     radar_receive,
@@ -398,6 +399,90 @@ class TestNoiselessOracle:
                 prev = (a, b)
 
 
+def reference_exhaustive(scene, words, t) -> tuple:
+    """The first-maximum cell of ``decision_statistic`` over all D x D matched pencil beams, read from one row of
+    words by the layout ``exhaustive_localize`` documents, with scalar Box-Muller and popcounts."""
+    cfg = scene.cfg
+    d = cfg.grid_size
+    n = 8 + 2 * d * d
+    z = _scalar_normals(words[:n])
+    coh, cross = trial_coefficients(scene, FadingDraw(*(complex(z[i], z[4 + i]) / math.sqrt(2.0) for i in range(4))))
+    # the matched beam toward v_j gains r(v_t)^H r(v_j) on each axis
+    steer = functools.partial(ris_axis_steering, n_axis=cfg.n_axis, spacing_wavelengths=cfg.ris_spacing)
+    gains = [steer(v_t).conj() @ steer(cfg.grid).T for v_t in (cfg.v_t.vx, cfg.v_t.vy)]
+    stats = []
+    for m in range(d * d):
+        c = (gains[0][m // d] * gains[1][m % d]) ** 2
+        u = _scalar_symbol_sum([words[n + 2 * (d * d * k + m) :][:2] for k in range(-(-t // 64))], t) / t
+        noise = scene.noise_scale * complex(z[8 + m], z[8 + d * d + m]) * math.sqrt(t / 2.0) / t
+        stats.append(float(decision_statistic(c, coh, cross, u, noise)))
+    return divmod(int(np.argmax(stats)), d)
+
+
+class TestExhaustiveScan:
+    @pytest.mark.parametrize("d", [8, 16])
+    @pytest.mark.parametrize("t", [1, 5, 70])
+    @pytest.mark.parametrize("power", [-20.0, -10.0, 0.0])
+    def test_decides_like_the_complex_law_on_equal_words(self, d, t, power):
+        # at these powers the scan misses the true cell in up to 4 trials of 5, so the decisions test the noise
+        scene = make_scene(desk_cfg(power, grid_size=d))
+        width = 8 + 2 * d * d * (1 + -(-t // 64))
+        for seed in range(8):
+            row = np.random.default_rng(seed).bit_generator.random_raw(width)
+            i, j = reference_exhaustive(scene, row, t)
+            assert exhaustive_localize(scene, np.random.default_rng(seed), t) == (i + 1, j + 1)
+
+    @pytest.mark.parametrize("t, chunks", [(64, 1), (65, 2)])
+    def test_reads_a_fixed_number_of_words(self, t, chunks):
+        d = 8
+        rng, fresh = np.random.default_rng(3), np.random.default_rng(3)
+        exhaustive_localize(make_scene(desk_cfg(grid_size=d)), rng, t)
+        fresh.bit_generator.random_raw(8 + 2 * d * d * (1 + chunks))
+        assert rng.bit_generator.state == fresh.bit_generator.state
+
+    def test_reads_the_fading_of_the_search(self, desk_codebook, monkeypatch):
+        fadings = []
+
+        def recording(scene, fading):
+            fadings.append(fading)
+            return trial_coefficients(scene, fading)
+
+        monkeypatch.setattr(localization, "trial_coefficients", recording)
+        scene, sched = make_scene(desk_cfg()), SnapshotSchedule((3, 1, 1, 1))
+        for seed in range(3):
+            hierarchical_localize(scene, desk_codebook, sched, np.random.default_rng(seed))
+            exhaustive_localize(scene, np.random.default_rng(seed), 5)
+        assert len(fadings) == 6
+        for search, scan in zip(fadings[0::2], fadings[1::2]):
+            assert [f[0] for f in vars(search).values()] == list(vars(scan).values())
+
+
+class TestCandidateStatistics:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 40).filter(lambda k: k != 4),
+        n=st.integers(1, 30),
+        t=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_complex_law(self, k, n, t, seed):
+        rng = np.random.default_rng(seed)
+        c_coh, c_cross = (complex_normal(rng, (k, n)) * 10.0 ** rng.uniform(-3, 3, (k, n)) for _ in range(2))
+        block = np.stack([c_coh.real, c_coh.imag, c_cross.real, c_cross.imag])
+        noise, ones = rng.standard_normal((2, k, n)), rng.integers(0, t + 1, (2, k, n))
+        noise_scale = 10.0 ** rng.uniform(-3, 3)
+        inputs = [x.copy() for x in (block, noise, ones)]
+        got = candidate_statistics(block, noise, noise_scale, ones, t)
+        for before, after in zip(inputs, (block, noise, ones)):
+            np.testing.assert_array_equal(before, after)  # the inputs are read, not overwritten
+        u_bar = ((ones[0] + ones[1] - t) + 1j * (ones[1] - ones[0])) / t
+        n_bar = noise_scale * (noise[0] + 1j * noise[1]) * math.sqrt(t / 2.0) / t
+        expected = decision_statistic(1.0, c_coh, c_cross, u_bar, n_bar)
+        scale = (np.abs(c_coh) + np.abs(c_cross * u_bar) + np.abs(n_bar)) ** 2
+        assert got.shape == (k, n)
+        assert np.all(np.abs(got - expected) <= 1e-12 * scale)
+
+
 class TestTransmissionAccounting:
     def test_schedule_totals(self):
         sched = SnapshotSchedule((36, 1, 1, 1, 1))
@@ -432,6 +517,27 @@ class TestSnapshotRule:
             snapshot_rule_literal(0.0, 1.0, 4, 64, 1e-3, 1e-3, 1e-12)
         with pytest.raises(ValueError):
             snapshot_rule_literal(1.0, 1.0, 4, 64, 1e-3, 1e-3, 1e-12)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        # each used to raise ZeroDivisionError, or (p_r < 0, sigma_b2 < 0) to return a count
+        [("delta", 0.75), ("p_r", 0.0), ("p_r", -1e-9), ("l_s", 0), ("n_b", 0), ("eta_br", 0.0), ("eta_rt", 0.0),
+         ("sigma_b2", -1e-12)],
+    )
+    def test_invalid_argument_is_named(self, name, value):
+        args = dict(delta=0.05, p_r=1e-9, l_s=4, n_b=64, eta_br=1.78e-3, eta_rt=3.32e-3, sigma_b2=4e-13)
+        with pytest.raises(ValueError, match=rf"^{name} must"):
+            snapshot_rule_literal(**{**args, name: value})
+
+    def test_above_three_quarters_the_product_is_physical(self):
+        rule = snapshot_rule_literal(0.9, 1e-9, 4, 64, 1e-3, 1e-3, 1e-12)
+        assert rule.kappa == pytest.approx(0.8, abs=1e-12)
+        assert rule.product_signed > 0 and rule.physical
+        assert rule.t_literal == rule.t_magnitude == math.ceil(rule.product_magnitude / 1e-9)
+
+    def test_noiseless_receiver_needs_one_snapshot(self):
+        rule = snapshot_rule_literal(0.05, 1e-9, 4, 64, 1e-3, 1e-3, 0.0)
+        assert rule.product_magnitude == 0.0 and not rule.physical and rule.t_magnitude == 1
 
 
 class TestOverallBound:
