@@ -18,7 +18,8 @@ conj(r(v_b)) times the canonical fit started from r(v_b) times the start.
 That start, r(v_mid), does not depend on v_b.  So each partition is solved
 once, and its canonical fit, with its one residual, is what a stage stores
 (``StageBook.phases``) and what a codebook file holds; ``_stage_book``
-ramps it to the x and y incidences and appends the shared comm block.
+ramps it to the x and y incidences, appends the shared comm block and
+derives the warnings from the residuals, for a design and a file alike.
 
 The step mu = 1 / sigma_max^2 makes the projected update a
 majorization-minimization (MM) step (Sun, Babu and Palomar, IEEE TSP 2017):
@@ -60,7 +61,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,11 +70,11 @@ from .geometry import (
     DirectionCosine, check_fields, direction_grid, is_integer, is_real, ris_axis_steering, store_python_numbers
 )
 
-CODEBOOK_MAGIC = b"RISCB2\n"
+CODEBOOK_MAGIC = b"RISCB3\n"
 START_PERTURBATION = 0.3  # standard deviation, in radians, of the phase offsets of perturbed solver starts
 _JSON_KINDS = {"an integer": int, "a number": (int, float), "a list": list}
 _HEADER_KEYS = dict(d="an integer", n_ris="an integer", spacing="a number", schedule="a list")
-_HEADER_KEYS.update(v_b="a list", v_u="a list", residuals="a list", quality_warnings="a list")
+_HEADER_KEYS.update(v_b="a list", v_u="a list", residuals="a list")
 _TINY = np.finfo(float).tiny
 
 
@@ -109,15 +110,14 @@ def partition_indices(s: int, i: int, d: int) -> PartitionSpec:
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Stopping rule, start count and residual warning ceiling of the masked-response fit; its objective,
-    step, extrapolation, restart, row weights and start spread are fixed (see ``design_sensing_phases``).
+    """Stopping rule and start count of the masked-response fit; its objective, step, extrapolation, restart,
+    row weights and start spread are fixed (see ``design_sensing_phases``).
     ``max_iters`` caps the steps a row evaluates, rejected ones included.  At the default ``tol`` every row
     of the desk and full-scale designs stops before ``max_iters``."""
 
     max_iters: int = 500
     tol: float = 1e-8
     n_starts: int = 4
-    residual_ceiling_factor: float = 1.0  # warn when residual > factor * L * sqrt(D)
 
     def __post_init__(self):
         check_fields(self, _SOLVER_RULES)
@@ -129,7 +129,6 @@ _SOLVER_RULES = (
     ("n_starts", "an integer >= 1", lambda x: is_integer(x) and x >= 1),
     ("max_iters", "an integer >= 0", lambda x: is_integer(x) and x >= 0),
     ("tol", "a finite real number >= 0", lambda x: is_real(x) and 0 <= x < math.inf),
-    ("residual_ceiling_factor", "a real number > 0", lambda x: is_real(x) and x > 0),
 )
 
 
@@ -304,7 +303,7 @@ class StageBook:
     residuals: np.ndarray  # one per beam, shared by both axes
     w_x: np.ndarray  # n_axis x 2**s
     w_y: np.ndarray  # n_axis x 2**s
-    quality_warnings: list = field(default_factory=list)
+    quality_warnings: list  # one text per beam whose residual exceeds l_s sqrt(D), from _stage_book
 
     @property
     def n_beams_axis(self) -> int:
@@ -361,9 +360,8 @@ def build_codebook(
     Sensing parts are fitted once per partition, a whole stage in one
     batched solve, and each fit is ramped to the x and y incident cosines,
     so both axes share one residual per beam; comm parts are closed-form
-    and shared by all beams of a stage.  A residual above
-    ``solver.residual_ceiling_factor * l_s * sqrt(D)`` warns once per beam.
-    Deterministic for fixed (cfg, schedule, solver, seed).
+    and shared by all beams of a stage.  ``_stage_book`` warns per beam
+    from its residual.  Deterministic for fixed (cfg, schedule, solver, seed).
     """
     n_axis = cfg.n_axis
     d = cfg.grid_size
@@ -384,16 +382,16 @@ def build_codebook(
         # two children per beam, the first seeding the beam: x-axis beams match codebooks solved per axis
         rngs = [np.random.default_rng(child) for child in ss.spawn(2 * n_beams)[0::2]]
         phases, res = design_sensing_phases(s, l_s, range(1, n_beams + 1), grid, solver, cfg.ris_spacing, rngs)
-        ceiling = solver.residual_ceiling_factor * l_s * math.sqrt(d)
-        warnings = [f"stage {s} beam {i}: residual {r:.3g} above {ceiling:.3g}" for i, r in enumerate(res, 1) if r > ceiling]
-        stages.append(_stage_book(s, n_axis, phases, res, cfg.v_b, cfg.v_u, cfg.ris_spacing, warnings))
+        stages.append(_stage_book(s, n_axis, phases, res, cfg.v_b, cfg.v_u, cfg.ris_spacing, d))
     return Codebook(d, cfg.n_ris, cfg.ris_spacing, cfg.v_b, cfg.v_u, schedule, stages)
 
 
-def _stage_book(s, n_axis, phases, residuals, v_b, v_u, spacing, warnings) -> StageBook:
-    """Stage s from its canonical fits: each axis ramps them to its incidence, conj(r(v)) * phases, and
-    stacks the stage's closed-form comm block under every beam."""
+def _stage_book(s, n_axis, phases, residuals, v_b, v_u, spacing, d) -> StageBook:
+    """Stage s of a D = ``d`` book from its canonical fits: each axis ramps them to its incidence, conj(r(v)) *
+    phases, and stacks the stage's comm block under every beam; a beam warns where its residual exceeds l_s sqrt(D)."""
     l_s = phases.shape[1]
+    bound = l_s * math.sqrt(d)
+    warnings = [f"stage {s} beam {i}: residual {r:.3g} above {bound:.3g}" for i, r in enumerate(residuals, 1) if r > bound]
     w_x, w_y = (
         np.vstack([unit_modulus_projection(ris_axis_steering(b, l_s, spacing).conj() * phases).T,
                    np.tile(design_comm_phases(n_axis - l_s, b, u, spacing, offset=l_s)[:, None], len(phases))])
@@ -464,8 +462,7 @@ def save_codebook(cb: Codebook, path: str):
     # serialized before the file opens; json takes the Python numbers that the config types and build_codebook store
     header = dict(d=cb.d, n_ris=cb.n_ris, spacing=cb.spacing, schedule=list(cb.schedule),
                   v_b=[cb.v_b.vx, cb.v_b.vy], v_u=[cb.v_u.vx, cb.v_u.vy],
-                  residuals=[b.residuals.tolist() for b in cb.stages],
-                  quality_warnings=[b.quality_warnings for b in cb.stages])
+                  residuals=[b.residuals.tolist() for b in cb.stages])
     line = (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
     with open(path, "wb") as f:
         f.write(CODEBOOK_MAGIC + line)
@@ -502,31 +499,30 @@ def load_codebook(path: str) -> Codebook:
             raise ValueError(f"{bad} 'n_ris' is not a positive square: {n_ris}")
         if not all(type(l) is int and 1 <= l <= n_axis for l in schedule):
             raise ValueError(f"{bad} 'schedule' is not integers in 1..{n_axis}: {schedule}")
-        n_stages = len(schedule)
+        n_stages, residuals = len(schedule), header["residuals"]
         if not n_stages or header["d"] != 2**n_stages:
             raise ValueError(f"{bad} 'd' is {header['d']}, not 2**n for n = {n_stages} >= 1 stages")
         for key in ("v_b", "v_u"):  # abs(nan) <= 1 is False
             if len(header[key]) != 2 or not all(type(v) in (int, float) and abs(v) <= 1 for v in header[key]):
                 raise ValueError(f"{bad} {key!r} is not 2 direction cosines in [-1, 1]: {header[key]}")
-        for key in ("residuals", "quality_warnings"):
-            if len(header[key]) != n_stages:
-                raise ValueError(f"{bad} {key!r} has {len(header[key])} entries, not one per stage ({n_stages})")
+        if len(residuals) != n_stages:
+            raise ValueError(f"{bad} 'residuals' has {len(residuals)} entries, not one per stage ({n_stages})")
         v_b, v_u = DirectionCosine(*header["v_b"]), DirectionCosine(*header["v_u"])
-        stages = []
-        for k, (l_s, res, warnings) in enumerate(zip(schedule, header["residuals"], header["quality_warnings"]), 1):
+        payload, fits, at = f.read(), [], 0  # the rest of the file, read once: a header cannot make a read larger
+        for k, (l_s, res) in enumerate(zip(schedule, residuals), 1):
             finite = type(res) is list and all(type(r) in (int, float) and 0 <= r < math.inf for r in res)
             if not finite or len(res) != 2**k:
                 raise ValueError(f"{bad} 'residuals' stage {k} is not {2**k} finite numbers >= 0: {res}")
-            if not isinstance(warnings, list) or not all(isinstance(w, str) for w in warnings):
-                raise ValueError(f"{bad} 'quality_warnings' stage {k} is not a list of strings: {warnings!r}")
             n_bytes = 2**k * l_s * 16
-            raw = f.read(n_bytes)
+            raw, at = payload[at : at + n_bytes], at + n_bytes
             if len(raw) != n_bytes:
                 raise ValueError(f"{path}: stage {k} payload has {len(raw)} of {n_bytes} bytes")
             phases = np.frombuffer(raw, dtype="<c16").reshape(2**k, l_s).astype(complex)
             if not np.all(abs(np.abs(phases) - 1) <= 1e-12):  # also rejects nan
                 raise ValueError(f"{path}: stage {k} payload holds a phase that is not unit modulus")
-            stages.append(_stage_book(k, n_axis, phases, np.array(res, dtype=float), v_b, v_u, spacing, warnings))
-        if f.read(1):
+            fits.append((phases, np.array(res, dtype=float)))
+        if len(payload) > at:
             raise ValueError(f"{path}: trailing bytes after the last stage")
+    # every stage is checked before any is ramped: the file holds D = 2**stages residuals, so sqrt(D) fits a float
+    stages = [_stage_book(k, n_axis, *fit, v_b, v_u, spacing, header["d"]) for k, fit in enumerate(fits, 1)]
     return Codebook(header["d"], n_ris, spacing, v_b, v_u, tuple(schedule), stages)

@@ -261,11 +261,11 @@ def write_default_config(path: str):
         f.write("\n".join(lines) + "\n")
 
 
-def config_hash(cfg: ScenarioConfig, plan: ExperimentPlan) -> str:
-    """Short digest over every result-affecting config and plan field.
+def config_hash(cfg: ScenarioConfig, plan: ExperimentPlan, cb: Codebook | None = None) -> str:
+    """Short digest over every result-affecting config and plan field, then each stage's fits and residuals of cb.
 
     The parallelism degree is excluded: outputs are independent of it.  An unset codebook schedule is
-    hashed as the default it resolves to; :func:`run_experiment` hashes the schedule of the codebook it ran.
+    hashed as the default it resolves to; :func:`run_experiment` hashes the codebook it ran, with its schedule.
     """
     if plan.schedule_ls is None:
         plan = replace(plan, schedule_ls=default_schedule(cfg.grid_size, cfg.n_axis))
@@ -276,7 +276,8 @@ def config_hash(cfg: ScenarioConfig, plan: ExperimentPlan) -> str:
         if f_.name == "parallel":
             continue
         parts.append(f"{f_.name}={getattr(plan, f_.name)!r}")
-    return hashlib.sha256(";".join(parts).encode()).hexdigest()[:16]
+    fits = b"".join(b.phases.tobytes() + b.residuals.tobytes() for b in (cb.stages if cb else ()))
+    return hashlib.sha256(";".join(parts).encode() + fits).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -554,9 +555,9 @@ _PLAN_RULES = (
 
 
 def run_experiment(plan: ExperimentPlan, cfg: ScenarioConfig, cb: Codebook | None = None) -> ResultTable:
-    """Execute the planned sweep and return the result table, whose config hash covers the schedule that ran."""
+    """Execute the planned sweep and return the result table, whose config hash covers the codebook that ran."""
     book = get_codebook(cfg, plan, cb)
-    table = ResultTable(config_hash=config_hash(cfg, replace(plan, schedule_ls=book.schedule)))
+    table = ResultTable(config_hash=config_hash(cfg, replace(plan, schedule_ls=book.schedule), book))
     add = functools.partial(
         table.add, experiment=plan.kind, trials=plan.trials, master_seed=plan.master_seed, config_hash=table.config_hash
     )

@@ -220,5 +220,5 @@ def build_matched_codebook(cfg: ScenarioConfig) -> Codebook:
     for s in range(1, cfg.n_stages + 1):
         mids = [partition_indices(s, i, cfg.grid_size).midpoint(grid) for i in range(1, 2**s + 1)]
         phases = ris_axis_steering(mids, n_axis, cfg.ris_spacing)
-        stages.append(_stage_book(s, n_axis, phases, np.zeros(2**s), cfg.v_b, cfg.v_u, cfg.ris_spacing, []))
+        stages.append(_stage_book(s, n_axis, phases, np.zeros(2**s), cfg.v_b, cfg.v_u, cfg.ris_spacing, cfg.grid_size))
     return Codebook(cfg.grid_size, cfg.n_ris, cfg.ris_spacing, cfg.v_b, cfg.v_u, (n_axis,) * cfg.n_stages, stages)

@@ -8,6 +8,8 @@ import pytest
 from risjrc import cli
 from risjrc.harness import CSV_COLUMNS
 
+from test_codebook import HUGE_HEADER_BOOK
+
 TINY_CONFIG = """[arrays]
 n_ris = 16
 [grid]
@@ -97,6 +99,16 @@ def test_missing_output_directory_fails_before_the_run(tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert err.startswith("risjrc: error: ") and err.count("\n") == 1
     assert str(out) in err
+
+
+def test_oversized_codebook_header_is_one_error_line(tmp_path, capsys):
+    """A codebook header that declares more payload than its file holds is a rejected input, not a failed
+    allocation."""
+    book = tmp_path / "huge.riscb"
+    book.write_bytes(HUGE_HEADER_BOOK)
+    assert cli.run(["localize", "--codebook", str(book)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"risjrc: error: {book}: stage 1 payload has 32 of {2**55} bytes\n"
 
 
 def test_experiment_prints_the_hash_its_rows_carry(tmp_path, capsys):

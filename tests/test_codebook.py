@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import tempfile
 import warnings
 from dataclasses import replace
@@ -13,6 +14,7 @@ from risjrc.codebook import (
     CODEBOOK_MAGIC,
     START_PERTURBATION,
     SolverParams,
+    _stage_book,
     auto_on_weight,
     build_codebook,
     design_comm_phases,
@@ -438,7 +440,6 @@ class TestSolverParams:
             ("max_iters", -5),
             ("tol", -1.0),
             ("tol", float("nan")),
-            ("residual_ceiling_factor", 0.0),
         ],
     )
     def test_out_of_range_rejected(self, name, value):
@@ -446,7 +447,7 @@ class TestSolverParams:
             SolverParams(**{name: value})
 
     def test_edge_values_accepted(self):
-        SolverParams(n_starts=1, max_iters=0, tol=0.0, residual_ceiling_factor=float("inf"))
+        SolverParams(n_starts=1, max_iters=0, tol=0.0)
 
 
 class TestCommDesign:
@@ -635,10 +636,24 @@ class TestSerialization:
     def test_roundtrip(self, tmp_path, desk_codebook):
         self.assert_roundtrip(desk_codebook, tmp_path / "book.riscb")
 
-    def test_roundtrip_keeps_warnings(self, tmp_path):
-        cb = build_codebook(tiny_cfg(), solver=SolverParams(residual_ceiling_factor=1e-9), seed=1)
-        assert all(len(b.quality_warnings) == 2**b.stage for b in cb.stages)
-        self.assert_roundtrip(cb, tmp_path / "book.riscb")
+    def test_stage_warns_above_the_ceiling(self):
+        # l_s = 4 at D = 8: the ceiling is 4 sqrt(8) = 11.3; a residual at it does not warn, one an ulp above it does
+        cfg, ceiling = tiny_cfg(), 4 * math.sqrt(8)
+        residuals = np.array([0.0, ceiling, np.nextafter(ceiling, np.inf), 99.0])
+        book = _stage_book(2, cfg.n_axis, np.ones((4, 4), complex), residuals, cfg.v_b, cfg.v_u, cfg.ris_spacing, 8)
+        assert book.quality_warnings == ["stage 2 beam 3: residual 11.3 above 11.3", "stage 2 beam 4: residual 99 above 11.3"]
+
+    def test_loaded_residual_above_the_ceiling_warns(self, tmp_path):
+        # the warnings are derived from the file's residuals, not stored next to them
+        cb = build_codebook(tiny_cfg(), seed=1)
+        path = tmp_path / "book.riscb"
+        assert not any(b.quality_warnings for b in self.assert_roundtrip(cb, path).stages)
+        header, payload = _header_and_payload(path.read_bytes())
+        header["residuals"][0][1] = 100.0
+        path.write_bytes(CODEBOOK_MAGIC + json.dumps(header).encode() + b"\n" + payload)
+        assert [b.quality_warnings for b in load_codebook(str(path)).stages] == [
+            ["stage 1 beam 2: residual 100 above 11.3"], [], []
+        ]
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -648,12 +663,11 @@ class TestSerialization:
         schedule=st.tuples(*[st.integers(1, 4)] * 3),
         max_iters=st.integers(0, 5),
         n_starts=st.integers(1, 2),
-        ceiling=st.sampled_from([1e-9, 1.0]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_roundtrip_of_drawn_tiny_designs(self, v_b, v_u, spacing, schedule, max_iters, n_starts, ceiling, seed):
+    def test_roundtrip_of_drawn_tiny_designs(self, v_b, v_u, spacing, schedule, max_iters, n_starts, seed):
         cfg = tiny_cfg(v_b=DirectionCosine(*v_b), v_u=DirectionCosine(*v_u), ris_spacing=spacing)
-        solver = SolverParams(max_iters=max_iters, n_starts=n_starts, residual_ceiling_factor=ceiling)
+        solver = SolverParams(max_iters=max_iters, n_starts=n_starts)
         cb = build_codebook(cfg, schedule=schedule, solver=solver, seed=seed)
         with tempfile.TemporaryDirectory() as tmp:
             loaded = self.assert_roundtrip(cb, Path(tmp) / "book.riscb")
@@ -670,6 +684,20 @@ class TestSerialization:
         header, _ = _header_and_payload(path.read_bytes())
         assert (header["d"], header["n_ris"], header["schedule"]) == (8, 16, [2, 4, 4])
 
+    def test_loads_from_a_pipe(self, tmp_path):
+        # a pipe has no size and cannot seek: the loader reads it once to the end, as it does a file
+        cb = build_matched_codebook(tiny_cfg())
+        save_codebook(cb, str(tmp_path / "book.riscb"))
+        r, w = os.pipe()
+        os.write(w, (tmp_path / "book.riscb").read_bytes())  # under 2 KB, within the pipe's buffer
+        os.close(w)
+        try:
+            loaded = load_codebook(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        for b1, b2 in zip(cb.stages, loaded.stages, strict=True):
+            np.testing.assert_array_equal(b2.phases, b1.phases)
+
     def test_payload_is_canonical_fits(self, tmp_path, five_stage_codebook):
         # 2**s x l_s complex128 fits per stage, 936 phases for 4/8/16/16/16, and no axis beams
         path = tmp_path / "book.riscb"
@@ -677,7 +705,7 @@ class TestSerialization:
         header, payload = _header_and_payload(path.read_bytes())
         assert sum(2**s * l_s for s, l_s in enumerate(header["schedule"], 1)) == 936
         assert len(payload) == 936 * 16
-        assert sorted(header) == ["d", "n_ris", "quality_warnings", "residuals", "schedule", "spacing", "v_b", "v_u"]
+        assert sorted(header) == ["d", "n_ris", "residuals", "schedule", "spacing", "v_b", "v_u"]
 
     def test_rejects_other_files(self, tmp_path):
         p = tmp_path / "junk.bin"
@@ -685,10 +713,11 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_codebook(str(p))
 
-    def test_rejects_first_format(self, saved_tiny_book):
+    @pytest.mark.parametrize("magic", [b"RISCB1\n", b"RISCB2\n"])
+    def test_rejects_first_format(self, saved_tiny_book, magic):
         data, path = saved_tiny_book
-        path.write_bytes(b"RISCB1\n" + data[len(CODEBOOK_MAGIC) :])
-        with pytest.raises(ValueError, match=f"{path.name}: not a RISCB2 codebook file"):
+        path.write_bytes(magic + data[len(CODEBOOK_MAGIC) :])
+        with pytest.raises(ValueError, match=f"{path.name}: not a RISCB3 codebook file"):
             load_codebook(str(path))
 
 
@@ -702,7 +731,10 @@ def saved_tiny_book(tmp_path_factory):
 
 # a consistent one-stage header with no payload
 _TOP_KEYS = {"d": 2, "n_ris": 16, "spacing": 0.25, "schedule": [4], "v_b": [0.1, -0.2], "v_u": [0.0, 0.3],
-             "residuals": [[0.0, 0.0]], "quality_warnings": [[]]}
+             "residuals": [[0.0, 0.0]]}
+# a 2**50-element axis: its header asks for a 2**55-byte stage-1 payload, and the file holds 2 phases
+HUGE_HEADER_BOOK = (CODEBOOK_MAGIC + json.dumps({**_TOP_KEYS, "n_ris": 2**100, "schedule": [2**50]}).encode() + b"\n"
+                    + np.ones(2, "<c16").tobytes())
 
 
 class TestMalformedFiles:
@@ -762,12 +794,10 @@ class TestMalformedFiles:
             ("v_u", None, [True, 0.0], "key 'v_u' is not 2 direction cosines"),
             ("v_u", None, {"vx": 0.1, "vy": 0.0}, "key 'v_u' is not a list"),
             ("residuals", None, [[0.0, 0.0]], "key 'residuals' has 1 entries, not one per stage \\(3\\)"),
-            ("quality_warnings", None, [[], []], "key 'quality_warnings' has 2 entries, not one per stage \\(3\\)"),
-            ("quality_warnings", 2, [None], "key 'quality_warnings' stage 2 is not a list of strings"),
         ],
         ids=["short", "not-numbers", "nan-negative", "negative", "infinite", "spacing-neg", "spacing-0", "spacing-nan",
              "spacing-0.75", "v_b-short", "v_b-long", "v_b-above-1", "v_u-nan", "v_u-string", "v_u-bool", "v_u-object",
-             "residual-stages", "warning-stages", "warning-not-text"],
+             "residual-stages"],
     )
     def test_bad_header_values_rejected(self, saved_tiny_book, key, stage, value, match):
         # the saved book with one header value replaced; the payload stays whole
@@ -789,11 +819,36 @@ class TestMalformedFiles:
         with pytest.raises(ValueError, match=f"{path.name}: stage 3 payload holds a phase that is not unit modulus"):
             load_codebook(str(path))
 
+    def test_header_cannot_ask_for_more_than_the_file_holds(self, tmp_path):
+        # the loader reads no more than the file holds, so the header cannot make it allocate 2**55 bytes
+        path = tmp_path / "huge.riscb"
+        path.write_bytes(HUGE_HEADER_BOOK)
+        with pytest.raises(ValueError, match=f"{path.name}: stage 1 payload has 32 of {2**55} bytes"):
+            load_codebook(str(path))
+
+    def test_piped_header_cannot_ask_for_more_than_the_pipe_holds(self):
+        r, w = os.pipe()
+        os.write(w, HUGE_HEADER_BOOK)  # under 1 KB, within the pipe's buffer
+        os.close(w)
+        try:
+            with pytest.raises(ValueError, match=f"stage 1 payload has 32 of {2**55} bytes"):
+                load_codebook(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+
+    def test_d_beyond_a_float_fails_on_its_residuals(self, tmp_path):
+        # 1024 stages claim D = 2**1024, whose square root overflows a float; stage 2 lacks its residuals
+        header = {**_TOP_KEYS, "n_ris": 1, "schedule": [1] * 1024, "d": 2**1024, "residuals": [[0, 0]] * 1024}
+        path = tmp_path / "deep.riscb"
+        path.write_bytes(CODEBOOK_MAGIC + json.dumps(header).encode() + b"\n" + np.ones(2, "<c16").tobytes())
+        with pytest.raises(ValueError, match=f"{path.name}: .*key 'residuals' stage 2 is not 4 finite numbers"):
+            load_codebook(str(path))
+
     def test_stage_count_must_match_d(self, saved_tiny_book):
         # the D=8 book with its last stage cut from both the header and the payload
         data, path = saved_tiny_book
         header, payload = _header_and_payload(data)
-        for key in ("schedule", "residuals", "quality_warnings"):
+        for key in ("schedule", "residuals"):
             header[key] = header[key][:2]
         last_stage_bytes = 2**3 * 4 * 16  # 8 canonical fits of 4 elements, complex128
         path.write_bytes(CODEBOOK_MAGIC + json.dumps(header).encode() + b"\n" + payload[:-last_stage_bytes])

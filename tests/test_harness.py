@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import risjrc
 from risjrc import cli, harness
 from risjrc.channels import ScenarioConfig, draw_fading
-from risjrc.codebook import SolverParams, build_codebook, save_codebook
+from risjrc.codebook import SolverParams, build_codebook, load_codebook, save_codebook
 from risjrc.comms import _se_samples, average_se, comm_phase_profile, stage_phase_profile
 from risjrc.geometry import DirectionCosine, FieldError
 from risjrc.harness import (
@@ -262,7 +262,7 @@ class TestFieldErrors:
                     *("sigma_b2_dbm", "sigma_u2_dbm", "power", "radar_share", "ris_spacing"),
                 )
             ),
-            *((SolverParams, name) for name in ("tol", "residual_ceiling_factor")),
+            (SolverParams, "tol"),
             (ExperimentPlan, "delta"),
             (ExperimentPlan, "power_list"),
         ],
@@ -356,8 +356,7 @@ class TestConfigHash:
         assert b",42.0," in want[2]
 
     def test_run_hashes_the_schedule_that_ran(self):
-        # a plan that leaves the schedule unset hashes the schedule of the codebook it runs; the default-schedule
-        # book keeps the hash it had before, so the golden file stays byte-identical
+        # a plan that leaves the schedule unset hashes the schedule of the codebook it runs, and the book itself
         cfg = desk_cfg(n_ris=16, grid_size=8)
         plan = ExperimentPlan(kind="transmission-count", power_list=(42.0,), schedule_source="manual")
 
@@ -365,8 +364,17 @@ class TestConfigHash:
             return {row["config_hash"] for row in run_experiment(plan, cfg, cb).rows}
 
         default, other = (build_codebook(cfg, schedule=schedule) for schedule in ((4, 4, 4), (2, 2, 4)))
-        assert hashes() == hashes(default) == {config_hash(cfg, plan)}
-        assert hashes(other) == {config_hash(cfg, replace(plan, schedule_ls=(2, 2, 4)))} != hashes()
+        assert hashes() == hashes(default) == {config_hash(cfg, plan, default)}
+        assert hashes(other) == {config_hash(cfg, replace(plan, schedule_ls=(2, 2, 4)), other)} != hashes()
+
+    def test_hash_covers_the_codebook(self, tmp_path):
+        # two books of one schedule, designed at two seeds, hash apart; a saved and reloaded book hashes as the
+        # fresh build it was saved from
+        cfg, plan = desk_cfg(n_ris=16, grid_size=8), ExperimentPlan(schedule_ls=(4, 4, 4))
+        seed0, seed1 = (build_codebook(cfg, schedule=(4, 4, 4), seed=seed) for seed in (0, 1))
+        assert config_hash(cfg, plan, seed0) != config_hash(cfg, plan, seed1)
+        save_codebook(seed1, str(tmp_path / "book.riscb"))
+        assert config_hash(cfg, plan, load_codebook(str(tmp_path / "book.riscb"))) == config_hash(cfg, plan, seed1)
 
 
 class TestResultTable:
