@@ -38,13 +38,12 @@ def db_to_linear(p_db: float) -> float:
 class ScenarioConfig:
     """Scenario geometry, power budget, and model switches.
 
-    The total transmit power is stored once, in the configured units
-    (``power_units``), and split by ``radar_share``, the radar stream's
-    fraction of it; the user stream has the rest.  An experiment sets it to
-    each entry of its plan's ``power_list`` in turn.  All internal math is in
-    linear watts: ``p_r_watts`` and ``p_u_watts`` derive the two stream
-    powers from the total, so ``replace(cfg, power=P)`` keeps the split.
-    ``pathloss_model`` names the one pathloss law, ``standard_power``.
+    The total transmit power is stored once, in dBm (an experiment sets it to
+    each ``power_list`` entry in turn), and split by ``radar_share``, the
+    radar stream's fraction of it; the user stream has the rest.  All internal
+    math is in linear watts: ``p_r_watts`` and ``p_u_watts`` derive the two
+    stream powers from the total, so ``replace(cfg, power=P)`` keeps the
+    split.  ``pathloss_model`` names the one pathloss law, ``standard_power``.
     """
 
     # array sizes
@@ -78,7 +77,6 @@ class ScenarioConfig:
     sigma_u2_dbm: float = -80.0
     # transmit power and split
     power: float = 36.0
-    power_units: str = "dBm"
     radar_share: float = 0.5
     # RIS element spacing in wavelengths
     ris_spacing: float = 0.25
@@ -108,7 +106,7 @@ class ScenarioConfig:
 
     @property
     def p_total_watts(self) -> float:
-        return dbm_to_watts(self.power) if self.power_units == "dBm" else db_to_linear(self.power)
+        return dbm_to_watts(self.power)
 
     @property
     def p_r_watts(self) -> float:
@@ -127,7 +125,7 @@ class ScenarioConfig:
         return dbm_to_watts(self.sigma_u2_dbm)
 
     def with_power(self, power: float) -> "ScenarioConfig":
-        """Copy of the config at a new total power, in its units and with its radar share."""
+        """Copy of the config at a new total power in dBm, with its radar share."""
         return replace(self, power=power)
 
     @property
@@ -142,7 +140,6 @@ _SCENARIO_RULES = (
     ("n_ris", "an integer", is_integer),  # before axis_size checks its range
     *((name, "> 0", lambda x: x > 0) for name in ("d_bu", "d_br", "d_ru", "d_rt")),
     ("pathloss_model", "'standard_power'", lambda x: x == "standard_power"),
-    ("power_units", "'dBm' or 'dB'", lambda x: x in ("dBm", "dB")),
     ("ris_spacing", "in (0, 0.5] wavelengths", lambda x: 0 < x <= 0.5),
     ("radar_share", "in [0, 1]", lambda x: 0 <= x <= 1),
 )

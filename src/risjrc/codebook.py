@@ -524,5 +524,8 @@ def load_codebook(path: str) -> Codebook:
         if len(payload) > at:
             raise ValueError(f"{path}: trailing bytes after the last stage")
     # every stage is checked before any is ramped: the file holds D = 2**stages residuals, so sqrt(D) fits a float
-    stages = [_stage_book(k, n_axis, *fit, v_b, v_u, spacing, header["d"]) for k, fit in enumerate(fits, 1)]
+    try:
+        stages = [_stage_book(k, n_axis, *fit, v_b, v_u, spacing, header["d"]) for k, fit in enumerate(fits, 1)]
+    except MemoryError:  # the comm block of every beam has n_axis - l_s entries
+        raise ValueError(f"{bad} 'n_ris' asks for more memory than there is: {n_ris}") from None
     return Codebook(header["d"], n_ris, spacing, v_b, v_u, tuple(schedule), stages)

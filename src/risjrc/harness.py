@@ -176,7 +176,6 @@ CONFIG_FIELDS = (
     ("pathloss", "model", ScenarioConfig, "pathloss_model", str),
     ("noise_dbm", "sigma_b2", ScenarioConfig, "sigma_b2_dbm", float),
     ("noise_dbm", "sigma_u2", ScenarioConfig, "sigma_u2_dbm", float),
-    ("power", "units", ScenarioConfig, "power_units", str),
     ("power", "radar_share", ScenarioConfig, "radar_share", float),
     ("ris", "spacing_wavelengths", ScenarioConfig, "ris_spacing", float),
     ("codebook", "schedule", ExperimentPlan, "schedule_ls", _int_tuple),

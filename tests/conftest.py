@@ -17,7 +17,6 @@ def desk_cfg(
         n_ris=n_ris,
         grid_size=grid_size,
         power=power_dbm,
-        power_units="dBm",
     )
     kwargs.update(overrides)
     return ScenarioConfig(**kwargs)

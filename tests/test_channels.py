@@ -124,16 +124,15 @@ class TestScenarioConfig:
 
     @settings(max_examples=50, deadline=None)
     @given(
-        units=st.sampled_from(["dBm", "dB"]),
         power=st.floats(-60.0, 80.0),
         new_power=st.floats(-60.0, 80.0),
         share=st.floats(0.0, 1.0),
     )
-    def test_replace_is_with_power(self, units, power, new_power, share):
-        cfg = ScenarioConfig(n_ris=16, grid_size=8, power=power, power_units=units, radar_share=share)
+    def test_replace_is_with_power(self, power, new_power, share):
+        cfg = ScenarioConfig(n_ris=16, grid_size=8, power=power, radar_share=share)
         moved = replace(cfg, power=new_power)
         assert moved == cfg.with_power(new_power)
-        assert (moved.power, moved.power_units, moved.radar_share) == (new_power, units, share)
+        assert (moved.power, moved.radar_share) == (new_power, share)
 
     def test_grid_power_of_two(self):
         with pytest.raises(ValueError, match="grid_size"):
@@ -170,9 +169,9 @@ class TestScenarioConfig:
         assert cfg.p_r_watts == pytest.approx(cfg.p_u_watts)
         assert cfg.p_r_watts + cfg.p_u_watts == pytest.approx(cfg.p_total_watts)
 
-    def test_with_power_in_db_keeps_an_uneven_split(self):
-        # 10 dB re 1 W is 10 W, split 3:1; at 13 dB the radar keeps three quarters of 10^1.3 W
-        cfg = ScenarioConfig(power=10.0, power_units="dB", radar_share=0.75).with_power(13.0)
+    def test_with_power_keeps_an_uneven_split(self):
+        # 40 dBm is 10 W, split 3:1; at 43 dBm the radar keeps three quarters of 10^1.3 W
+        cfg = ScenarioConfig(power=40.0, radar_share=0.75).with_power(43.0)
         assert cfg.p_total_watts == 10.0**1.3
         assert cfg.p_r_watts == pytest.approx(0.75 * cfg.p_total_watts, rel=1e-12)
         assert cfg.p_u_watts == pytest.approx(0.25 * cfg.p_total_watts, rel=1e-12)

@@ -8,7 +8,7 @@ import pytest
 from risjrc import cli
 from risjrc.harness import CSV_COLUMNS
 
-from test_codebook import HUGE_HEADER_BOOK
+from test_codebook import HUGE_HEADER_BOOK, WIDE_AXIS_BOOK
 
 TINY_CONFIG = """[arrays]
 n_ris = 16
@@ -74,8 +74,10 @@ def test_subcommand_takes_only_the_paths_it_reads(capsys, command):
         (TINY_CONFIG + "[experiment]\ntrials = 5\n", "malformed config"),
         (TINY_CONFIG + "schedule_source = literal-rule\n", "[experiment] schedule_source"),
         (TINY_CONFIG + "[power]\ntotal = 50\n", "unknown key 'total'"),  # each point runs at its power_list entry
+        (TINY_CONFIG + "[power]\nunits = dBm\n", "unknown key 'units' in section [power]"),  # every power is dBm
     ],
-    ids=["missing-file", "unknown-key", "no-section-header", "duplicate-section", "literal-rule", "power-total"],
+    ids=["missing-file", "unknown-key", "no-section-header", "duplicate-section", "literal-rule", "power-total",
+         "power-units"],
 )
 def test_rejected_config_is_one_error_line(tmp_path, capsys, text, names):
     """``run`` reports a config it cannot read or accept as one stderr line and exit status 2."""
@@ -101,14 +103,22 @@ def test_missing_output_directory_fails_before_the_run(tmp_path, capsys, monkeyp
     assert str(out) in err
 
 
-def test_oversized_codebook_header_is_one_error_line(tmp_path, capsys):
-    """A codebook header that declares more payload than its file holds is a rejected input, not a failed
-    allocation."""
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (HUGE_HEADER_BOOK, f"stage 1 payload has 32 of {2**55} bytes"),
+        (WIDE_AXIS_BOOK, f"codebook header key 'n_ris' asks for more memory than there is: {2**100}"),
+    ],
+    ids=["payload", "axis"],
+)
+def test_oversized_codebook_header_is_one_error_line(tmp_path, capsys, data, message):
+    """A codebook header that declares more payload than its file holds, or an axis too wide to ramp, is a
+    rejected input, not a failed allocation."""
     book = tmp_path / "huge.riscb"
-    book.write_bytes(HUGE_HEADER_BOOK)
+    book.write_bytes(data)
     assert cli.run(["localize", "--codebook", str(book)]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err == f"risjrc: error: {book}: stage 1 payload has 32 of {2**55} bytes\n"
+    assert out == "" and err == f"risjrc: error: {book}: {message}\n"
 
 
 def test_experiment_prints_the_hash_its_rows_carry(tmp_path, capsys):

@@ -735,6 +735,9 @@ _TOP_KEYS = {"d": 2, "n_ris": 16, "spacing": 0.25, "schedule": [4], "v_b": [0.1,
 # a 2**50-element axis: its header asks for a 2**55-byte stage-1 payload, and the file holds 2 phases
 HUGE_HEADER_BOOK = (CODEBOOK_MAGIC + json.dumps({**_TOP_KEYS, "n_ris": 2**100, "schedule": [2**50]}).encode() + b"\n"
                     + np.ones(2, "<c16").tobytes())
+# a whole 1-element stage on a 2**50-element axis: every check passes, and the comm block asks for 2**50 - 1 entries
+WIDE_AXIS_BOOK = (CODEBOOK_MAGIC + json.dumps({**_TOP_KEYS, "n_ris": 2**100, "schedule": [1]}).encode() + b"\n"
+                  + np.ones(2, "<c16").tobytes())
 
 
 class TestMalformedFiles:
@@ -824,6 +827,14 @@ class TestMalformedFiles:
         path = tmp_path / "huge.riscb"
         path.write_bytes(HUGE_HEADER_BOOK)
         with pytest.raises(ValueError, match=f"{path.name}: stage 1 payload has 32 of {2**55} bytes"):
+            load_codebook(str(path))
+
+    def test_axis_too_wide_to_allocate_names_n_ris(self, tmp_path):
+        # 2**50 int64 entries exceed any 48-bit address space, so the allocation fails on every machine
+        path = tmp_path / "wide.riscb"
+        path.write_bytes(WIDE_AXIS_BOOK)
+        with pytest.raises(ValueError, match=f"{path.name}: codebook header key 'n_ris' asks for more memory than there "
+                                             f"is: {2**100}"):
             load_codebook(str(path))
 
     def test_piped_header_cannot_ask_for_more_than_the_pipe_holds(self):

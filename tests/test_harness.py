@@ -3,7 +3,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -69,19 +69,13 @@ class TestConfigIO:
         assert replace(plan, schedule_ls=None) == ExperimentPlan()
         assert config_hash(cfg, plan) == config_hash(ScenarioConfig(), ExperimentPlan())
 
-    @pytest.mark.parametrize("units", ["dBm", "dB"])
-    def test_default_split_is_the_loaders(self, tmp_path, units):
+    def test_default_split_is_the_loaders(self, tmp_path):
         path = tmp_path / "power.cfg"
-        path.write_text(f"[power]\nunits = {units}\n")
+        path.write_text("[power]\nradar_share = 0.5\n")
         cfg, _ = load_config(str(path))
-        want = ScenarioConfig(power_units=units)
+        want = ScenarioConfig()
         assert vars(cfg) == vars(want)
         assert want.p_r_watts == want.p_u_watts == want.p_total_watts / 2
-        # a written default file with only its units edited loads with the same split
-        written = tmp_path / "written.cfg"
-        write_default_config(str(written))
-        written.write_text(written.read_text().replace("units = dBm\n", f"units = {units}\n"))
-        assert load_config(str(written))[0] == want
 
     @pytest.mark.parametrize(
         "section, key, text",
@@ -313,9 +307,35 @@ class TestConfigHash:
         cfg = desk_cfg()
         plan = ExperimentPlan()
         base = config_hash(cfg, plan)
-        assert config_hash(desk_cfg(sigma_u2_dbm=-79.0), plan) != base
-        plan2 = ExperimentPlan(master_seed=4321)
-        assert config_hash(cfg, plan2) != base
+        # a valid changed value for every field; parallel is excluded by design (outputs do not depend on it),
+        # and pathloss_model has a single legal value, so it cannot change
+        moves = {
+            ScenarioConfig: dict(
+                n_b=32, n_u=8, n_ris=256, grid_size=8, theta_r_deg=46.0, theta_u_deg=-24.0, zeta_b_deg=-29.0,
+                zeta_r_deg=26.0, v_b=DirectionCosine(0.1, 0.2), v_u=DirectionCosine(0.1, 0.2),
+                v_t=DirectionCosine(0.1, 0.2), d_bu=21.0, d_br=11.0, d_ru=11.0, d_rt=6.0, alpha_bu=3.6,
+                alpha_br=2.6, alpha_ru=2.9, alpha_rt=2.9, eta0_db=-31.0, sigma_b2_dbm=-93.0, sigma_u2_dbm=-79.0,
+                power=43.0, radar_share=0.25, ris_spacing=0.5,
+            ),
+            ExperimentPlan: dict(
+                kind="se-vs-P", power_list=(40.0,), trials=100, master_seed=4321, delta=0.1, t_max=256,
+                calib_trials=100, schedule_source="manual", snapshots=(1, 1, 1, 1), t_per_beam=2,
+                schedule_ls=(2, 4, 8, 16), design_seed=1,
+            ),
+            SolverParams: dict(max_iters=100, tol=1e-6, n_starts=2),
+        }
+        for owner, changed in moves.items():
+            assert set(changed) == {f.name for f in fields(owner)} - {"pathloss_model", "parallel", "solver"}
+            for name, value in changed.items():
+                moved_cfg, moved_plan = cfg, plan
+                if owner is ScenarioConfig:
+                    moved_cfg = replace(cfg, **{name: value})
+                elif owner is ExperimentPlan:
+                    moved_plan = replace(plan, **{name: value})
+                else:
+                    moved_plan = replace(plan, solver=replace(plan.solver, **{name: value}))
+                assert config_hash(moved_cfg, moved_plan) != base, name
+        assert config_hash(cfg, replace(plan, parallel=4)) == base
 
     def test_list_and_tuple_plans_hash_alike(self):
         cfg = desk_cfg()
